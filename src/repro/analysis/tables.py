@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.energy.accounting import BUCKETS
 from repro.sim.results import SimulationResult
-
-_BUCKETS = ("serving_dma", "serving_proc", "idle_dma", "idle_threshold",
-            "transition", "low_power", "migration")
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -47,7 +45,7 @@ def format_breakdown(results: Sequence[SimulationResult],
     labels = list(labels) if labels else [r.technique for r in results]
     headers = ["bucket"] + labels
     rows = []
-    for bucket in _BUCKETS:
+    for bucket in BUCKETS:
         row: list[object] = [bucket]
         for result in results:
             share = result.energy.fractions().get(bucket, 0.0)

@@ -41,6 +41,7 @@ from repro.bench.trajectory import (
     trajectory_path,
     write_json_atomic,
 )
+from repro.energy.accounting import BUCKETS
 from repro.errors import DiffError, ReproError
 from repro.obs.diff import SimRunSpec, diff_runs
 from repro.sim.run import simulate
@@ -63,11 +64,6 @@ _TRACE_MAKERS = {
     "Synthetic-St": synthetic_storage_trace,
     "Synthetic-Db": synthetic_database_trace,
 }
-
-#: Residency buckets ranked in the energy attribution.
-_ENERGY_BUCKETS = ("serving_dma", "serving_proc", "idle_dma",
-                   "idle_threshold", "transition", "low_power",
-                   "migration")
 
 
 def _pick_record(records: list[BenchRecord], figure: str) -> BenchRecord:
@@ -202,7 +198,7 @@ def explain_figure(figure: str,
           "baseline_frac": fractions_b.get(bucket, 0.0),
           "delta": (fractions_c.get(bucket, 0.0)
                     - fractions_b.get(bucket, 0.0))}
-         for bucket in _ENERGY_BUCKETS),
+         for bucket in BUCKETS),
         key=lambda row: -abs(row["delta"]))
 
     if report.identical and not cross_duration:

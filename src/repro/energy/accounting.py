@@ -19,17 +19,66 @@ out of the accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import SimulationError
+
+#: The buckets of both breakdowns, in field order. Every other list of
+#: bucket names (telemetry columns, digest fields, trace export, tables)
+#: is this tuple.
+BUCKETS = ("serving_dma", "serving_proc", "idle_dma", "idle_threshold",
+           "transition", "low_power", "migration")
+
+#: Position of each bucket in :data:`BUCKETS`.
+BUCKET_INDEX = {name: i for i, name in enumerate(BUCKETS)}
+
+#: ``bucket_values(breakdown)`` -> the bucket values in :data:`BUCKETS`
+#: order, as a tuple.
+bucket_values = attrgetter(*BUCKETS)
 
 #: Tolerance used when checking that buckets sum to the recorded total.
 _REL_TOL = 1e-9
 
 
+class _Buckets:
+    """Bucket arithmetic shared by both breakdowns.
+
+    ``total`` and ``as_dict`` stay on each class: profilers wrap them
+    per class.
+    """
+
+    _unit = ""
+
+    def add(self, other) -> None:
+        """Accumulate ``other`` into this breakdown in place."""
+        for name, mine, theirs in zip(BUCKETS, bucket_values(self),
+                                      bucket_values(other)):
+            setattr(self, name, mine + theirs)
+
+    def __add__(self, other):
+        result = type(self)()
+        result.add(self)
+        result.add(other)
+        return result
+
+    def copy(self):
+        return type(self)(*bucket_values(self))
+
+    def validate(self) -> None:
+        """Raise :class:`SimulationError` if any bucket is negative."""
+        floor = -_REL_TOL * max(1.0, abs(self.total))
+        for name, value in zip(BUCKETS, bucket_values(self)):
+            if value < floor:
+                raise SimulationError(
+                    f"negative {self._unit} bucket {name}={value!r}")
+
+
 @dataclass
-class EnergyBreakdown:
+class EnergyBreakdown(_Buckets):
     """Per-category energy (joules). Mutable accumulator."""
+
+    _unit = "energy"
 
     serving_dma: float = 0.0
     serving_proc: float = 0.0
@@ -47,52 +96,35 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         """Sum of all buckets."""
-        return sum(getattr(self, f.name) for f in fields(self))
-
-    def add(self, other: "EnergyBreakdown") -> None:
-        """Accumulate ``other`` into this breakdown in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        result = EnergyBreakdown()
-        result.add(self)
-        result.add(other)
-        return result
+        # sum(), not a chain of +: from Python 3.12 sum() of floats is
+        # compensated, and every recorded total was summed this way.
+        return sum(bucket_values(self))
 
     def fractions(self) -> dict[str, float]:
         """Each bucket as a fraction of the total (empty dict if total is 0)."""
         total = self.total
         if total <= 0:
             return {}
-        return {f.name: getattr(self, f.name) / total for f in fields(self)}
-
-    def validate(self) -> None:
-        """Raise :class:`SimulationError` if any bucket is negative."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < -_REL_TOL * max(1.0, abs(self.total)):
-                raise SimulationError(
-                    f"negative energy bucket {f.name}={value!r}")
+        return {name: value / total
+                for name, value in zip(BUCKETS, bucket_values(self))}
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view (bucket name -> joules), including the total."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(BUCKETS, bucket_values(self)))
         out["total"] = self.total
         return out
 
-    def copy(self) -> "EnergyBreakdown":
-        return EnergyBreakdown(**{f.name: getattr(self, f.name) for f in fields(self)})
-
 
 @dataclass
-class TimeBreakdown:
+class TimeBreakdown(_Buckets):
     """Per-category chip time (memory cycles). Mutable accumulator.
 
     ``active_dma_total`` is the paper's ``T_tot``: cycles during which some
     DMA transfer to the chip is in progress (chip active). ``serving_dma``
     is ``T_useful``. Their ratio is the utilization factor.
     """
+
+    _unit = "time"
 
     serving_dma: float = 0.0
     serving_proc: float = 0.0
@@ -109,17 +141,7 @@ class TimeBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
-
-    def add(self, other: "TimeBreakdown") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        result = TimeBreakdown()
-        result.add(self)
-        result.add(other)
-        return result
+        return sum(bucket_values(self))
 
     def utilization_factor(self) -> float:
         """``uf = T_useful / T_tot`` (Section 5.3); 0.0 when no DMA ran.
@@ -134,16 +156,7 @@ class TimeBreakdown:
             return 0.0
         return (self.serving_dma + self.serving_proc) / t_tot
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < -_REL_TOL * max(1.0, abs(self.total)):
-                raise SimulationError(f"negative time bucket {f.name}={value!r}")
-
     def as_dict(self) -> dict[str, float]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(BUCKETS, bucket_values(self)))
         out["total"] = self.total
         return out
-
-    def copy(self) -> "TimeBreakdown":
-        return TimeBreakdown(**{f.name: getattr(self, f.name) for f in fields(self)})

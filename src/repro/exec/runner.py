@@ -316,6 +316,18 @@ def _run_pool(
     jobs past their explicit timeout or derived wait bound, and requeue
     jobs the fleet watchdog has declared stalled.
     """
+    try:
+        # An unshippable worker fails every job: find out here, before a
+        # pool exists, rather than from the pool's queue-feeder thread.
+        pickle.dumps(worker)
+    except _POOL_FAILURES as exc:
+        logger.warning("worker cannot be sent to a process pool (%s); "
+                       "running %d jobs serially", _describe(exc),
+                       len(pending))
+        for key in pending:
+            run_serially(key)
+        return
+
     kwargs: dict = {"max_workers": max_workers}
     context = executor_mp_context()
     if context is not None:
@@ -445,6 +457,9 @@ def _run_pool(
                     run_serially(key)
     finally:
         # Abandoned workers may be wedged mid-job: don't block shutdown
-        # on them (their processes are reaped at interpreter exit).
-        executor.shutdown(wait=not abandoned,
-                          cancel_futures=abandoned or pool_broken)
+        # on them (their processes are reaped at interpreter exit). A
+        # broken pool has already cancelled its queued futures above;
+        # cancel_futures=True would also swap the pool's pending-item map
+        # for a copy, and a payload that then fails to pickle is removed
+        # from the original only, so shutdown would wait on it forever.
+        executor.shutdown(wait=not abandoned, cancel_futures=abandoned)

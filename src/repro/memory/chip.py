@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
+from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
+                                     TimeBreakdown, bucket_values)
 from repro.energy.policies import PowerPolicy
 from repro.energy.states import PowerModel, PowerState
 from repro.errors import SimulationError
@@ -282,18 +283,19 @@ class FluidChip:
             if segment.end >= offset_end:
                 break
 
-    def observe(self, now: float) -> tuple[dict[str, float], float]:
-        """Residency-to-date buckets and instantaneous power at ``now``.
+    def observe(self, now: float) -> tuple[list[float], float]:
+        """Residency-to-date (in :data:`~repro.energy.accounting.BUCKETS`
+        order) and instantaneous power at ``now``.
 
         Strictly read-only: the pending ``now - _time`` span is
         classified exactly as :meth:`advance` will classify it, but
         nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and telemetry-enabled runs
-        must stay bit-identical in energy. Used by the live-telemetry
-        sampler only.
+        point would change float rounding, and observed runs must stay
+        bit-identical in energy. Used by the per-tick probe snapshot
+        that telemetry and digests share
+        (:class:`~repro.obs.probe.ProbeSet`).
         """
-        buckets = self.time.as_dict()
-        buckets.pop("total", None)
+        buckets = list(bucket_values(self.time))
         if now <= self._time:
             # Inside a wake window (or exactly at the chip's clock): the
             # whole transition was charged up front by wake(), so
@@ -307,12 +309,12 @@ class FluidChip:
         if self._busy:
             rates = self.rates
             idle_fraction = max(0.0, 1.0 - min(1.0, rates.busy_fraction))
-            buckets["serving_dma"] += delta * rates.dma
-            buckets["serving_proc"] += delta * rates.proc
-            buckets["migration"] += delta * rates.migration
+            buckets[BUCKET_INDEX["serving_dma"]] += delta * rates.dma
+            buckets[BUCKET_INDEX["serving_proc"]] += delta * rates.proc
+            buckets[BUCKET_INDEX["migration"]] += delta * rates.migration
             idle_bucket = ("idle_dma" if self._has_dma_stream
                            else "idle_threshold")
-            buckets[idle_bucket] += delta * idle_fraction
+            buckets[BUCKET_INDEX[idle_bucket]] += delta * idle_fraction
             return buckets, self.model.active_power
         offset_start = self._time - self._idle_since
         offset_end = now - self._idle_since
@@ -321,12 +323,7 @@ class FluidChip:
             hi = min(segment.end, offset_end)
             if hi <= lo:
                 continue
-            if segment.bucket == _SEG_ACTIVE_IDLE:
-                buckets["idle_threshold"] += hi - lo
-            elif segment.bucket == _SEG_TRANSITION:
-                buckets["transition"] += hi - lo
-            else:
-                buckets["low_power"] += hi - lo
+            buckets[BUCKET_INDEX[segment.bucket]] += hi - lo
             if segment.end >= offset_end:
                 break
         return buckets, self._segment_at(offset_end).power_watts

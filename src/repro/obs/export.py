@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro import units
+from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.obs.events import (
     PH_COUNTER,
     PH_INSTANT,
@@ -47,11 +48,6 @@ _PID_POLICY = 3
 _PID_PROFILE = 4
 _PID_AUDIT = 5
 _PID_FLEET = 6
-
-#: The time buckets a residency span may claim (TimeBreakdown fields).
-RESIDENCY_BUCKETS = ("serving_dma", "serving_proc", "idle_dma",
-                     "idle_threshold", "transition", "low_power",
-                     "migration")
 
 
 def _track_key(track: str) -> tuple[int, int, str]:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.energy.accounting import BUCKETS
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -218,14 +220,12 @@ def render_metrics(report: MetricsReport, title: str | None = None) -> str:
             lines.append(f"  {edge:<32} {count}")
     if report.chip_residency:
         lines.append("per-chip state residency (share of recorded time):")
-        buckets = ("serving_dma", "serving_proc", "idle_dma",
-                   "idle_threshold", "transition", "low_power", "migration")
-        header = "  chip " + " ".join(f"{b[:9]:>9}" for b in buckets)
+        header = "  chip " + " ".join(f"{b[:9]:>9}" for b in BUCKETS)
         lines.append(header)
         for chip_id in sorted(report.chip_residency):
             shares = report.residency_shares(chip_id)
             row = " ".join(f"{shares.get(b, 0.0) * 100:8.1f}%"
-                           for b in buckets)
+                           for b in BUCKETS)
             lines.append(f"  {chip_id:>4} {row}")
     return "\n".join(lines) if lines else "(no metrics recorded)"
 

@@ -1,10 +1,11 @@
 """Live per-epoch telemetry: sampler, bounded store, and exporters.
 
 Both engines can carry a :class:`TelemetrySampler` (``simulate(...,
-telemetry=sampler)``). The sampler rides a dedicated read-only event kind
-scheduled at a fixed cadence (the DMA-TA epoch length by default, so
+telemetry=sampler)``). The sampler is a probe (:mod:`repro.obs.probe`):
+the engine's single read-only PROBE event hands it the run's shared
+snapshot at its own cadence (the DMA-TA epoch length by default, so
 "per-epoch" is literal when a DMA-TA technique runs and epoch-equivalent
-otherwise) and snapshots, without touching any simulation state:
+otherwise), from which it records:
 
 * per-chip power-state residency-to-date (the seven
   :data:`RESIDENCY_BUCKETS`) and instantaneous power draw,
@@ -26,11 +27,11 @@ recorded on ``sampler.anomalies`` and — when the run is traced — emitted
 as ``telemetry.anomaly`` instants into the existing tracer/audit
 pipeline.
 
-The sampler is strictly observational: it never calls ``touch`` /
-``advance`` on a chip (splitting an accrual changes float rounding), the
-precise engine excludes telemetry events from its end-of-run horizon,
-and the array-timeline kernel cuts its batching windows at the next
-sample time. A telemetry-enabled run is therefore bit-identical in
+The sampler is strictly observational: the snapshot never calls
+``touch`` / ``advance`` on a chip (splitting an accrual changes float
+rounding), the precise engine excludes probe events from its end-of-run
+horizon, and the array-timeline kernel cuts its batching windows at the
+next probe tick. A telemetry-enabled run is therefore bit-identical in
 :class:`~repro.energy.accounting.EnergyBreakdown` to a disabled one —
 the same guarantee the tracer and auditor meet (gated by
 ``tests/integration/test_telemetry_equivalence.py``).
@@ -43,24 +44,19 @@ import math
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.errors import ConfigurationError, TelemetryError
 from repro.obs.events import TRACK_SIM
-
-#: Chip residency buckets, in column order (matches
-#: :data:`repro.obs.export.RESIDENCY_BUCKETS`).
-RESIDENCY_BUCKETS = ("serving_dma", "serving_proc", "idle_dma",
-                     "idle_threshold", "transition", "low_power",
-                     "migration")
+from repro.obs.probe import SNAPSHOT_SCALARS, probe_period, snapshot_fields
 
 #: Run-wide scalar columns, in row order (per-chip and per-bus blocks
-#: follow them; see :meth:`TelemetrySampler.bind`).
-SCALAR_COLUMNS = ("ts", "requests", "degradation_cycles", "slack_balance",
-                  "slack_pending", "migrations", "migration_waves",
-                  "power_w")
+#: follow them; see :meth:`TelemetrySampler.bind`). The snapshot's
+#: scalars keep their snapshot indices.
+SCALAR_COLUMNS = (*SNAPSHOT_SCALARS, "migration_waves", "power_w")
 
 _I_TS, _I_REQ, _I_DEG, _I_BAL, _I_PEND, _I_MIG, _I_WAVES, _I_POWER = range(8)
 
@@ -594,9 +590,10 @@ class SseBroker(TelemetryExporter):
 class TelemetrySampler:
     """Per-epoch read-only sampler attached to one engine run.
 
-    Pass an instance as ``simulate(..., telemetry=sampler)``; the engine
-    calls :meth:`bind` at construction and :meth:`sample` at each
-    telemetry event plus once at the end of the run. A sampler is
+    Pass an instance as ``simulate(..., telemetry=sampler)``. It is a
+    probe (:mod:`repro.obs.probe`): the engine calls :meth:`bind` at
+    construction and :meth:`sample` with the shared snapshot at each of
+    the sampler's ticks plus once at the end of the run. A sampler is
     single-use — bind a fresh one per run.
     """
 
@@ -609,16 +606,11 @@ class TelemetrySampler:
         self.anomalies: list[TelemetryAnomaly] = []
         self.samples_captured = 0
         self.sample_cycles = 0.0
-        self._engine = None
         self._tracer = None
-        self._slack = None
-        self._chips: list = []
-        self._read_requests: Callable[[], float] | None = None
-        self._read_bus: Callable[[int], tuple[float, float]] | None = None
-        self._n_buses = 0
-        self._last_migrations = 0
+        self._take = None
+        self._powers: list[int] = []
+        self._last_migrations = 0.0
         self._waves = 0
-        self._last_ts = -math.inf
         self._spike_at = math.inf
         self._spike_pending = 0.0
         self._cusum: CusumDetector | None = None
@@ -628,48 +620,32 @@ class TelemetrySampler:
 
     def bind(self, engine) -> None:
         """Attach to an engine (fluid or precise) before its run starts."""
-        if self._engine is not None:
+        if self.store is not None:
             raise TelemetryError(
                 "TelemetrySampler is single-use: already bound to a run")
-        self._engine = engine
         self._tracer = engine.tracer
-        self._slack = getattr(engine.controller, "slack", None)
+        self.sample_cycles = probe_period(engine, self.config.sample_cycles)
 
-        period = self.config.sample_cycles
-        if period is None:
-            period = (engine.controller.epoch_cycles()
-                      or engine.config.alignment.epoch_cycles)
-        self.sample_cycles = float(period)
-
-        if hasattr(engine, "memory"):  # fluid
-            self._chips = list(engine.memory.chips)
-            self._read_requests = engine._served_requests
-            buses = engine.buses
-
-            def read_bus(bus_id: int) -> tuple[float, float]:
-                bus = buses[bus_id]
-                busy = 1.0 if (bus.current is not None or bus.members) else 0.0
-                return busy, float(len(bus.queue))
-        else:  # precise
-            self._chips = list(engine.chips)
-            self._read_requests = engine._arrived_requests
-            current, fifo = engine._bus_current, engine._bus_fifo
-
-            def read_bus(bus_id: int) -> tuple[float, float]:
-                busy = 1.0 if current[bus_id] is not None else 0.0
-                return busy, float(len(fifo[bus_id]))
-        self._read_bus = read_bus
-        self._n_buses = engine.config.buses.count
-
+        # Each column copies one snapshot field (a bus's util is its
+        # busy flag); migration_waves and power_w are derived per sample
+        # (their take index is a placeholder).
+        where = {name: i
+                 for i, name in enumerate(snapshot_fields(engine.config))}
+        chips = range(engine.config.memory.num_chips)
         columns = list(SCALAR_COLUMNS)
-        for chip in self._chips:
-            columns.append(f"chip{chip.chip_id}.power_w")
-            columns.extend(f"chip{chip.chip_id}.{bucket}"
-                           for bucket in RESIDENCY_BUCKETS)
-        for bus_id in range(self._n_buses):
-            columns.append(f"bus{bus_id}.util")
-            columns.append(f"bus{bus_id}.queue_depth")
+        take = [where.get(name, 0) for name in SCALAR_COLUMNS]
+        for chip in chips:
+            for name in ("power_w", *RESIDENCY_BUCKETS):
+                columns.append(f"chip{chip}.{name}")
+                take.append(where[f"chip{chip}.{name}"])
+        for bus in range(engine.config.buses.count):
+            for name, source in (("util", "busy"),
+                                 ("queue_depth", "queue_depth")):
+                columns.append(f"bus{bus}.{name}")
+                take.append(where[f"bus{bus}.{source}"])
         self.columns = tuple(columns)
+        self._take = np.array(take)
+        self._powers = [where[f"chip{chip}.power_w"] for chip in chips]
         self.store = TelemetryStore(self.columns,
                                     capacity=self.config.capacity)
 
@@ -690,49 +666,27 @@ class TelemetrySampler:
 
     # --- sampling ---------------------------------------------------------
 
-    def sample(self, now: float, final: bool = False) -> None:
-        """Capture one read-only snapshot of the bound engine at ``now``."""
-        engine = self._engine
-        if engine is None or self.store is None:
+    def sample(self, snapshot: tuple[float, ...]) -> None:
+        """Record one probe snapshot (see :func:`snapshot_fields`)."""
+        if self.store is None:
             raise TelemetryError("sample() before bind(): attach the "
                                  "sampler via simulate(telemetry=...)")
-        if final and now <= self._last_ts:
-            return  # the last periodic sample already covered the end
-        self._last_ts = now
-
-        row = np.zeros(len(self.columns))
-        row[_I_TS] = now
-        row[_I_REQ] = requests = self._read_requests()
-        degradation = engine.head_delay_total + engine.extra_service_total
+        now = snapshot[_I_TS]
+        row = np.array(snapshot)[self._take]
+        degradation = snapshot[_I_DEG]
         if self._spike_pending and now >= self._spike_at:
             degradation += self._spike_pending
             self._spike_pending = 0.0
         row[_I_DEG] = degradation
-        row[_I_BAL] = (self._slack.slack(requests)
-                       if self._slack is not None else 0.0)
-        row[_I_PEND] = pending = float(engine.controller.pending_count())
-        migrations = int(engine.migrations)
+        migrations = snapshot[_I_MIG]
         if migrations > self._last_migrations:
             self._waves += 1
             self._last_migrations = migrations
-        row[_I_MIG] = float(migrations)
         row[_I_WAVES] = float(self._waves)
-
-        base = len(SCALAR_COLUMNS)
         total_power = 0.0
-        for chip in self._chips:
-            buckets, power = chip.observe(now)
-            row[base] = power
-            total_power += power
-            for offset, bucket in enumerate(RESIDENCY_BUCKETS):
-                row[base + 1 + offset] = buckets[bucket]
-            base += 1 + len(RESIDENCY_BUCKETS)
+        for i in self._powers:
+            total_power += snapshot[i]
         row[_I_POWER] = total_power
-        for bus_id in range(self._n_buses):
-            util, depth = self._read_bus(bus_id)
-            row[base] = util
-            row[base + 1] = depth
-            base += 2
 
         index = self.samples_captured
         self.samples_captured += 1
@@ -743,7 +697,7 @@ class TelemetrySampler:
             if alarm is not None:
                 fresh.append(alarm)
         if self._pending is not None:
-            alarm = self._pending.observe(index, now, pending)
+            alarm = self._pending.observe(index, now, snapshot[_I_PEND])
             if alarm is not None:
                 fresh.append(alarm)
         for anomaly in fresh:

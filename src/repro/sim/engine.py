@@ -24,12 +24,10 @@ class EventKind(enum.IntEnum):
     PROC_DONE = 3
     EPOCH = 4
     INTERVAL = 5
-    # TELEMETRY pops last at equal timestamps so a sample observes the
-    # post-everything state of its instant; the handler is read-only.
-    TELEMETRY = 6
-    # DIGEST follows the same read-only discipline: it pops after
-    # TELEMETRY so digest chains fold the fully settled epoch state.
-    DIGEST = 7
+    # PROBE pops last at equal timestamps so every probe (telemetry,
+    # digests) observes the post-everything state of its instant; the
+    # handler is read-only.
+    PROBE = 6
 
 
 class EventQueue:

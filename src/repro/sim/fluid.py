@@ -36,6 +36,7 @@ from repro.memory.chip import ChipRates, FluidChip
 from repro.memory.system import MemorySystem
 from repro.obs.events import TRACK_SIM
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import ProbeSet
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.results import SimulationResult
@@ -75,16 +76,16 @@ class FluidEngine:
             tracer is normalised away so the hot paths pay a single
             ``is not None`` check.
         telemetry: optional
-            :class:`~repro.obs.telemetry.TelemetrySampler`; when given,
-            the run schedules read-only TELEMETRY events at the
-            sampler's cadence. Sampling never touches chip accrual, so
-            a telemetry-enabled run stays bit-identical in energy.
-        digests: optional :class:`~repro.obs.diff.DigestRecorder`; when
-            given, the run schedules read-only DIGEST events at the
-            recorder's epoch cadence and folds the observable state into
-            a rolling hash chain. Same bit-identity discipline as
-            telemetry.
+            :class:`~repro.obs.telemetry.TelemetrySampler`.
+        digests: optional :class:`~repro.obs.diff.DigestRecorder`.
+            Both are probes (:mod:`repro.obs.probe`): the run schedules
+            read-only PROBE events at each probe's cadence and hands
+            every due probe one shared snapshot. Observation never
+            touches chip accrual, so an observed run stays
+            bit-identical in energy.
     """
+
+    name = "fluid"
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str = "baseline", seed: int = 0,
@@ -187,12 +188,9 @@ class FluidEngine:
             memory_config.page_bytes / model.bytes_per_cycle)
         self._total_pages = memory_config.total_pages
 
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.bind(self)
-        self.digests = digests
-        if digests is not None:
-            digests.bind(self)
+        self.probes = ProbeSet(self, EventKind.PROBE, (telemetry, digests),
+                               self.memory.chips, self._served_requests,
+                               self._bus_states)
 
     # ------------------------------------------------------------------
     # Global request-arrival accounting (slack credits)
@@ -217,7 +215,7 @@ class FluidEngine:
             # can bootstrap the guarantee/slack replay from the stream
             # alone.
             self.tracer.instant(0.0, "sim.config", TRACK_SIM, {
-                "engine": "fluid",
+                "engine": self.name,
                 "technique": self.technique,
                 "mu": (self.config.alignment.mu
                        if self.technique in ("dma-ta", "dma-ta-pl")
@@ -236,24 +234,15 @@ class FluidEngine:
         if self._pl_enabled:
             self.queue.push(
                 self.config.layout.interval_cycles, EventKind.INTERVAL, None)
-        if self.telemetry is not None:
-            self.queue.push(self.telemetry.sample_cycles,
-                            EventKind.TELEMETRY, None)
-        if self.digests is not None:
-            self.queue.push(self.digests.sample_cycles,
-                            EventKind.DIGEST, None)
+        self.probes.schedule()
 
         while self.queue:
             now, kind, payload = self.queue.pop()
-            if kind is EventKind.TELEMETRY:
-                # Read-only snapshot: no drain, no progress update — a
-                # telemetry-enabled run must replay the disabled run's
-                # event sequence exactly.
-                self._on_telemetry(now)
-                continue
-            if kind is EventKind.DIGEST:
-                # Same read-only discipline as TELEMETRY.
-                self._on_digest(now)
+            if kind is EventKind.PROBE:
+                # Read-only: no drain, no progress update — an observed
+                # run must replay the unobserved run's event sequence
+                # exactly.
+                self.probes.tick(now, self._work_remaining())
                 continue
             if kind is EventKind.ARRIVAL:
                 self._on_arrival(payload, now)
@@ -271,10 +260,7 @@ class FluidEngine:
 
         end = max(self._last_progress, self.trace.duration_cycles)
         self.memory.advance_all(end)
-        if self.telemetry is not None:
-            self.telemetry.sample(end, final=True)
-        if self.digests is not None:
-            self.digests.sample(end, final=True)
+        self.probes.finish(end)
         return self._build_result(end)
 
     def _work_remaining(self) -> bool:
@@ -291,6 +277,11 @@ class FluidEngine:
         """
         return any(s.kind is not StreamKind.MIGRATION or s.granted > 0
                    for s in self._active)
+
+    def _bus_states(self) -> list[tuple[float, float]]:
+        """``(busy, queue_depth)`` per bus, for probe snapshots."""
+        return [(1.0 if bus.current is not None or bus.members else 0.0,
+                 float(len(bus.queue))) for bus in self.buses]
 
     def _maybe_drain(self, now: float) -> None:
         if (self._records_done and not self._active
@@ -419,18 +410,6 @@ class FluidEngine:
         epoch = self.controller.epoch_cycles()
         if epoch:
             self.queue.push(now + epoch, EventKind.EPOCH, None)
-
-    def _on_telemetry(self, now: float) -> None:
-        self.telemetry.sample(now)
-        if self._work_remaining():
-            self.queue.push(now + self.telemetry.sample_cycles,
-                            EventKind.TELEMETRY, None)
-
-    def _on_digest(self, now: float) -> None:
-        self.digests.sample(now)
-        if self._work_remaining():
-            self.queue.push(now + self.digests.sample_cycles,
-                            EventKind.DIGEST, None)
 
     def _on_interval(self, now: float) -> None:
         if self._records_done and not self._active:
@@ -695,7 +674,7 @@ class FluidEngine:
             metrics=self._build_metrics(mu, service),
             trace_name=self.trace.name,
             technique=self.technique,
-            engine="fluid",
+            engine=self.name,
             duration_cycles=end,
             energy=energy,
             time=time,

@@ -24,7 +24,8 @@ from repro.core.controller import BaselineController, MemoryController
 from repro.core.layout import PopularityGrouper
 from repro.core.migration import MigrationPlanner
 from repro.core.popularity import PopularityTracker
-from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
+from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
+                                     TimeBreakdown, bucket_values)
 from repro.energy.policies import AlwaysOnPolicy
 from repro.energy.states import PowerState
 from repro.errors import ConfigurationError, GuaranteeViolationError
@@ -32,6 +33,7 @@ from repro.io.devices import BusAssigner
 from repro.memory.address import MutableLayout, PageLayout, RandomLayout
 from repro.obs.events import TRACK_SIM, bus_track, chip_track
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import ProbeSet
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult
@@ -49,17 +51,18 @@ _EV_CHIP_READY = 4
 _EV_DESCENT = 5
 _EV_EPOCH = 6
 _EV_INTERVAL = 7
-# Highest kinds: a telemetry sample / state digest pops last at equal
-# timestamps, so it observes the post-everything state of its instant.
-# Handled inline in the run loop (read-only, never in _HANDLERS, never
-# extends the run). DIGEST pops after TELEMETRY.
-_EV_TELEMETRY = 8
-_EV_DIGEST = 9
+# Highest kind: a probe tick pops last at equal timestamps, so it
+# observes the post-everything state of its instant. Handled inline in
+# the run loop (read-only, never in _HANDLERS, never extends the run).
+_EV_PROBE = 8
 
 # Request priority classes (lower value served first).
 _PRIO_PROC = 0
 _PRIO_DMA = 1
 _PRIO_MIGRATION = 2
+
+#: The bucket a request's service accrues to, by priority class.
+_SERVING_BUCKET = ("serving_proc", "serving_dma", "migration")
 
 
 @dataclass
@@ -230,45 +233,38 @@ class _PChip:
 
     _transit_power = 0.0
 
-    def observe(self, now: float) -> tuple[dict[str, float], float]:
-        """Residency-to-date buckets and instantaneous power at ``now``.
+    def observe(self, now: float) -> tuple[list[float], float]:
+        """Residency-to-date (in :data:`~repro.energy.accounting.BUCKETS`
+        order) and instantaneous power at ``now``.
 
         Strictly read-only: the pending ``now - _last`` span is
         classified exactly as :meth:`touch` will classify it, but
         nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and telemetry-enabled runs
-        must stay bit-identical in energy. Used by the live-telemetry
-        sampler only.
+        point would change float rounding, and observed runs must stay
+        bit-identical in energy. Used by the per-tick probe snapshot
+        that telemetry and digests share
+        (:class:`~repro.obs.probe.ProbeSet`).
         """
-        buckets = self.time.as_dict()
-        buckets.pop("total", None)
+        buckets = list(bucket_values(self.time))
         in_transit = (self.waking_until is not None
                       or self.transition_until is not None)
         if self.serving is not None:
             power = self.model.active_power
+            bucket = _SERVING_BUCKET[self.serving.priority]
         elif in_transit:
             power = self._transit_power
+            bucket = "transition"
         else:
             power = self.model.power(self.state)
+            if self.state is not PowerState.ACTIVE:
+                bucket = "low_power"
+            elif self.inflight_transfers > 0:
+                bucket = "idle_dma"
+            else:
+                bucket = "idle_threshold"
         delta = now - self._last
-        if delta <= 0:
-            return buckets, power
-        if self.serving is not None:
-            if self.serving.priority == _PRIO_PROC:
-                buckets["serving_proc"] += delta
-            elif self.serving.priority == _PRIO_DMA:
-                buckets["serving_dma"] += delta
-            else:
-                buckets["migration"] += delta
-        elif in_transit:
-            buckets["transition"] += delta
-        elif self.state is PowerState.ACTIVE:
-            if self.inflight_transfers > 0:
-                buckets["idle_dma"] += delta
-            else:
-                buckets["idle_threshold"] += delta
-        else:
-            buckets["low_power"] += delta
+        if delta > 0:
+            buckets[BUCKET_INDEX[bucket]] += delta
         return buckets, power
 
     def _count_transition(self, source: PowerState,
@@ -375,7 +371,13 @@ class _PChip:
 
 
 class PreciseEngine:
-    """Per-request event-driven simulation (the validation reference)."""
+    """Per-request event-driven simulation (the validation reference).
+
+    ``telemetry`` and ``digests`` are probes (:mod:`repro.obs.probe`),
+    driven exactly as in :class:`~repro.sim.fluid.FluidEngine`.
+    """
+
+    name = "precise"
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str = "baseline", seed: int = 0,
@@ -451,15 +453,14 @@ class PreciseEngine:
         self._open_transfers = 0
 
         # Next times at which shared state can be observed (trace
-        # arrival, DMA-TA epoch, PL interval); the array-timeline
-        # kernel's batching horizon. Maintained wherever the
-        # corresponding events are (re-)scheduled.
+        # arrival, DMA-TA epoch, PL interval; probe ticks are
+        # ``self.probes.next_time``); the array-timeline kernel's
+        # batching horizon. Maintained wherever the corresponding events
+        # are (re-)scheduled.
         self._next_arrival_time = (trace.records[0].time if trace.records
                                    else math.inf)
         self._next_epoch_time = math.inf
         self._next_interval_time = math.inf
-        self._next_telemetry_time = math.inf
-        self._next_digest_time = math.inf
         if vectorize:
             from repro.sim.array_timeline import ArrayTimelineKernel
 
@@ -480,22 +481,24 @@ class PreciseEngine:
         self._dma_service_hist = self.registry.histogram(
             "dma.service_per_request")
 
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.bind(self)
-        self.digests = digests
-        if digests is not None:
-            digests.bind(self)
+        self.probes = ProbeSet(self, _EV_PROBE, (telemetry, digests),
+                               self.chips, self._arrived_requests,
+                               self._bus_states)
 
     def _arrived_requests(self) -> float:
         return float(self.arrived_requests)
+
+    def _bus_states(self) -> list[tuple[float, float]]:
+        """``(busy, queue_depth)`` per bus, for probe snapshots."""
+        return [(1.0 if current is not None else 0.0, float(len(fifo)))
+                for current, fifo in zip(self._bus_current, self._bus_fifo)]
 
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
         if self.tracer is not None:
             self.tracer.instant(0.0, "sim.config", TRACK_SIM, {
-                "engine": "precise",
+                "engine": self.name,
                 "technique": self.technique,
                 "mu": (self.config.alignment.mu
                        if self.technique in ("dma-ta", "dma-ta-pl")
@@ -516,26 +519,18 @@ class PreciseEngine:
             self.queue.push(self.config.layout.interval_cycles,
                             _EV_INTERVAL, None)
             self._next_interval_time = self.config.layout.interval_cycles
-        if self.telemetry is not None:
-            self._next_telemetry_time = self.telemetry.sample_cycles
-            self.queue.push(self._next_telemetry_time, _EV_TELEMETRY, None)
-        if self.digests is not None:
-            self._next_digest_time = self.digests.sample_cycles
-            self.queue.push(self._next_digest_time, _EV_DIGEST, None)
+        self.probes.schedule()
 
         # ``progress`` tracks the last state-changing event only:
-        # a trailing telemetry sample must not stretch the simulated
-        # horizon (that would accrue extra idle energy and break the
-        # bit-identical-to-untelemetered guarantee). With telemetry
-        # disabled this equals queue.now exactly (heap pops in order).
+        # a trailing probe tick must not stretch the simulated horizon
+        # (that would accrue extra idle energy and break the
+        # bit-identical-to-unobserved guarantee). Without probes this
+        # equals queue.now exactly (heap pops in order).
         progress = 0.0
         while self.queue:
             now, kind, payload = self.queue.pop()
-            if kind == _EV_TELEMETRY:
-                self._on_telemetry(now)
-                continue
-            if kind == _EV_DIGEST:
-                self._on_digest(now)
+            if kind == _EV_PROBE:
+                self.probes.tick(now, self._work_remaining())
                 continue
             progress = now
             handler = self._HANDLERS[int(kind)]
@@ -545,27 +540,8 @@ class PreciseEngine:
         end = max(progress, self.trace.duration_cycles)
         for chip in self.chips:
             chip.touch(end)
-        if self.telemetry is not None:
-            self.telemetry.sample(end, final=True)
-        if self.digests is not None:
-            self.digests.sample(end, final=True)
+        self.probes.finish(end)
         return self._build_result(end)
-
-    def _on_telemetry(self, now: float) -> None:
-        self.telemetry.sample(now)
-        if self._work_remaining():
-            self._next_telemetry_time = now + self.telemetry.sample_cycles
-            self.queue.push(self._next_telemetry_time, _EV_TELEMETRY, None)
-        else:
-            self._next_telemetry_time = math.inf
-
-    def _on_digest(self, now: float) -> None:
-        self.digests.sample(now)
-        if self._work_remaining():
-            self._next_digest_time = now + self.digests.sample_cycles
-            self.queue.push(self._next_digest_time, _EV_DIGEST, None)
-        else:
-            self._next_digest_time = math.inf
 
     def _work_remaining(self) -> bool:
         return (not self._records_done or self._open_transfers > 0
@@ -934,7 +910,7 @@ class PreciseEngine:
             metrics=self._build_metrics(mu, service),
             trace_name=self.trace.name,
             technique=self.technique,
-            engine="precise",
+            engine=self.name,
             duration_cycles=end,
             energy=energy,
             time=time,

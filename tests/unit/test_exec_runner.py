@@ -1,6 +1,7 @@
 """Units for the parallel executor: fault containment, timeouts,
 fallback, deduplication, and eager validation."""
 
+import threading
 import time
 
 import pytest
@@ -116,6 +117,19 @@ class TestGracefulFallback:
                             worker=lambda job: _execute(job))
         assert all(o.ok for o in outcomes)
         assert outcomes[0].result.technique == "baseline"
+
+    def test_unpicklable_job_falls_back_to_serial(self):
+        """A payload that fails to pickle inside the pool's feeder
+        thread breaks the pool; the jobs re-run serially and shutting
+        the pool down does not wait on the failed payloads."""
+        jobs = []
+        for technique in ("baseline", "pl"):
+            trace = tiny_trace()
+            trace.unshippable = threading.Lock()
+            jobs.append(SimJob(trace, technique, config=tiny_config()))
+        outcomes = run_many(jobs, max_workers=2)
+        assert all(o.ok for o in outcomes)
+        assert [o.result.technique for o in outcomes] == ["baseline", "pl"]
 
 
 class TestDeduplicationAndOrdering:

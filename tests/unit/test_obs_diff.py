@@ -92,10 +92,7 @@ class TestRecorderMisuse:
         recorder = DigestRecorder(DigestConfig())
 
         class FakeFluid:
-            class memory:
-                chips = ()
-            buses = ()
-            _served_requests = 0
+            name = "fluid"
 
             class controller:
                 @staticmethod
@@ -107,6 +104,9 @@ class TestRecorderMisuse:
                     return 0
 
             class config:
+                class memory:
+                    num_chips = 0
+
                 class buses:
                     count = 0
             head_delay_total = 0.0
