@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.config import PopularityLayoutConfig
 from repro.core.layout import GroupPlan
 from repro.errors import LayoutError
@@ -160,29 +162,28 @@ class MigrationPlanner:
     @staticmethod
     def _build_swap_pool(plan: GroupPlan, layout: MutableLayout,
                          chip_group: list[int]) -> dict[int, list[int]]:
-        """Misplaced pages resident on each non-cold chip.
+        """Misplaced pages resident on each non-cold chip, in page order.
 
         These are the swap victims: a page sitting on a hot chip whose
         popularity does not earn it that spot can be exchanged with an
-        incoming hot page at the cost of two copies. The scan is one pass
-        over the group plan's page lists plus the chips' residents — the
-        planner never walks the full address space.
+        incoming hot page at the cost of two copies. Untracked pages
+        (never referenced) target the cold group, so they are ideal
+        victims. The scan is vectorised over the layout's chip map: one
+        array pass marks every page whose target group differs from its
+        chip's group, then each hot chip takes its marked pages.
         """
-        pool: dict[int, list[int]] = {}
-        hot_chips = plan.hot_chips
-        targets = {page: group for page, group in plan.page_group.items()}
-        for chip in hot_chips:
-            pool[chip] = []
-        if not hot_chips:
+        pool: dict[int, list[int]] = {chip: [] for chip in plan.hot_chips}
+        if not pool:
             return pool
-        # Any page on a hot chip that is not assigned to that chip's group
-        # is a victim. Untracked pages (never referenced) are ideal victims.
-        for page in range(layout.total_pages):
-            chip = layout.chip_of(page)
-            if chip not in pool:
-                continue
-            if targets.get(page, plan.groups[-1].index) != chip_group[chip]:
-                pool[chip].append(page)
+        chips = layout.chip_map()
+        targets = np.full(chips.shape, plan.groups[-1].index, dtype=np.int32)
+        pages = np.fromiter(plan.page_group, dtype=np.intp,
+                            count=len(plan.page_group))
+        targets[pages] = np.fromiter(plan.page_group.values(),
+                                     dtype=np.int32, count=len(pages))
+        misplaced = targets != np.asarray(chip_group, dtype=np.int32)[chips]
+        for chip in pool:
+            pool[chip] = np.flatnonzero(misplaced & (chips == chip)).tolist()
         return pool
 
     def _move_page(

@@ -18,9 +18,21 @@ knob the PL technique turns. Static layouts here serve as baselines:
 from __future__ import annotations
 
 import abc
+import functools
 import random
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import LayoutError
+
+if TYPE_CHECKING:
+    from repro.config import SimulationConfig
+
+#: Chip maps the process keeps for :class:`RandomLayout` (least recently
+#: used goes first). One map at the Table 1 geometry (32 chips x 4,096
+#: pages) is 512 KB.
+_CHIP_MAP_MEMO_SIZE = 8
 
 
 class PageLayout(abc.ABC):
@@ -40,6 +52,13 @@ class PageLayout(abc.ABC):
     def chip_of(self, page: int) -> int:
         """The chip holding logical ``page``."""
 
+    @abc.abstractmethod
+    def chip_map(self) -> np.ndarray:
+        """Every page's chip, indexed by page, as an ``int32`` array.
+
+        The array may be shared and read-only: copy it to edit it.
+        """
+
     def _check(self, page: int) -> None:
         if not 0 <= page < self.total_pages:
             raise LayoutError(
@@ -53,6 +72,10 @@ class SequentialLayout(PageLayout):
         self._check(page)
         return page // self.pages_per_chip
 
+    def chip_map(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_chips, dtype=np.int32),
+                         self.pages_per_chip)
+
 
 class InterleavedLayout(PageLayout):
     """Page p lives on chip ``p mod num_chips`` (round-robin striping)."""
@@ -61,23 +84,45 @@ class InterleavedLayout(PageLayout):
         self._check(page)
         return page % self.num_chips
 
+    def chip_map(self) -> np.ndarray:
+        return np.tile(np.arange(self.num_chips, dtype=np.int32),
+                       self.pages_per_chip)
+
+
+@functools.lru_cache(maxsize=_CHIP_MAP_MEMO_SIZE)
+def _random_chip_map(num_chips: int, pages_per_chip: int,
+                     seed: int) -> np.ndarray:
+    """The shuffled chip of every page, built once per key and shared."""
+    chips = [page // pages_per_chip
+             for page in range(num_chips * pages_per_chip)]
+    random.Random(seed).shuffle(chips)
+    shared = np.array(chips, dtype=np.int32)
+    shared.setflags(write=False)
+    return shared
+
 
 class RandomLayout(PageLayout):
     """A random permutation of pages onto chips (capacity-respecting).
 
-    Deterministic for a given seed, so simulations are reproducible.
+    Deterministic for a given seed, so simulations are reproducible: the
+    seed must be an ``int`` (``None`` would draw from OS entropy). Every
+    layout with the same (chips, pages per chip, seed) shares one
+    read-only map, shuffled on first use.
     """
 
     def __init__(self, num_chips: int, pages_per_chip: int, seed: int = 0) -> None:
         super().__init__(num_chips, pages_per_chip)
-        rng = random.Random(seed)
-        chips = [page // pages_per_chip for page in range(self.total_pages)]
-        rng.shuffle(chips)
-        self._chips = chips
+        if not isinstance(seed, int):
+            raise LayoutError(
+                f"layout seed must be an int, got {type(seed).__name__}")
+        self._chips = _random_chip_map(num_chips, pages_per_chip, seed)
 
     def chip_of(self, page: int) -> int:
         self._check(page)
-        return self._chips[page]
+        return self._chips.item(page)
+
+    def chip_map(self) -> np.ndarray:
+        return self._chips
 
 
 class MutableLayout(PageLayout):
@@ -90,14 +135,19 @@ class MutableLayout(PageLayout):
 
     def __init__(self, base: PageLayout) -> None:
         super().__init__(base.num_chips, base.pages_per_chip)
-        self._chips = [base.chip_of(page) for page in range(base.total_pages)]
-        self._occupancy = [0] * self.num_chips
-        for chip in self._chips:
-            self._occupancy[chip] += 1
+        self._chips = np.array(base.chip_map(), dtype=np.int32)
+        self._occupancy = np.bincount(
+            self._chips, minlength=self.num_chips).tolist()
 
     def chip_of(self, page: int) -> int:
         self._check(page)
-        return self._chips[page]
+        return self._chips.item(page)
+
+    def chip_map(self) -> np.ndarray:
+        """A read-only view of the live map: it follows later edits."""
+        view = self._chips.view()
+        view.setflags(write=False)
+        return view
 
     def occupancy(self, chip: int) -> int:
         """Number of pages currently resident on ``chip``."""
@@ -117,7 +167,7 @@ class MutableLayout(PageLayout):
         self._check(page)
         if not 0 <= to_chip < self.num_chips:
             raise LayoutError(f"chip {to_chip} out of range")
-        source = self._chips[page]
+        source = self._chips.item(page)
         if source == to_chip:
             return source
         if self.free_frames(to_chip) <= 0:
@@ -131,5 +181,15 @@ class MutableLayout(PageLayout):
         """Exchange the frames of two pages (always capacity-safe)."""
         self._check(page_a)
         self._check(page_b)
-        chip_a, chip_b = self._chips[page_a], self._chips[page_b]
+        chip_a, chip_b = self._chips.item(page_a), self._chips.item(page_b)
         self._chips[page_a], self._chips[page_b] = chip_b, chip_a
+
+
+def build_base_layout(config: SimulationConfig, seed: int) -> PageLayout:
+    """The initial page placement selected by ``config.base_layout``."""
+    memory = config.memory
+    if config.base_layout == "sequential":
+        return SequentialLayout(memory.num_chips, memory.pages_per_chip)
+    if config.base_layout == "interleaved":
+        return InterleavedLayout(memory.num_chips, memory.pages_per_chip)
+    return RandomLayout(memory.num_chips, memory.pages_per_chip, seed=seed)

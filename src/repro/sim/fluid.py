@@ -25,13 +25,7 @@ from repro.errors import ConfigurationError, GuaranteeViolationError
 from repro.io.bus import FluidBus
 from repro.io.devices import BusAssigner
 from repro.io.dma import FluidStream, StreamKind, allocate_chip_capacity
-from repro.memory.address import (
-    InterleavedLayout,
-    MutableLayout,
-    PageLayout,
-    RandomLayout,
-    SequentialLayout,
-)
+from repro.memory.address import MutableLayout, build_base_layout
 from repro.memory.chip import ChipRates, FluidChip
 from repro.memory.system import MemorySystem
 from repro.obs.events import TRACK_SIM
@@ -47,16 +41,6 @@ from repro.traces.trace import Trace
 _DONE_EPS = 1e-6
 
 TECHNIQUES = ("nopm", "baseline", "dma-ta", "pl", "dma-ta-pl")
-
-
-def build_base_layout(config: SimulationConfig, seed: int) -> PageLayout:
-    """The initial page placement selected by ``config.base_layout``."""
-    memory = config.memory
-    if config.base_layout == "sequential":
-        return SequentialLayout(memory.num_chips, memory.pages_per_chip)
-    if config.base_layout == "interleaved":
-        return InterleavedLayout(memory.num_chips, memory.pages_per_chip)
-    return RandomLayout(memory.num_chips, memory.pages_per_chip, seed=seed)
 
 
 class FluidEngine:

@@ -30,7 +30,7 @@ from repro.energy.policies import AlwaysOnPolicy
 from repro.energy.states import PowerState
 from repro.errors import ConfigurationError, GuaranteeViolationError
 from repro.io.devices import BusAssigner
-from repro.memory.address import MutableLayout, PageLayout, RandomLayout
+from repro.memory.address import MutableLayout, build_base_layout
 from repro.obs.events import TRACK_SIM, bus_track, chip_track
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import ProbeSet
@@ -391,8 +391,6 @@ class PreciseEngine:
         self.technique = technique
         self.tracer = active_tracer(tracer)
         self.registry = MetricsRegistry()
-
-        from repro.sim.fluid import build_base_layout
 
         policy = AlwaysOnPolicy() if technique == "nopm" else config.policy
         memory = config.memory
