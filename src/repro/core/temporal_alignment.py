@@ -26,6 +26,7 @@ active, which are admitted immediately.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable
 
@@ -79,6 +80,10 @@ class TemporalAlignmentController(MemoryController):
         self._pending: dict[int, list[FluidStream]] = defaultdict(list)
         self._pending_total = 0
         self._pending_requests = 0  # committed requests of buffered heads
+        # Bounds over the buffered heads for on_epoch's quiet test,
+        # refreshed whenever the buffered set changes.
+        self._oldest_arrival = math.inf
+        self._max_projected = 0.0
 
         # Counters for the simulation result.
         self.transfers_buffered = 0
@@ -112,11 +117,29 @@ class TemporalAlignmentController(MemoryController):
 
     def _pop_pending(self, chip_id: int) -> list[FluidStream]:
         streams = self._pending.pop(chip_id, [])
-        self._pending_total -= len(streams)
-        self._pending_requests -= sum(
-            getattr(s, "num_requests", 0) or 1 for s in streams)
-        self.max_gathered = max(self.max_gathered, len(streams))
+        if streams:
+            self._pending_total -= len(streams)
+            self._pending_requests -= sum(
+                getattr(s, "num_requests", 0) or 1 for s in streams)
+            self.max_gathered = max(self.max_gathered, len(streams))
+            self._refresh_bounds()
         return streams
+
+    def _refresh_bounds(self) -> None:
+        """Recompute the oldest buffered arrival and the largest per-chip
+        projected delay ``n * U / 2`` (infinite for a chip holding heads
+        from ``k`` buses, which the gather trigger releases)."""
+        self._oldest_arrival = min(
+            (s.arrival_time for streams in self._pending.values()
+             for s in streams), default=math.inf)
+        projected = 0.0
+        for chip_id in self._pending:
+            by_bus = self._pending_by_bus(chip_id)
+            if len(by_bus) >= self.slack.saturating_buses:
+                projected = math.inf
+                break
+            projected = max(projected, self.slack.projected_delay(by_bus))
+        self._max_projected = projected
 
     def _record_release(self, chip_id: int, streams: list[FluidStream],
                         reason: str, now: float) -> None:
@@ -195,6 +218,7 @@ class TemporalAlignmentController(MemoryController):
         self._pending_total += 1
         self._pending_requests += getattr(stream, "num_requests", 0) or 1
         self.transfers_buffered += 1
+        self._refresh_bounds()
         if self._tracer is not None:
             self._tracer.instant(now, "ta.buffer", TRACK_CONTROLLER,
                                  {"chip": chip_id,
@@ -223,6 +247,8 @@ class TemporalAlignmentController(MemoryController):
     def on_epoch(self, now: float) -> dict[int, list[FluidStream]]:
         self.slack.charge_epoch(
             self._config.alignment.epoch_cycles, self._pending_total, now)
+        if self._pending and self._quiet(now):
+            return {}
         releases: dict[int, list[FluidStream]] = {}
         for chip_id in list(self._pending):
             if self._deadline_due(chip_id, now):
@@ -238,6 +264,31 @@ class TemporalAlignmentController(MemoryController):
                 self._record_release(chip_id, releases[chip_id],
                                      "slack", now)
         return releases
+
+    def _quiet(self, now: float) -> bool:
+        """True if this tick can release nothing and count no violation.
+
+        Decided in O(1) from one slack balance and the two bounds of
+        :meth:`_refresh_bounds`, and exact: every allowance is
+        ``deadline_fraction * max(own, shared)`` with this same
+        ``shared`` float (:meth:`_allowance`), so no deadline is due
+        while the oldest head has waited less than ``deadline_fraction
+        * shared``; and while ``release_fraction * balance`` exceeds
+        every chip's projected delay, ``should_release`` is false for
+        every chip and the balance is positive. The ``slack`` counter
+        each of those calls would have emitted is emitted here.
+        """
+        balance = self.slack.slack(self._arrived())
+        shared = balance / (self._pending_total + 1)
+        if not (now - self._oldest_arrival
+                < self._config.alignment.deadline_fraction * shared
+                and self.slack.release_fraction * balance
+                > self._max_projected):
+            return False
+        if self._tracer is not None:
+            for _ in self._pending:
+                self._tracer.counter(now, "slack", TRACK_CONTROLLER, balance)
+        return True
 
     def on_wake(self, chip_id: int, wake_latency: float, now: float,
                 pending_requests: int = 1) -> None:

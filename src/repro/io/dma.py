@@ -19,14 +19,11 @@ change-point.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.traces.records import DMATransfer, ProcessorBurst
-
-_stream_ids = itertools.count()
 
 
 class StreamKind(enum.Enum):
@@ -52,6 +49,10 @@ class FluidStream:
         total_work: total chip serving cycles the stream needs.
         demand: nominal fraction of chip capacity the stream can consume
             (bus-limited for DMA; 1.0 for PROC and MIGRATION).
+        stream_id: the stream's identity and hash, unique within a run.
+            The engine numbers its streams from its own counter: the
+            ids order the stream sets it iterates and sums over, so a
+            run's results must not depend on what ran before it.
         record: originating trace record, if any.
         arrival_time: when the transfer arrived at the controller.
         release_time: when service was allowed to begin (gathering and
@@ -63,6 +64,7 @@ class FluidStream:
     chip_id: int
     total_work: float
     demand: float
+    stream_id: int
     bus_id: int | None = None
     record: DMATransfer | ProcessorBurst | None = None
     arrival_time: float = 0.0
@@ -70,10 +72,9 @@ class FluidStream:
     #: DMA-memory requests this stream stands for (0 for PROC/MIGRATION);
     #: used by DMA-TA to size the stream's per-transfer slack budget.
     num_requests: int = 0
-    #: Engine-assigned per-run transfer ordinal (deterministic, unlike
-    #: ``stream_id``); keys the audit layer's per-transfer waterfall.
+    #: Engine-assigned per-run ordinal of DMA transfers (0 for PROC and
+    #: MIGRATION streams); keys the audit layer's per-transfer waterfall.
     seq: int = 0
-    stream_id: int = field(default_factory=lambda: next(_stream_ids))
 
     # Dynamics (engine-managed).
     remaining_work: float = field(init=False)

@@ -61,6 +61,16 @@ class EventQueue:
         self._now = max(self._now, time)
         return time, kind, payload
 
+    def precedes(self, time: float, kind: Any) -> bool:
+        """True if an event pushed now at ``(time, kind)`` would pop
+        before every event already queued."""
+        return not self._heap or (time, kind) < self._heap[0][:2]
+
+    def advance(self, time: float) -> None:
+        """Move the clock to ``time`` for an event a handler runs inline
+        instead of pushing it (valid only when :meth:`precedes` holds)."""
+        self._now = max(self._now, time)
+
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -12,6 +12,7 @@ cross-validates it against :class:`~repro.sim.precise.PreciseEngine`.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 
 from repro.config import SimulationConfig
@@ -136,6 +137,7 @@ class FluidEngine:
 
         # Runtime state.
         self.queue = EventQueue()
+        self._stream_ids = itertools.count()
         self._streams_at: dict[int, set[FluidStream]] = defaultdict(set)
         self._active: set[FluidStream] = set()
         self._records_done = not trace.records
@@ -307,6 +309,7 @@ class FluidEngine:
             chip_id=chip.chip_id,
             total_work=n_req * self._serve_cycles,
             demand=self.buses[bus_id].full_share_demand,
+            stream_id=next(self._stream_ids),
             bus_id=bus_id,
             record=record,
             arrival_time=now,
@@ -344,6 +347,7 @@ class FluidEngine:
             chip_id=chip.chip_id,
             total_work=work,
             demand=1.0,
+            stream_id=next(self._stream_ids),
             record=record,
             arrival_time=now,
             release_time=now,
@@ -380,20 +384,29 @@ class FluidEngine:
                            [granted], now, notify=True)
 
     def _on_epoch(self, now: float) -> None:
-        if not self._work_remaining():
-            return
-        self.registry.counter("sim.epochs").inc()
-        if self.tracer is not None:
-            self.tracer.counter(now, "pending_heads", TRACK_SIM,
-                                float(self.controller.pending_count()))
-            self.tracer.counter(now, "served_requests", TRACK_SIM,
-                                self._served_requests())
-        for chip_id, streams in self.controller.on_epoch(now).items():
-            self._release(self.memory.chips[chip_id], streams, now,
-                          notify=True)
+        """Run DMA-TA epoch ticks from ``now``.
+
+        A tick that releases nothing changes no state the run loop's
+        post-event checks read, so while the next tick would pop before
+        every queued event it runs here, without a push and a pop.
+        """
         epoch = self.controller.epoch_cycles()
-        if epoch:
-            self.queue.push(now + epoch, EventKind.EPOCH, None)
+        while self._work_remaining():
+            self.registry.counter("sim.epochs").inc()
+            if self.tracer is not None:
+                self.tracer.counter(now, "pending_heads", TRACK_SIM,
+                                    float(self.controller.pending_count()))
+                self.tracer.counter(now, "served_requests", TRACK_SIM,
+                                    self._served_requests())
+            releases = self.controller.on_epoch(now)
+            for chip_id, streams in releases.items():
+                self._release(self.memory.chips[chip_id], streams, now,
+                              notify=True)
+            now += epoch
+            if releases or not self.queue.precedes(now, EventKind.EPOCH):
+                self.queue.push(now, EventKind.EPOCH, None)
+                return
+            self.queue.advance(now)
 
     def _on_interval(self, now: float) -> None:
         if self._records_done and not self._active:
@@ -420,6 +433,7 @@ class FluidEngine:
                     chip_id=chip_id,
                     total_work=cycles,
                     demand=1.0,
+                    stream_id=next(self._stream_ids),
                     arrival_time=now,
                     release_time=now,
                 )

@@ -114,10 +114,6 @@ class _PTransfer:
     def num_requests(self) -> int:
         return self.total_requests
 
-    @property
-    def stream_id(self) -> int:
-        return id(self)
-
 
 @dataclass
 class _Request:

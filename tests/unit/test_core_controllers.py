@@ -1,5 +1,7 @@
 """Units for the admission controllers (baseline and DMA-TA)."""
 
+import itertools
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -17,9 +19,13 @@ def make_chip(asleep=True):
                      start_asleep=asleep)
 
 
+_ids = itertools.count()
+
+
 def make_stream(bus=0, arrival=0.0, n_req=1024):
     return FluidStream(kind=StreamKind.DMA, chip_id=0,
-                       total_work=n_req * 4.0, demand=1 / 3, bus_id=bus,
+                       total_work=n_req * 4.0, demand=1 / 3,
+                       stream_id=next(_ids), bus_id=bus,
                        arrival_time=arrival, num_requests=n_req)
 
 

@@ -1,5 +1,7 @@
 """Units for the bus model (FIFO and fair sharing)."""
 
+import itertools
+
 import pytest
 
 from repro.energy.rdram import rdram_1600_model
@@ -9,9 +11,12 @@ from repro.io.dma import FluidStream, StreamKind
 from repro import units
 
 
+_ids = itertools.count()
+
+
 def make_stream(bus=0, chip=0):
     return FluidStream(kind=StreamKind.DMA, chip_id=chip, total_work=4096.0,
-                       demand=1 / 3, bus_id=bus)
+                       demand=1 / 3, stream_id=next(_ids), bus_id=bus)
 
 
 @pytest.fixture
@@ -113,7 +118,8 @@ class TestValidation:
 
     def test_non_dma_rejected(self, fifo_bus):
         proc = FluidStream(kind=StreamKind.PROC, chip_id=0,
-                           total_work=32.0, demand=1.0, bus_id=0)
+                           total_work=32.0, demand=1.0, stream_id=0,
+                           bus_id=0)
         with pytest.raises(SimulationError):
             fifo_bus.enqueue(proc)
 

@@ -1,5 +1,6 @@
 """Units for streams, water-filling, and chip-capacity allocation."""
 
+import itertools
 import math
 
 import pytest
@@ -13,8 +14,12 @@ from repro.io.dma import (
 )
 
 
+_ids = itertools.count()
+
+
 def stream(kind=StreamKind.DMA, work=4096.0, demand=1 / 3, bus=0):
     return FluidStream(kind=kind, chip_id=0, total_work=work, demand=demand,
+                       stream_id=next(_ids),
                        bus_id=bus if kind is StreamKind.DMA else None)
 
 
@@ -124,12 +129,12 @@ class TestStreamDynamics:
     def test_invalid_demand_rejected(self):
         with pytest.raises(SimulationError):
             FluidStream(kind=StreamKind.DMA, chip_id=0, total_work=1.0,
-                        demand=1.5, bus_id=0)
+                        demand=1.5, stream_id=0, bus_id=0)
 
     def test_invalid_work_rejected(self):
         with pytest.raises(SimulationError):
             FluidStream(kind=StreamKind.DMA, chip_id=0, total_work=0.0,
-                        demand=0.5, bus_id=0)
+                        demand=0.5, stream_id=0, bus_id=0)
 
     def test_identity_semantics(self):
         a, b = stream(), stream()

@@ -53,6 +53,42 @@ class TestEventQueue:
         assert q and len(q) == 1
 
 
+class TestPrecedes:
+    """``precedes(time, kind)``: would a push now pop before the rest?"""
+
+    @pytest.fixture
+    def queue(self):
+        q = EventQueue()
+        q.push(5.0, EventKind.EPOCH, None)
+        return q
+
+    def test_empty_queue(self):
+        assert EventQueue().precedes(1e9, EventKind.PROBE)
+
+    def test_equal_time_lower_kind(self, queue):
+        assert queue.precedes(5.0, EventKind.ARRIVAL)
+
+    def test_equal_time_higher_kind(self, queue):
+        assert not queue.precedes(5.0, EventKind.PROBE)
+
+    def test_equal_time_same_kind_pops_after(self, queue):
+        # Insertion order breaks the tie: a new push goes last.
+        assert not queue.precedes(5.0, EventKind.EPOCH)
+
+    def test_earlier_time(self, queue):
+        assert queue.precedes(4.0, EventKind.PROBE)
+
+    def test_later_time(self, queue):
+        assert not queue.precedes(6.0, EventKind.COMPLETE)
+
+    def test_advance_moves_the_clock(self, queue):
+        queue.advance(3.0)
+        assert queue.now == 3.0
+        queue.advance(2.0)
+        assert queue.now == 3.0  # never backwards, as pop
+        assert len(queue) == 1
+
+
 def make_result(**overrides):
     defaults = dict(
         trace_name="t", technique="baseline", engine="fluid",
