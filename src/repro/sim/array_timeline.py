@@ -2,33 +2,52 @@
 
 The scalar precise engine walks every 8-byte DMA-memory request through
 four heap events (bus-free, request-at-chip, serve-done, and a stale
-descent timer). On the paper's geometry — a 12-cycle bus period against a
-4-cycle chip service — a released transfer quickly settles into the
-Figure 2(a) steady state: serve 4 cycles, sit active-idle 8, repeat, with
-exactly one request on the wire at all times. With several transfers
-streaming to one chip from different buses the pattern is the merge of
-one such arithmetic progression per bus. Inside these windows nothing is
-*decided*; the event machinery only re-derives the progressions, one
-heap operation at a time.
+descent timer), and every 64-byte processor access through one
+serve-done event. On the paper's geometry — a 12-cycle bus period
+against a 4-cycle chip service — a released transfer quickly settles
+into the Figure 2(a) steady state: serve 4 cycles, sit active-idle 8,
+repeat, with exactly one request on the wire at all times. With several
+transfers streaming to one chip from different buses the pattern is the
+FIFO service of the merge of one such arithmetic progression per bus. A
+processor burst is a fixed sequence of ``proc_serve_cycles`` serves.
+Inside these windows nothing is *decided*; the event machinery only
+re-derives the sequences, one heap operation at a time.
 
-This module collapses those windows. When a serve completes and the chip
-goes idle while transfers are still streaming to it, the kernel:
+This module collapses two kinds of window.
+
+**Processor windows** (:meth:`ArrayTimelineKernel.serve_proc`). When the
+engine starts one access of a processor burst and more accesses are
+queued, the kernel serves every further access whose predecessor
+completes strictly before the next event that can observe shared state
+(trace arrival, DMA-TA epoch, PL migration interval, probe tick). It
+replays the scalar arithmetic access by access and leaves the last
+access in service, so the engine state matches the scalar engine at any
+instant of that serve. Bus hand-offs and DMA requests reaching the chip
+need no cut: neither touches a serving chip (a hand-off only starts a
+stream, a request only queues behind the accesses).
+
+**DMA windows** (:meth:`ArrayTimelineKernel.try_batch`). When a serve
+completes and the chip goes idle while transfers are still streaming to
+it, the kernel:
 
 1. checks every streaming transfer is in the steady pipeline shape (one
    request on the wire, one just acknowledged, owning its bus, unstalled)
    and the chip is ACTIVE with nothing queued and no wake or descent in
    progress;
 2. computes a safe horizon — the next event that can observe shared
-   simulation state (trace arrival, DMA-TA epoch, PL migration interval,
-   or a bus handoff that would start another stream to this chip);
+   simulation state, or a bus handoff that would start another stream
+   to this chip;
 3. materialises each stream's request schedule as a numpy event vector
    (`np.add.accumulate` over the bus period, so the timestamps are
    bit-identical to the scalar engine's iterative ``end = start + gap``
    bus bookkeeping) and merges them into one chip timeline;
-4. keeps the longest prefix on which the merge is conflict-free — every
-   serve completes strictly before the next arrival, the horizon, and
-   every stream's first unbatched request — so each request is served
-   the instant it arrives, exactly as the scalar engine would;
+4. serves the timeline first-in first-out — a request landing while the
+   chip serves waits, exactly as it would in the chip queue — and stops
+   before the horizon, a stream's first unbatched request, an exact
+   arrival tie (the heap's insertion order decides those) or a serve
+   that ends at or after its own stream's next arrival (the bus frees
+   first and the stream stalls); the window then ends at the last idle
+   boundary before the stop, so the chip is left idle;
 5. applies the per-request residency, energy, degradation, and histogram
    accounting in vectorized form, using sequential-semantics reductions
    (`np.add.accumulate` seeded with the running value) so every
@@ -40,14 +59,14 @@ goes idle while transfers are still streaming to it, the kernel:
 
 Everything outside these windows — wake and descent transitions, DMA-TA
 gather/release decisions, migrations, bus handoffs, transfer heads and
-tails, windows where requests actually queue at the chip — stays on the
+tails, DMA requests queued behind processor accesses — stays on the
 scalar event path, which is why the kernel is bit-exact by construction
 rather than by tolerance. The scalar path remains available as the
 oracle via ``engine="precise-scalar"`` (see ``docs/ENGINES.md``).
 
 Only numpy APIs present since 1.20 are used (``np.add.accumulate``,
 ``np.maximum``, ``np.searchsorted``, ``np.argsort``); CI pins
-``numpy==1.20.*`` on one matrix leg to keep it that way.
+``numpy==1.21.*`` on one matrix leg to keep it that way.
 """
 
 from __future__ import annotations
@@ -68,12 +87,6 @@ MIN_BATCH = 8
 
 #: Maximum streams merged per window; chips fed by more are left scalar.
 _MAX_STREAMS = 4
-
-#: Margin (cycles) for the cheap phase-compatibility precheck. Streams
-#: share one bus period, so their relative phases are constant across a
-#: window up to accumulate-chain ulp drift (sub-microcycle for any
-#: batchable window); a millicycle margin dwarfs it.
-_PHASE_MARGIN = 1e-3
 
 #: Safety margin (cycles) subtracted from projected bus-handoff times.
 #: The projection uses ``free_at + remaining * gap`` while the engine
@@ -98,13 +111,14 @@ def _seq_add(seed: float, values: np.ndarray) -> float:
 
 
 class ArrayTimelineKernel:
-    """Steady-window batching for one :class:`PreciseEngine` run."""
+    """Window batching for one :class:`PreciseEngine` run."""
 
     def __init__(self, engine: "PreciseEngine") -> None:
         self.engine = engine
         model = engine.config.memory.power_model
         self.gap = engine._bus_gap
         self.serve = engine._serve_cycles
+        self.proc_cycles = engine._proc_serve_cycles
         self.frequency = model.frequency_hz
         #: Scalar ``touch`` uses ``model.active_power`` while serving and
         #: ``model.power(state)`` while active-idle; keep both even though
@@ -114,40 +128,49 @@ class ArrayTimelineKernel:
         self.p_idle = model.power(PowerState.ACTIVE)
         schedule = engine.chips[0].schedule if engine.chips else ()
         first_threshold = schedule[0][0] if schedule else math.inf
-        #: Batching requires (a) a strictly positive idle stretch between
-        #: back-to-back requests of one stream (otherwise the pipeline
-        #: stalls and the cadence is different) and (b) a power policy
-        #: whose first descent threshold cannot fire inside the longest
-        #: possible idle stretch, ``gap - serve`` (otherwise the scalar
-        #: engine would begin a downward transition mid-stream).
+        #: DMA windows require (a) a strictly positive idle stretch
+        #: between back-to-back requests of one stream (otherwise the
+        #: pipeline stalls and the cadence is different) and (b) a power
+        #: policy whose first descent threshold cannot fire inside the
+        #: longest possible idle stretch, ``gap - serve`` (otherwise the
+        #: scalar engine would begin a downward transition mid-stream).
         self.enabled = (self.gap - self.serve > 1e-9
                         and first_threshold >= self.gap - self.serve)
         # Window statistics (surfaced as kernel.* counters).
         self.batches = 0
         self.batched_requests = 0
+        self.proc_windows = 0
+        self.proc_accesses = 0
 
     # ------------------------------------------------------------------
 
-    def _horizon(self, chip_id: int, own_buses: set) -> float:
-        """Latest time the steady window is provably undisturbed.
+    def _observer_horizon(self) -> float:
+        """The next event that can observe shared state.
 
         Trace arrivals, DMA-TA epochs, and PL migration intervals all
-        observe shared state (slack credits, ``arrived_requests``, the
-        page layout), so the window must close strictly before any of
-        them. A transfer queued in another bus's FIFO and bound for this
-        chip starts streaming when that bus's current transfer finishes
-        transmitting; a conservative lower bound on that handoff closes
-        the window too. (The window's own buses cannot hand off: every
-        stream keeps at least one request untransmitted.)
+        read or change shared state (slack credits, ``arrived_requests``,
+        chip queues, the page layout); probe ticks (telemetry, digests)
+        must see scalar-consistent state (math.inf — no cut at all —
+        unobserved). A window closes strictly before any of them.
         """
         engine = self.engine
-        # Probe ticks (telemetry, digests) must observe scalar-consistent
-        # state, so the next tick closes the window like any other
-        # shared-state observer (math.inf — no cut at all — unobserved).
-        horizon = min(engine._next_arrival_time,
-                      engine._next_epoch_time,
-                      engine._next_interval_time,
-                      engine.probes.next_time)
+        return min(engine._next_arrival_time,
+                   engine._next_epoch_time,
+                   engine._next_interval_time,
+                   engine.probes.next_time)
+
+    def _horizon(self, chip_id: int, own_buses: set) -> float:
+        """Latest time a DMA window is provably undisturbed.
+
+        Besides the observers, a transfer queued in another bus's FIFO
+        and bound for this chip starts streaming when that bus's current
+        transfer finishes transmitting; a conservative lower bound on
+        that handoff closes the window too. (The window's own buses
+        cannot hand off: every stream keeps at least one request
+        untransmitted.)
+        """
+        engine = self.engine
+        horizon = self._observer_horizon()
         for other_bus, fifo in enumerate(engine._bus_fifo):
             if other_bus in own_buses or not fifo:
                 continue
@@ -161,6 +184,64 @@ class ArrayTimelineKernel:
                        + remaining * self.gap - _HANDOFF_MARGIN)
             horizon = min(horizon, handoff)
         return horizon
+
+    # ------------------------------------------------------------------
+
+    def serve_proc(self, chip: "_PChip", end: float) -> float:
+        """Serve the processor accesses queued behind the one ``chip``
+        has just started (it completes at ``end``).
+
+        Each access completing strictly before the observer horizon is
+        settled as the scalar engine's serve-done/kick pair would: accrue
+        the serve span, start the next access ``proc_cycles`` later. The
+        last access started stays in service; returns its completion
+        time, for which the caller pushes the one serve-done event.
+        """
+        horizon = self._observer_horizon()
+        if not end < horizon:
+            return end
+        bursts = chip.queue[0]  # processor accesses: priority 0
+        queued = sum(burst.count for burst in bursts)
+        cycles = self.proc_cycles
+        power = self.p_serve
+        frequency = self.frequency
+        span = chip.tracer.span if chip.tracer is not None else None
+        track = chip._track
+        time_total = chip.time.serving_proc
+        energy_total = chip.energy.serving_proc
+        last = chip._last
+        served = 0
+        # The same operations, in the same order, as ``touch`` at each
+        # serve-done followed by the ``now + cycles`` push at each kick.
+        while served < queued and end < horizon:
+            delta = end - last
+            joules = power * (delta / frequency)
+            time_total += delta
+            energy_total += joules
+            if span is not None:
+                span(last, delta, "serve", track,
+                     {"bucket": "serving_proc", "joules": joules})
+            last = end
+            end = last + cycles
+            served += 1
+        if not served:
+            return end
+        chip.time.serving_proc = time_total
+        chip.energy.serving_proc = energy_total
+        chip._last = last
+        # One generation bump per serve start, as ``_kick_chip`` does.
+        chip.descent_generation += served
+        remaining = served
+        while remaining:
+            burst = bursts[0]
+            if burst.count > remaining:
+                burst.count -= remaining
+                break
+            remaining -= burst.count
+            bursts.popleft()
+        self.proc_windows += 1
+        self.proc_accesses += served
+        return end
 
     # ------------------------------------------------------------------
 
@@ -199,19 +280,6 @@ class ArrayTimelineKernel:
         own_buses = {t.bus_id for t in streams}
         if len(own_buses) != n_streams:
             return False  # two streams on one bus: not steady
-        if n_streams > 1:
-            # Cheap phase precheck before any array work: all streams
-            # advance by the same period, so the merge is conflict-free
-            # iff consecutive phases (cyclically) are more than a serve
-            # apart. This is advisory — the exact per-pair check on the
-            # merged timeline below is what guarantees correctness — but
-            # it rejects hopeless windows in O(k log k).
-            phases = sorted(math.fmod(engine._bus_free_at[t.bus_id],
-                                      self.gap) for t in streams)
-            spacing = min(b - a for a, b in zip(phases, phases[1:]))
-            spacing = min(spacing, self.gap - (phases[-1] - phases[0]))
-            if spacing < self.serve + _PHASE_MARGIN:
-                return False
         if sum(t.total_requests - t.served - 1 for t in streams) < MIN_BATCH:
             return False
         horizon = self._horizon(chip.chip_id, own_buses)
@@ -240,47 +308,33 @@ class ArrayTimelineKernel:
             chains.append(chain)
 
         if n_streams == 1:
-            merged = chains[0]
+            # One stream never queues: each request is served the
+            # instant it lands (``gap > serve``), so the window is every
+            # request but the cut element whose serve ends before the
+            # horizon, each one followed by an idle boundary.
+            arrivals = chains[0]
+            count = len(arrivals) - 1
+            if math.isfinite(horizon):
+                count = min(count, int(np.searchsorted(
+                    arrivals + self.serve, horizon, side="left")))
+            if count < MIN_BATCH:
+                return False
+            arrivals = arrivals[:count + 1]
+            begins = arrivals[:count]
+            ends = begins + self.serve
             stream_of = None
-            order = None
         else:
-            merged = np.concatenate(chains)
-            stream_of = np.repeat(np.arange(n_streams),
-                                  [len(c) for c in chains])
-            order = np.argsort(merged, kind="stable")
-            merged = merged[order]
-            stream_of = stream_of[order]
+            window = self._fifo_window(chip._last, chains, horizon)
+            if window is None:
+                return False
+            arrivals, begins, ends, stream_of = window
+            count = len(ends)
 
-        # Longest conflict-free prefix: every serve must complete
-        # strictly before the next arrival (no queueing at the chip —
-        # each batched request is served the instant it lands, exactly
-        # the scalar cadence), strictly before the horizon, and strictly
-        # before any stream's first unbatched request. Under-batching is
-        # always safe; every cut below is conservative.
-        serve_ends = merged + self.serve
-        count = len(merged) - 1  # never batch past the last cut element
-        if n_streams > 1:
-            gap_ok = serve_ends[:-1] < merged[1:]
-            if not gap_ok.all():
-                count = min(count, int(np.argmin(gap_ok)))
-            # Cut at each stream's final (unbatchable) chain element.
-            for s in range(n_streams):
-                positions = np.nonzero(stream_of == s)[0]
-                count = min(count, int(positions[-1]))
-        if math.isfinite(horizon):
-            count = min(count,
-                        int(np.searchsorted(serve_ends, horizon,
-                                            side="left")))
-        if count < MIN_BATCH:
-            return False
-
-        arrivals = merged[:count]
-        ends = serve_ends[:count]
         if n_streams == 1:
             per_stream = [count]
-            next_up = [(float(chains[0][count]), streams[0])]
+            next_up = [(float(arrivals[count]), streams[0])]
         else:
-            counts = np.bincount(stream_of[:count], minlength=n_streams)
+            counts = np.bincount(stream_of, minlength=n_streams)
             per_stream = counts.tolist()
             next_up = [(float(chains[s][per_stream[s]]), streams[s])
                        for s in range(n_streams) if per_stream[s]]
@@ -291,15 +345,18 @@ class ArrayTimelineKernel:
                 if t_a == t_b:
                     return False
 
-        starts = np.empty(count)
-        starts[0] = chip._last
-        starts[1:] = ends[:-1]
+        arrivals = arrivals[:count]
+        previous = np.empty(count)
+        previous[0] = chip._last
+        previous[1:] = ends[:-1]
 
         # Residency and energy accounting, exactly as the scalar
         # ``touch`` pair per request: an active-idle span from the
-        # previous serve end to this arrival, then a serve span.
-        idle_cycles = arrivals - starts
-        serve_cycles = ends - arrivals
+        # previous serve end to this serve's start (0.0 when the request
+        # queued: ``touch`` then returns early, and adding 0.0 leaves a
+        # sum unchanged), then a serve span.
+        idle_cycles = begins - previous
+        serve_cycles = ends - begins
         idle_joules = self.p_idle * (idle_cycles / self.frequency)
         serve_joules = self.p_serve * (serve_cycles / self.frequency)
         chip.time.idle_dma = _seq_add(chip.time.idle_dma, idle_cycles)
@@ -312,35 +369,36 @@ class ArrayTimelineKernel:
         # cycles`` clamped at zero, accumulated sequentially) and the
         # per-request service histogram, including each transfer's
         # amortised head delay.
-        extras = np.maximum(0.0, serve_cycles - self.serve)
+        response = ends - arrivals
+        extras = np.maximum(0.0, response - self.serve)
         engine.extra_service_total = _seq_add(engine.extra_service_total,
                                               extras)
         heads = np.array([t.head_delay / t.total_requests for t in streams])
         if n_streams == 1:
-            hist_values = np.maximum(self.serve, serve_cycles) + heads[0]
+            hist_values = np.maximum(self.serve, response) + heads[0]
         else:
-            hist_values = (np.maximum(self.serve, serve_cycles)
-                           + heads[stream_of[:count]])
+            hist_values = np.maximum(self.serve, response) + heads[stream_of]
         engine._dma_service_hist.record_many(hist_values.tolist())
 
         if engine.tracer is not None:
             span = engine.tracer.span
             track = chip._track
-            starts_l = starts.tolist()
-            arrivals_l = arrivals.tolist()
+            previous_l = previous.tolist()
+            begins_l = begins.tolist()
             idle_c = idle_cycles.tolist()
             serve_c = serve_cycles.tolist()
             idle_j = idle_joules.tolist()
             serve_j = serve_joules.tolist()
             for i in range(count):
-                span(starts_l[i], idle_c[i], "active-idle", track,
-                     {"bucket": "idle_dma", "joules": idle_j[i]})
-                span(arrivals_l[i], serve_c[i], "serve", track,
+                if idle_c[i] > 0.0:
+                    span(previous_l[i], idle_c[i], "active-idle", track,
+                         {"bucket": "idle_dma", "joules": idle_j[i]})
+                span(begins_l[i], serve_c[i], "serve", track,
                      {"bucket": "serving_dma", "joules": serve_j[i]})
             for s, t in enumerate(streams):
                 if per_stream[s]:
                     mine = (extras if n_streams == 1
-                            else extras[stream_of[:count] == s])
+                            else extras[stream_of == s])
                     t.extra_cycles = _seq_add(t.extra_cycles, mine)
 
         # Advance the discrete state to the post-window scalar state.
@@ -358,9 +416,15 @@ class ArrayTimelineKernel:
         chip.idle_since = chip._last
         chip.descent_index = 0
         # Scalar bookkeeping bumps the generation once per serve start
-        # and once per descent (re-)arm; replicate so any descent timer
-        # left in the heap is recognised as stale.
-        chip.descent_generation += count * (2 if chip.schedule else 1)
+        # and once per descent (re-)arm, which follows every serve that
+        # leaves the chip idle; replicate so any descent timer left in
+        # the heap is recognised as stale. The window ends idle, and a
+        # request that did not queue was preceded by an idle boundary.
+        if chip.schedule:
+            idle_boundaries = int(np.count_nonzero(idle_cycles[1:])) + 1
+            chip.descent_generation += count + idle_boundaries
+        else:
+            chip.descent_generation += count
         # Re-arm each stream's in-flight request at the post-window time
         # (same push order as ``_transmit``: request-at-chip, bus-free;
         # streams ordered by wire time as their transmits would have
@@ -373,6 +437,54 @@ class ArrayTimelineKernel:
         self.batches += 1
         self.batched_requests += count
         return True
+
+    def _fifo_window(self, last: float, chains: list, horizon: float):
+        """First-in first-out service of the merged multi-stream
+        timeline from a chip idle since ``last``.
+
+        Returns ``(arrivals, begins, ends, stream_of)`` for the window —
+        ``arrivals`` one element longer, holding the first arrival after
+        it — or None when it is shorter than :data:`MIN_BATCH`.
+        """
+        lengths = [len(c) for c in chains]
+        merged = np.concatenate(chains)
+        stream_of = np.repeat(np.arange(len(chains)), lengths)
+        # Each request's own stream's next arrival (the cut elements,
+        # which never enter a window, have none).
+        following = np.concatenate([np.append(c[1:], math.inf)
+                                    for c in chains])
+        order = np.argsort(merged, kind="stable")
+        rank = np.empty(len(merged), dtype=int)
+        rank[order] = np.arange(len(merged))
+        # Never batch at or past any stream's final (cut) element.
+        stop = int(rank[np.cumsum(lengths) - 1].min())
+        arrivals = merged[order][:stop + 1].tolist()
+        following_l = following[order][:stop].tolist()
+
+        serve = self.serve
+        begins: list[float] = []
+        ends: list[float] = []
+        count = 0
+        previous_end = last
+        previous_arrival = -math.inf
+        for i in range(stop):
+            arrival = arrivals[i]
+            if arrival == previous_arrival:
+                break  # exact tie: the heap's insertion order decides
+            begin = arrival if arrival > previous_end else previous_end
+            end = begin + serve
+            if not (end < horizon and end < following_l[i]):
+                break  # past the horizon, or its own stream stalls
+            begins.append(begin)
+            ends.append(end)
+            if end < arrivals[i + 1]:
+                count = i + 1  # idle boundary: the window may end here
+            previous_end = end
+            previous_arrival = arrival
+        if count < MIN_BATCH:
+            return None
+        return (np.array(arrivals[:count + 1]), np.array(begins[:count]),
+                np.array(ends[:count]), stream_of[order][:count])
 
 
 __all__ = ["ArrayTimelineKernel", "MIN_BATCH"]

@@ -8,8 +8,10 @@ through its power states with real timers. This reproduces Figure 2(a)
 literally — serve 4 cycles, sit active-idle 8 — and is the ground truth
 the fluid engine is validated against.
 
-It is two to three orders of magnitude slower than the fluid engine, so
-use it for small traces, tests, and spot checks.
+With the array-timeline kernel (:mod:`repro.sim.array_timeline`) it
+runs about five times slower than the fluid engine on OLTP-Db; the
+kernel-free ``precise-scalar`` oracle is slower still. Use it for
+cross-validation, small traces, tests, and spot checks.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.core.controller import BaselineController, MemoryController
 from repro.core.layout import PopularityGrouper
 from repro.core.migration import MigrationPlanner
 from repro.core.popularity import PopularityTracker
+from repro.core.temporal_alignment import TemporalAlignmentController
 from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
 from repro.energy.policies import AlwaysOnPolicy
@@ -117,12 +120,17 @@ class _PTransfer:
 
 @dataclass
 class _Request:
-    """One queued unit of chip work."""
+    """One queued unit of chip work.
+
+    A processor burst is one entry of ``count`` identical accesses;
+    :meth:`_PChip.pop_request` hands them out one at a time.
+    """
 
     priority: int
     arrival: float
     cycles: float
     transfer: _PTransfer | None = None
+    count: int = 1
 
 
 class _PChip:
@@ -356,9 +364,18 @@ class _PChip:
         self.queue[request.priority].append(request)
 
     def pop_request(self) -> _Request | None:
+        """The next unit of work, highest priority first. An entry of
+        several accesses stays queued until its last one is handed out
+        (an access carries no state of its own, so the entry stands for
+        each of them)."""
         for bucket in self.queue:
             if bucket:
-                return bucket.popleft()
+                request = bucket[0]
+                if request.count > 1:
+                    request.count -= 1
+                else:
+                    bucket.popleft()
+                return request
         return None
 
     @property
@@ -403,7 +420,7 @@ class PreciseEngine:
         self.assigner = BusAssigner(config.buses.count)
 
         if technique in ("dma-ta", "dma-ta-pl"):
-            self.controller: MemoryController = TemporalAlignmentControllerShim(
+            self.controller: MemoryController = TemporalAlignmentController(
                 config, self._arrived_requests,
                 tracer=self.tracer, registry=self.registry)
         else:
@@ -596,9 +613,9 @@ class PreciseEngine:
         work = record.count * self._proc_serve_cycles
         dma_here = chip.inflight_transfers
         self.controller.on_proc_access(chip_id, work, dma_here, now)
-        for _ in range(record.count):
-            chip.enqueue(_Request(priority=_PRIO_PROC, arrival=now,
-                                  cycles=self._proc_serve_cycles))
+        chip.enqueue(_Request(priority=_PRIO_PROC, arrival=now,
+                              cycles=self._proc_serve_cycles,
+                              count=record.count))
         # Buffered DMA heads stay buffered across the burst (the slack
         # account is charged for the coexistence, Section 4.1.3).
         self._kick_chip(chip, now)
@@ -729,7 +746,11 @@ class PreciseEngine:
         assert request is not None
         chip.serving = request
         chip.descent_generation += 1  # cancel any pending descent timer
-        self.queue.push(now + request.cycles, _EV_SERVE_DONE, chip.chip_id)
+        end = now + request.cycles
+        if (self._kernel is not None and request.priority == _PRIO_PROC
+                and chip.queue[_PRIO_PROC]):
+            end = self._kernel.serve_proc(chip, end)
+        self.queue.push(end, _EV_SERVE_DONE, chip.chip_id)
 
     def _on_chip_ready(self, chip_id: int, now: float) -> None:
         chip = self.chips[chip_id]
@@ -936,6 +957,10 @@ class PreciseEngine:
             registry.counter("kernel.batches").inc(self._kernel.batches)
             registry.counter("kernel.batched_requests").inc(
                 self._kernel.batched_requests)
+            registry.counter("kernel.proc_windows").inc(
+                self._kernel.proc_windows)
+            registry.counter("kernel.proc_accesses").inc(
+                self._kernel.proc_accesses)
         registry.gauge("dma.service_bound").set((1 + mu) * service_cycles)
         slack = getattr(self.controller, "slack", None)
         if slack is not None:
@@ -974,19 +999,3 @@ PreciseEngine._HANDLERS = {
     _EV_INTERVAL: PreciseEngine._on_interval,
 }
 
-
-class TemporalAlignmentControllerShim:
-    """A thin import indirection so both engines share one controller.
-
-    The precise engine's transfers duck-type the fluid streams (only
-    ``bus_id`` and identity are used by the controller), so the shared
-    :class:`~repro.core.temporal_alignment.TemporalAlignmentController`
-    works unchanged; this subclass exists purely to keep the import local
-    and the intent explicit.
-    """
-
-    def __new__(cls, config, arrived_requests, tracer=None, registry=None):
-        from repro.core.temporal_alignment import TemporalAlignmentController
-
-        return TemporalAlignmentController(config, arrived_requests,
-                                           tracer=tracer, registry=registry)
