@@ -532,18 +532,21 @@ class PreciseEngine:
             self._next_interval_time = self.config.layout.interval_cycles
         self.probes.schedule()
 
-        # ``progress`` tracks the last state-changing event only:
-        # a trailing probe tick must not stretch the simulated horizon
+        # ``progress`` tracks the last state-changing event only: a
+        # trailing probe tick must not stretch the simulated horizon
         # (that would accrue extra idle energy and break the
-        # bit-identical-to-unobserved guarantee). Without probes this
-        # equals queue.now exactly (heap pops in order).
+        # bit-identical-to-unobserved guarantee), and neither may an
+        # epoch or PL interval tick that finds no work left — its
+        # handler returns at once, so the horizon stays set by the trace
+        # and its work, as in the fluid engine.
         progress = 0.0
         while self.queue:
             now, kind, payload = self.queue.pop()
             if kind == _EV_PROBE:
                 self.probes.tick(now, self._work_remaining())
                 continue
-            progress = now
+            if kind < _EV_EPOCH or self._work_remaining():
+                progress = now
             handler = self._HANDLERS[int(kind)]
             handler(self, payload, now)
             self._maybe_drain(now)
