@@ -60,9 +60,13 @@ it, the kernel:
 Everything outside these windows — wake and descent transitions, DMA-TA
 gather/release decisions, migrations, bus handoffs, transfer heads and
 tails, DMA requests queued behind processor accesses — stays on the
-scalar event path, which is why the kernel is bit-exact by construction
-rather than by tolerance. The scalar path remains available as the
-oracle via ``engine="precise-scalar"`` (see ``docs/ENGINES.md``).
+scalar event path, which is why the kernel is bit-exact rather than
+within a tolerance. (One accumulator is shared by all chips: a DMA
+window adds its extra service to the engine-wide total when it is
+settled, ahead of other chips' serves inside its span. Those additions
+are almost all exact, so the order has not shown; ``docs/ENGINES.md``
+gives the numbers.) The scalar path remains available as the oracle via
+``engine="precise-scalar"``.
 
 Only numpy APIs present since 1.20 are used (``np.add.accumulate``,
 ``np.maximum``, ``np.searchsorted``, ``np.argsort``); CI pins
@@ -224,8 +228,6 @@ class ArrayTimelineKernel:
             last = end
             end = last + cycles
             served += 1
-        if not served:
-            return end
         chip.time.serving_proc = time_total
         chip.energy.serving_proc = energy_total
         chip._last = last
@@ -312,30 +314,25 @@ class ArrayTimelineKernel:
             # instant it lands (``gap > serve``), so the window is every
             # request but the cut element whose serve ends before the
             # horizon, each one followed by an idle boundary.
-            arrivals = chains[0]
-            count = len(arrivals) - 1
+            chain = chains[0]
+            count = len(chain) - 1
             if math.isfinite(horizon):
                 count = min(count, int(np.searchsorted(
-                    arrivals + self.serve, horizon, side="left")))
+                    chain + self.serve, horizon, side="left")))
             if count < MIN_BATCH:
                 return False
-            arrivals = arrivals[:count + 1]
-            begins = arrivals[:count]
+            arrivals = begins = chain[:count]
             ends = begins + self.serve
-            stream_of = None
+            stream_of = np.zeros(count, dtype=int)
+            per_stream = [count]
+            next_up = [(float(chain[count]), streams[0])]
         else:
             window = self._fifo_window(chip._last, chains, horizon)
             if window is None:
                 return False
             arrivals, begins, ends, stream_of = window
             count = len(ends)
-
-        if n_streams == 1:
-            per_stream = [count]
-            next_up = [(float(arrivals[count]), streams[0])]
-        else:
-            counts = np.bincount(stream_of, minlength=n_streams)
-            per_stream = counts.tolist()
+            per_stream = np.bincount(stream_of, minlength=n_streams).tolist()
             next_up = [(float(chains[s][per_stream[s]]), streams[s])
                        for s in range(n_streams) if per_stream[s]]
             next_up.sort(key=lambda pair: pair[0])
@@ -345,7 +342,6 @@ class ArrayTimelineKernel:
                 if t_a == t_b:
                     return False
 
-        arrivals = arrivals[:count]
         previous = np.empty(count)
         previous[0] = chip._last
         previous[1:] = ends[:-1]
@@ -374,10 +370,7 @@ class ArrayTimelineKernel:
         engine.extra_service_total = _seq_add(engine.extra_service_total,
                                               extras)
         heads = np.array([t.head_delay / t.total_requests for t in streams])
-        if n_streams == 1:
-            hist_values = np.maximum(self.serve, response) + heads[0]
-        else:
-            hist_values = np.maximum(self.serve, response) + heads[stream_of]
+        hist_values = np.maximum(self.serve, response) + heads[stream_of]
         engine._dma_service_hist.record_many(hist_values.tolist())
 
         if engine.tracer is not None:
@@ -397,9 +390,8 @@ class ArrayTimelineKernel:
                      {"bucket": "serving_dma", "joules": serve_j[i]})
             for s, t in enumerate(streams):
                 if per_stream[s]:
-                    mine = (extras if n_streams == 1
-                            else extras[stream_of == s])
-                    t.extra_cycles = _seq_add(t.extra_cycles, mine)
+                    t.extra_cycles = _seq_add(t.extra_cycles,
+                                              extras[stream_of == s])
 
         # Advance the discrete state to the post-window scalar state.
         from repro.sim.precise import _EV_BUS_FREE, _EV_REQUEST_AT_CHIP
@@ -442,9 +434,8 @@ class ArrayTimelineKernel:
         """First-in first-out service of the merged multi-stream
         timeline from a chip idle since ``last``.
 
-        Returns ``(arrivals, begins, ends, stream_of)`` for the window —
-        ``arrivals`` one element longer, holding the first arrival after
-        it — or None when it is shorter than :data:`MIN_BATCH`.
+        Returns ``(arrivals, begins, ends, stream_of)`` for the window,
+        or None when it is shorter than :data:`MIN_BATCH`.
         """
         lengths = [len(c) for c in chains]
         merged = np.concatenate(chains)
@@ -483,7 +474,7 @@ class ArrayTimelineKernel:
             previous_arrival = arrival
         if count < MIN_BATCH:
             return None
-        return (np.array(arrivals[:count + 1]), np.array(begins[:count]),
+        return (np.array(arrivals[:count]), np.array(begins[:count]),
                 np.array(ends[:count]), stream_of[order][:count])
 
 

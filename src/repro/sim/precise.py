@@ -9,9 +9,10 @@ literally — serve 4 cycles, sit active-idle 8 — and is the ground truth
 the fluid engine is validated against.
 
 With the array-timeline kernel (:mod:`repro.sim.array_timeline`) it
-runs about five times slower than the fluid engine on OLTP-Db; the
-kernel-free ``precise-scalar`` oracle is slower still. Use it for
-cross-validation, small traces, tests, and spot checks.
+costs about 2.4 times the fluid engine's time per request on OLTP-Db,
+and the kernel-free ``precise-scalar`` oracle about ten times more
+(``docs/ENGINES.md``). Use it for cross-validation, small traces,
+tests, and spot checks.
 """
 
 from __future__ import annotations
@@ -1001,4 +1002,3 @@ PreciseEngine._HANDLERS = {
     _EV_EPOCH: PreciseEngine._on_epoch,
     _EV_INTERVAL: PreciseEngine._on_interval,
 }
-

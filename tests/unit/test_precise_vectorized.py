@@ -232,8 +232,9 @@ class TestWindowCuts:
 
     def test_exact_arrival_tie_is_left_to_the_heap(self):
         """Two streams whose requests land at the same instant: the
-        heap's insertion order decides which is served first, so the
-        kernel batches none of them."""
+        heap's insertion order decides which is served first and in
+        which order their next requests are re-armed, so the kernel
+        batches none of them."""
         scalar, vector, _, _ = run_pair(self.two_streams(0.0), "nopm")
         assert_identical(scalar, vector)
         assert vector.metrics.counters["kernel.batched_requests"] == 0
