@@ -723,34 +723,18 @@ def _cmd_audit(args) -> int:
     from repro.errors import AuditError
     from repro.obs import RingTracer, write_chrome_trace
     from repro.obs.audit import Auditor, write_audit_report
-    from repro.sim.run import validate_simulation_args
+    from repro.sim.run import build_engine
 
-    validate_simulation_args(args.technique, args.engine,
-                             mu=args.mu, cp_limit=args.cp_limit)
     trace = read_trace(args.trace)
-    config = SimulationConfig()
-    if args.cp_limit is not None:
-        config = config.with_mu(calibrate_mu(trace, config,
-                                             args.cp_limit).mu)
-    elif args.mu is not None:
-        config = config.with_mu(args.mu)
-
-    # Construct the engine directly (rather than through simulate()) so
-    # the under-charge fault can be injected into its slack account.
     ring = RingTracer() if args.trace_out else None
     auditor = Auditor(strict=args.strict, slowest=max(0, args.slowest),
                       downstream=ring)
-    if args.engine == "fluid":
-        from repro.sim.fluid import FluidEngine
-
-        engine = FluidEngine(trace, config, technique=args.technique,
-                             seed=args.seed, tracer=auditor)
-    else:
-        from repro.sim.precise import PreciseEngine
-
-        engine = PreciseEngine(trace, config, technique=args.technique,
-                               seed=args.seed, tracer=auditor,
-                               vectorize=args.engine != "precise-scalar")
+    # Build the engine without running it, so the under-charge fault can
+    # be injected into its slack account.
+    engine = build_engine(trace, technique=args.technique,
+                          engine=args.engine, mu=args.mu,
+                          cp_limit=args.cp_limit, seed=args.seed,
+                          tracer=auditor)
     if args.inject_undercharge:
         slack = getattr(engine.controller, "slack", None)
         if slack is None:

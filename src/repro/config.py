@@ -154,8 +154,9 @@ class TemporalAlignmentConfig:
     deadline_fraction: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ConfigurationError("mu must be non-negative")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ConfigurationError(
+                f"mu must be finite and non-negative, got {self.mu!r}")
         if self.epoch_cycles <= 0:
             raise ConfigurationError("epoch_cycles must be positive")
         if not 0 < self.slack_release_fraction <= 1:

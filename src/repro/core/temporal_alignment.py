@@ -52,7 +52,8 @@ class TemporalAlignmentController(MemoryController):
             requests that have arrived at the memory system so far,
             *excluding* buffered head requests (the controller adds its
             own pending count). The engine supplies this from its served
-            work integral.
+            work integral, and drops it (the attribute of the same name)
+            when its run ends.
         tracer: optional event tracer; head buffering and batch releases
             (with their trigger) are emitted on the controller track.
         registry: optional metrics registry; release batch sizes (the
@@ -65,7 +66,7 @@ class TemporalAlignmentController(MemoryController):
                  tracer: "Tracer | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
         self._config = config
-        self._arrived_served = arrived_requests
+        self.arrived_requests = arrived_requests
         self._tracer = tracer
         self._batch_hist = (registry.histogram("ta.batch_size")
                             if registry is not None else None)
@@ -107,7 +108,7 @@ class TemporalAlignmentController(MemoryController):
         anticipation a cold-start gather could never wait longer than
         the few credits already banked.
         """
-        return self._arrived_served() + self._pending_requests
+        return self.arrived_requests() + self._pending_requests
 
     def _pending_by_bus(self, chip_id: int) -> dict[int, int]:
         counts: dict[int, int] = defaultdict(int)

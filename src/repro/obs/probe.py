@@ -26,7 +26,7 @@ runs stay bit-identical to unobserved ones.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from repro.energy.accounting import BUCKETS
 
@@ -63,25 +63,19 @@ class ProbeSet:
     """Every probe attached to one engine run.
 
     Args:
-        engine: the engine; its ``queue`` receives the PROBE events.
+        engine: the engine. Its ``queue`` receives the PROBE events;
+            each snapshot reads its ``chips`` (each with
+            ``observe(now)`` and ``energy``), ``_arrived_requests()``
+            (the run's arrived DMA-memory requests) and
+            ``_bus_states()`` (``(busy, queue_depth)`` per bus).
         kind: the engine's PROBE event kind.
         probes: the attached probes (``None`` entries are skipped).
-        chips: the engine's chips, each with ``observe(now)`` and
-            ``energy``.
-        requests: returns the run's arrived DMA-memory requests.
-        buses: returns ``(busy, queue_depth)`` per bus.
     """
 
-    def __init__(self, engine, kind, probes: Iterable,
-                 chips: Sequence,
-                 requests: Callable[[], float],
-                 buses: Callable[[], Iterable[tuple[float, float]]]) -> None:
+    def __init__(self, engine, kind, probes: Iterable) -> None:
         self._engine = engine
         self._kind = kind
         self._probes = [probe for probe in probes if probe is not None]
-        self._chips = chips
-        self._requests = requests
-        self._buses = buses
         self._slack = getattr(engine.controller, "slack", None)
         for probe in self._probes:
             probe.bind(engine)
@@ -125,14 +119,14 @@ class ProbeSet:
             snapshot = self.snapshot(end)
             for probe in due:
                 probe.sample(snapshot)
-        self._engine = self._requests = self._buses = None
+        self._engine = None
 
     def snapshot(self, now: float) -> tuple[float, ...]:
         """The run's observable state at ``now``, laid out as
         :func:`snapshot_fields`. Reads only; every chip is observed
         once."""
         engine = self._engine
-        requests = self._requests()
+        requests = engine._arrived_requests()
         values = [
             now,
             float(requests),
@@ -142,12 +136,12 @@ class ProbeSet:
             float(engine.controller.pending_count()),
             float(engine.migrations),
         ]
-        for chip in self._chips:
+        for chip in engine.chips:
             buckets, power = chip.observe(now)
             values.append(float(chip.energy.total))
             values.append(float(power))
             values.extend(buckets)
-        for busy, depth in self._buses():
+        for busy, depth in engine._bus_states():
             values.append(busy)
             values.append(depth)
         return tuple(values)

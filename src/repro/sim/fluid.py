@@ -16,24 +16,12 @@ import itertools
 from collections import defaultdict
 
 from repro.config import SimulationConfig
-from repro.core.controller import BaselineController, MemoryController
-from repro.core.layout import PopularityGrouper
-from repro.core.migration import MigrationPlanner
-from repro.core.popularity import PopularityTracker
-from repro.core.temporal_alignment import TemporalAlignmentController
-from repro.energy.policies import AlwaysOnPolicy
-from repro.errors import ConfigurationError, GuaranteeViolationError
 from repro.io.bus import FluidBus
-from repro.io.devices import BusAssigner
 from repro.io.dma import FluidStream, StreamKind, allocate_chip_capacity
-from repro.memory.address import MutableLayout, build_base_layout
 from repro.memory.chip import ChipRates, FluidChip
 from repro.memory.system import MemorySystem
 from repro.obs.events import TRACK_SIM
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import ProbeSet
-from repro.obs.tracer import active_tracer
-from repro.sim.engine import EventKind, EventQueue
+from repro.sim.engine import EngineCore, EventKind
 from repro.sim.results import SimulationResult
 from repro.traces.records import DMATransfer, ProcessorBurst
 from repro.traces.trace import Trace
@@ -41,10 +29,8 @@ from repro.traces.trace import Trace
 #: Remaining-work threshold (serving cycles) below which a stream is done.
 _DONE_EPS = 1e-6
 
-TECHNIQUES = ("nopm", "baseline", "dma-ta", "pl", "dma-ta-pl")
 
-
-class FluidEngine:
+class FluidEngine(EngineCore):
     """One simulation run of a trace under a technique.
 
     Args:
@@ -76,30 +62,14 @@ class FluidEngine:
                  technique: str = "baseline", seed: int = 0,
                  record_timeline: bool = False,
                  tracer=None, telemetry=None, digests=None) -> None:
-        if technique not in TECHNIQUES:
-            raise ConfigurationError(
-                f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
-        self.trace = trace
-        self.config = config
-        self.technique = technique
+        super().__init__(trace, config, technique, seed, tracer)
         self._record_timeline = record_timeline
-        self.tracer = active_tracer(tracer)
-        self.registry = MetricsRegistry()
-
-        policy = AlwaysOnPolicy() if technique == "nopm" else config.policy
-        memory_config = config.memory
-        base_layout = build_base_layout(config, seed)
-        self._pl_enabled = technique in ("pl", "dma-ta-pl")
-        layout = MutableLayout(base_layout) if self._pl_enabled else base_layout
-        self.memory = MemorySystem(memory_config, policy, layout)
+        self.memory = MemorySystem(config.memory, self.policy, self.layout)
         if record_timeline:
             for chip in self.memory.chips:
                 chip.timeline = []
-        if self.tracer is not None:
-            for chip in self.memory.chips:
-                chip.tracer = self.tracer
 
-        model = memory_config.power_model
+        model = config.memory.power_model
         self.buses = [
             FluidBus(i, config.buses.bandwidth_bytes_per_s, model,
                      sharing=config.buses.sharing)
@@ -108,39 +78,11 @@ class FluidEngine:
         if self.tracer is not None:
             for bus in self.buses:
                 bus.tracer = self.tracer
-        self.assigner = BusAssigner(config.buses.count)
-
-        if technique in ("dma-ta", "dma-ta-pl"):
-            self.controller: MemoryController = TemporalAlignmentController(
-                config, self._served_requests,
-                tracer=self.tracer, registry=self.registry)
-        else:
-            self.controller = BaselineController()
-
-        if self._pl_enabled:
-            self._tracker = PopularityTracker(
-                counter_bits=config.layout.counter_bits,
-                aging_shift=config.layout.aging_shift)
-            self._grouper = PopularityGrouper(
-                memory_config.num_chips, memory_config.pages_per_chip,
-                config.layout)
-            self._planner = MigrationPlanner(
-                config.layout, tracer=self.tracer, registry=self.registry)
-            self._previous_hot: set[int] = set()
-            self._previous_candidates: set[int] | None = None
-        else:
-            self._tracker = None
-            self._grouper = None
-            self._planner = None
-            self._previous_hot = set()
-            self._previous_candidates = None
 
         # Runtime state.
-        self.queue = EventQueue()
         self._stream_ids = itertools.count()
         self._streams_at: dict[int, set[FluidStream]] = defaultdict(set)
         self._active: set[FluidStream] = set()
-        self._records_done = not trace.records
         self._pending_starts = 0
         #: Time of the last event that actually changed state. Stale
         #: (version-superseded) completion events may sit far in the
@@ -152,31 +94,8 @@ class FluidEngine:
         self._dma_work_rate = 0.0
         self._dma_work_time = 0.0
 
-        # Statistics.
-        self.transfers = 0
-        self.requests = 0
-        self.proc_accesses = 0
-        self.head_delay_total = 0.0
-        self.extra_service_total = 0.0
-        self.bus_wait_total = 0.0
-        self.migrations = 0
-        self.table_flushes = 0
-        self._last_completion: dict[int, float] = {}
-
         self._opportunistic = config.layout.opportunistic_copies
-        self._dma_service_hist = self.registry.histogram(
-            "dma.service_per_request")
-
-        # Cached geometry.
-        self._serve_cycles = config.serve_cycles
-        self._proc_serve_cycles = config.proc_serve_cycles
-        self._page_copy_cycles = (
-            memory_config.page_bytes / model.bytes_per_cycle)
-        self._total_pages = memory_config.total_pages
-
-        self.probes = ProbeSet(self, EventKind.PROBE, (telemetry, digests),
-                               self.memory.chips, self._served_requests,
-                               self._bus_states)
+        self._attach(self.memory.chips, (telemetry, digests))
 
     # ------------------------------------------------------------------
     # Global request-arrival accounting (slack credits)
@@ -186,7 +105,7 @@ class FluidEngine:
         return self._dma_work_base + self._dma_work_rate * (
             now - self._dma_work_time)
 
-    def _served_requests(self) -> float:
+    def _arrived_requests(self) -> float:
         """Arrived (~served) DMA-memory requests, excluding buffered heads."""
         return self._served_dma_work(self.queue.now) / self._serve_cycles
 
@@ -196,32 +115,7 @@ class FluidEngine:
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
-        if self.tracer is not None:
-            # Run parameters up front, so sinks (the auditor especially)
-            # can bootstrap the guarantee/slack replay from the stream
-            # alone.
-            self.tracer.instant(0.0, "sim.config", TRACK_SIM, {
-                "engine": self.name,
-                "technique": self.technique,
-                "mu": (self.config.alignment.mu
-                       if self.technique in ("dma-ta", "dma-ta-pl")
-                       else 0.0),
-                "service_cycles": self.config.undisturbed_service_cycles,
-                "epoch_cycles": self.config.alignment.epoch_cycles,
-                "frequency_hz": self.config.memory.power_model.frequency_hz,
-                "chips": self.config.memory.num_chips,
-                "buses": self.config.buses.count,
-            })
-        if self.trace.records:
-            self.queue.push(self.trace.records[0].time, EventKind.ARRIVAL, 0)
-        epoch = self.controller.epoch_cycles()
-        if epoch:
-            self.queue.push(epoch, EventKind.EPOCH, None)
-        if self._pl_enabled:
-            self.queue.push(
-                self.config.layout.interval_cycles, EventKind.INTERVAL, None)
-        self.probes.schedule()
-
+        self._start()
         while self.queue:
             now, kind, payload = self.queue.pop()
             if kind is EventKind.PROBE:
@@ -246,8 +140,9 @@ class FluidEngine:
 
         end = max(self._last_progress, self.trace.duration_cycles)
         self.memory.advance_all(end)
-        self.probes.finish(end)
-        return self._build_result(end)
+        return self._finish(end, timeline=(
+            {chip.chip_id: chip.timeline for chip in self.chips}
+            if self._record_timeline else None))
 
     def _work_remaining(self) -> bool:
         return (not self._records_done or self._has_live_streams()
@@ -297,16 +192,11 @@ class FluidEngine:
             self._on_proc_burst(record, now)
 
     def _on_transfer(self, record: DMATransfer, now: float) -> None:
-        page = record.page % self._total_pages
-        chip = self.memory.chips[self.memory.layout.chip_of(page)]
-        bus_id = self.assigner.assign(record)
-        n_req = record.num_requests(self.config.memory.request_bytes)
-        self.transfers += 1
-        self.requests += n_req
-
+        chip_id, bus_id, n_req = self._count_transfer(record, now)
+        chip = self.memory.chips[chip_id]
         stream = FluidStream(
             kind=StreamKind.DMA,
-            chip_id=chip.chip_id,
+            chip_id=chip_id,
             total_work=n_req * self._serve_cycles,
             demand=self.buses[bus_id].full_share_demand,
             stream_id=next(self._stream_ids),
@@ -317,17 +207,6 @@ class FluidEngine:
             num_requests=n_req,
             seq=self.transfers,
         )
-        if self.tracer is not None:
-            self.tracer.instant(now, "dma.arrive", TRACK_SIM,
-                                {"id": stream.seq, "chip": chip.chip_id,
-                                 "bus": bus_id, "requests": n_req})
-        if self._tracker is not None:
-            # One reference per DMA transfer: counting individual
-            # DMA-memory requests would saturate the narrow counters on a
-            # single 8-KB transfer (1024 requests against a 255 cap) and
-            # reduce the ranking to "touched recently".
-            self._tracker.record(page, 1)
-
         chip.advance(now)
         released = self.controller.admit(stream, chip, now)
         if released:
@@ -397,7 +276,7 @@ class FluidEngine:
                 self.tracer.counter(now, "pending_heads", TRACK_SIM,
                                     float(self.controller.pending_count()))
                 self.tracer.counter(now, "served_requests", TRACK_SIM,
-                                    self._served_requests())
+                                    self._arrived_requests())
             releases = self.controller.on_epoch(now)
             for chip_id, streams in releases.items():
                 self._release(self.memory.chips[chip_id], streams, now,
@@ -411,21 +290,8 @@ class FluidEngine:
     def _on_interval(self, now: float) -> None:
         if self._records_done and not self._active:
             return
-        assert self._tracker and self._grouper and self._planner
-        ranked = self._tracker.ranked_pages()
-        if ranked:
-            plan = self._grouper.build_plan(
-                ranked, self._previous_hot, self._previous_candidates)
-            cold_index = plan.groups[-1].index
-            self._previous_hot = {
-                page for page, group in plan.page_group.items()
-                if group != cold_index}
-            self._previous_candidates = plan.candidates
-            migration = self._planner.plan_and_apply(
-                plan, self.memory.layout, now)  # type: ignore[arg-type]
-            self._tracker.age()
-            self.migrations += migration.num_moves
-            self.table_flushes += migration.table_flushes
+        migration = self._plan_interval(now)
+        if migration is not None:
             for chip_id, cycles in migration.copy_cycles_per_chip(
                     self._page_copy_cycles).items():
                 stream = FluidStream(
@@ -492,8 +358,6 @@ class FluidEngine:
                 # paid under the baseline as well (more often, in fact).
                 self.head_delay_total += (
                     stream.release_time - stream.arrival_time)
-                self.bus_wait_total += max(
-                    0.0, now - stream.release_time)
                 if self.tracer is not None:
                     self.tracer.instant(
                         now, "dma.start", TRACK_SIM,
@@ -638,80 +502,3 @@ class FluidEngine:
         for stream in granted_now:
             self._activate(self.memory.chips[stream.chip_id],
                            [stream], now, notify=True)
-
-    # ------------------------------------------------------------------
-    # Result assembly
-    # ------------------------------------------------------------------
-
-    def _build_result(self, end: float) -> SimulationResult:
-        energy = self.memory.total_energy()
-        time = self.memory.total_time()
-        energy.validate()
-        time.validate()
-
-        mu = (self.config.alignment.mu
-              if self.technique in ("dma-ta", "dma-ta-pl") else 0.0)
-        service = self.config.undisturbed_service_cycles
-        avg_extra = ((self.head_delay_total + self.extra_service_total)
-                     / self.requests) if self.requests else 0.0
-        violated = mu > 0 and avg_extra > mu * service * (1 + 1e-6) + 1e-9
-        if violated and self.config.strict_guarantee:
-            raise GuaranteeViolationError(
-                f"average extra service {avg_extra:.3f} cycles exceeds "
-                f"mu*T = {mu * service:.3f}")
-
-        responses = {}
-        for request_id, client in self.trace.clients.items():
-            completion = self._last_completion.get(request_id)
-            if completion is None:
-                continue
-            responses[request_id] = max(
-                0.0, completion - client.arrival + client.base_cycles)
-
-        return SimulationResult(
-            metrics=self._build_metrics(mu, service),
-            trace_name=self.trace.name,
-            technique=self.technique,
-            engine=self.name,
-            duration_cycles=end,
-            energy=energy,
-            time=time,
-            transfers=self.transfers,
-            requests=self.requests,
-            proc_accesses=self.proc_accesses,
-            mu=mu,
-            service_cycles=service,
-            head_delay_cycles=self.head_delay_total,
-            extra_service_cycles=self.extra_service_total,
-            client_responses=responses,
-            migrations=self.migrations,
-            table_flushes=self.table_flushes,
-            wakes=self.memory.total_wakes(),
-            controller_stats=self.controller.stats(),
-            guarantee_violated=violated,
-            timeline=({c.chip_id: c.timeline for c in self.memory.chips}
-                      if self._record_timeline else None),
-            chip_energy=[c.energy.total for c in self.memory.chips],
-        )
-
-    def _build_metrics(self, mu: float, service_cycles: float):
-        """Snapshot the run's registry into a :class:`MetricsReport`."""
-        registry = self.registry
-        registry.counter("sim.transfers").inc(self.transfers)
-        registry.counter("sim.requests").inc(self.requests)
-        registry.counter("sim.proc_accesses").inc(self.proc_accesses)
-        registry.counter("sim.wakes").inc(self.memory.total_wakes())
-        registry.gauge("dma.service_bound").set((1 + mu) * service_cycles)
-        slack = getattr(self.controller, "slack", None)
-        if slack is not None:
-            registry.counter("slack.violations").inc(slack.violations)
-        chip_residency: dict[int, dict[str, float]] = {}
-        transitions: dict[str, int] = {}
-        for chip in self.memory.chips:
-            buckets = chip.time.as_dict()
-            buckets.pop("total", None)
-            chip_residency[chip.chip_id] = buckets
-            for edge, count in chip.transition_counts.items():
-                transitions[edge] = transitions.get(edge, 0) + count
-        return registry.report(chip_residency=chip_residency,
-                               transitions=transitions)

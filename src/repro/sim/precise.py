@@ -23,28 +23,14 @@ from dataclasses import dataclass, field
 from typing import Deque
 
 from repro.config import SimulationConfig
-from repro.core.controller import BaselineController, MemoryController
-from repro.core.layout import PopularityGrouper
-from repro.core.migration import MigrationPlanner
-from repro.core.popularity import PopularityTracker
-from repro.core.temporal_alignment import TemporalAlignmentController
 from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
-from repro.energy.policies import AlwaysOnPolicy
 from repro.energy.states import PowerState
-from repro.errors import ConfigurationError, GuaranteeViolationError
-from repro.io.devices import BusAssigner
-from repro.memory.address import MutableLayout, build_base_layout
 from repro.obs.events import TRACK_SIM, bus_track, chip_track
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import ProbeSet
-from repro.obs.tracer import active_tracer
-from repro.sim.engine import EventQueue
+from repro.sim.engine import EngineCore
 from repro.sim.results import SimulationResult
 from repro.traces.records import DMATransfer, ProcessorBurst
 from repro.traces.trace import Trace
-
-TECHNIQUES = ("nopm", "baseline", "dma-ta", "pl", "dma-ta-pl")
 
 # Event kinds (kept local: the precise engine has its own taxonomy).
 _EV_ARRIVAL = 0
@@ -384,7 +370,7 @@ class _PChip:
         return any(self.queue)
 
 
-class PreciseEngine:
+class PreciseEngine(EngineCore):
     """Per-request event-driven simulation (the validation reference).
 
     ``telemetry`` and ``digests`` are probes (:mod:`repro.obs.probe`),
@@ -392,55 +378,17 @@ class PreciseEngine:
     """
 
     name = "precise"
+    _ARRIVAL, _EPOCH, _INTERVAL, _PROBE = (
+        _EV_ARRIVAL, _EV_EPOCH, _EV_INTERVAL, _EV_PROBE)
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str = "baseline", seed: int = 0,
                  tracer=None, vectorize: bool = True,
                  telemetry=None, digests=None) -> None:
-        if technique not in TECHNIQUES:
-            raise ConfigurationError(
-                f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
-        self.trace = trace
-        self.config = config
-        self.technique = technique
-        self.tracer = active_tracer(tracer)
-        self.registry = MetricsRegistry()
-
-        policy = AlwaysOnPolicy() if technique == "nopm" else config.policy
+        super().__init__(trace, config, technique, seed, tracer)
         memory = config.memory
-        base_layout = build_base_layout(config, seed)
-        self._pl_enabled = technique in ("pl", "dma-ta-pl")
-        self.layout = MutableLayout(base_layout) if self._pl_enabled else base_layout
-        self.chips = [
-            _PChip(i, memory.power_model, policy)
-            for i in range(memory.num_chips)
-        ]
-        if self.tracer is not None:
-            for chip in self.chips:
-                chip.tracer = self.tracer
-        self.assigner = BusAssigner(config.buses.count)
-
-        if technique in ("dma-ta", "dma-ta-pl"):
-            self.controller: MemoryController = TemporalAlignmentController(
-                config, self._arrived_requests,
-                tracer=self.tracer, registry=self.registry)
-        else:
-            self.controller = BaselineController()
-
-        if self._pl_enabled:
-            self._tracker = PopularityTracker(
-                counter_bits=config.layout.counter_bits,
-                aging_shift=config.layout.aging_shift)
-            self._grouper = PopularityGrouper(
-                memory.num_chips, memory.pages_per_chip, config.layout)
-            self._planner = MigrationPlanner(
-                config.layout, tracer=self.tracer, registry=self.registry)
-            self._previous_hot: set[int] = set()
-            self._previous_candidates: set[int] | None = None
-        else:
-            self._tracker = None
-            self._previous_hot = set()
-            self._previous_candidates = None
+        chips = [_PChip(i, memory.power_model, self.policy)
+                 for i in range(memory.num_chips)]
 
         # Bus state: one transfer owns a bus at a time (FIFO), matching
         # the fluid engine's default sharing discipline.
@@ -454,48 +402,26 @@ class PreciseEngine:
         bus_bytes_per_cycle = (config.buses.bandwidth_bytes_per_s
                                / config.frequency_hz)
         self._bus_gap = memory.request_bytes / bus_bytes_per_cycle
-        self._serve_cycles = config.serve_cycles
-        self._proc_serve_cycles = config.proc_serve_cycles
-        self._page_copy_cycles = (
-            memory.page_bytes / memory.power_model.bytes_per_cycle)
-        self._total_pages = memory.total_pages
-
-        self.queue = EventQueue()
-        self._records_done = not trace.records
         self._open_transfers = 0
+        self.arrived_requests = 0
 
         # Next times at which shared state can be observed (trace
         # arrival, DMA-TA epoch, PL interval; probe ticks are
         # ``self.probes.next_time``); the array-timeline kernel's
         # batching horizon. Maintained wherever the corresponding events
-        # are (re-)scheduled.
+        # are (re-)scheduled, starting from the first ones ``run`` pushes.
         self._next_arrival_time = (trace.records[0].time if trace.records
                                    else math.inf)
-        self._next_epoch_time = math.inf
-        self._next_interval_time = math.inf
+        self._next_epoch_time = self.controller.epoch_cycles() or math.inf
+        self._next_interval_time = (config.layout.interval_cycles
+                                    if self._pl_enabled else math.inf)
+        self._attach(chips, (telemetry, digests))
         if vectorize:
             from repro.sim.array_timeline import ArrayTimelineKernel
 
             self._kernel: ArrayTimelineKernel | None = ArrayTimelineKernel(self)
         else:
             self._kernel = None
-
-        # Statistics.
-        self.transfers = 0
-        self.requests = 0
-        self.arrived_requests = 0
-        self.proc_accesses = 0
-        self.head_delay_total = 0.0
-        self.extra_service_total = 0.0
-        self.migrations = 0
-        self.table_flushes = 0
-        self._last_completion: dict[int, float] = {}
-        self._dma_service_hist = self.registry.histogram(
-            "dma.service_per_request")
-
-        self.probes = ProbeSet(self, _EV_PROBE, (telemetry, digests),
-                               self.chips, self._arrived_requests,
-                               self._bus_states)
 
     def _arrived_requests(self) -> float:
         return float(self.arrived_requests)
@@ -508,31 +434,7 @@ class PreciseEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        if self.tracer is not None:
-            self.tracer.instant(0.0, "sim.config", TRACK_SIM, {
-                "engine": self.name,
-                "technique": self.technique,
-                "mu": (self.config.alignment.mu
-                       if self.technique in ("dma-ta", "dma-ta-pl")
-                       else 0.0),
-                "service_cycles": self.config.undisturbed_service_cycles,
-                "epoch_cycles": self.config.alignment.epoch_cycles,
-                "frequency_hz": self.config.memory.power_model.frequency_hz,
-                "chips": self.config.memory.num_chips,
-                "buses": self.config.buses.count,
-            })
-        if self.trace.records:
-            self.queue.push(self.trace.records[0].time, _EV_ARRIVAL, 0)
-        epoch = self.controller.epoch_cycles()
-        if epoch:
-            self.queue.push(epoch, _EV_EPOCH, None)
-            self._next_epoch_time = epoch
-        if self._pl_enabled:
-            self.queue.push(self.config.layout.interval_cycles,
-                            _EV_INTERVAL, None)
-            self._next_interval_time = self.config.layout.interval_cycles
-        self.probes.schedule()
-
+        self._start()
         # ``progress`` tracks the last state-changing event only: a
         # trailing probe tick must not stretch the simulated horizon
         # (that would accrue extra idle energy and break the
@@ -555,8 +457,14 @@ class PreciseEngine:
         end = max(progress, self.trace.duration_cycles)
         for chip in self.chips:
             chip.touch(end)
-        self.probes.finish(end)
-        return self._build_result(end)
+        kernel = self._kernel
+        if kernel is not None:
+            kernel.engine = None  # the run is over; break the cycle
+            for name in ("batches", "batched_requests", "proc_windows",
+                         "proc_accesses"):
+                self.registry.counter(f"kernel.{name}").inc(
+                    getattr(kernel, name))
+        return self._finish(end)
 
     def _work_remaining(self) -> bool:
         return (not self._records_done or self._open_transfers > 0
@@ -588,24 +496,11 @@ class PreciseEngine:
             self._on_proc(record, now)
 
     def _on_transfer(self, record: DMATransfer, now: float) -> None:
-        page = record.page % self._total_pages
-        chip_id = self.layout.chip_of(page)
-        chip = self.chips[chip_id]
-        bus_id = self.assigner.assign(record)
-        n_req = record.num_requests(self.config.memory.request_bytes)
-        self.transfers += 1
-        self.requests += n_req
+        chip_id, bus_id, n_req = self._count_transfer(record, now)
         transfer = _PTransfer(record=record, chip_id=chip_id, bus_id=bus_id,
                               total_requests=n_req, arrival_time=now,
                               seq=self.transfers)
-        if self.tracer is not None:
-            self.tracer.instant(now, "dma.arrive", TRACK_SIM,
-                                {"id": transfer.seq, "chip": chip_id,
-                                 "bus": bus_id, "requests": n_req})
-        if self._tracker is not None:
-            self._tracker.record(page, 1)  # one reference per transfer
-
-        released = self.controller.admit(transfer, chip, now)
+        released = self.controller.admit(transfer, self.chips[chip_id], now)
         if released:
             self._do_release(chip_id, released, now, notify=True)
 
@@ -862,20 +757,8 @@ class PreciseEngine:
         if self._records_done and self._open_transfers == 0:
             self._next_interval_time = math.inf
             return
-        assert self._tracker is not None
-        ranked = self._tracker.ranked_pages()
-        if ranked:
-            plan = self._grouper.build_plan(
-                ranked, self._previous_hot, self._previous_candidates)
-            cold_index = plan.groups[-1].index
-            self._previous_hot = {
-                page for page, group in plan.page_group.items()
-                if group != cold_index}
-            self._previous_candidates = plan.candidates
-            migration = self._planner.plan_and_apply(plan, self.layout, now)
-            self._tracker.age()
-            self.migrations += migration.num_moves
-            self.table_flushes += migration.table_flushes
+        migration = self._plan_interval(now)
+        if migration is not None:
             for chip_id, cycles in migration.copy_cycles_per_chip(
                     self._page_copy_cycles).items():
                 chip = self.chips[chip_id]
@@ -894,91 +777,6 @@ class PreciseEngine:
     # ------------------------------------------------------------------
 
     _HANDLERS = {}
-
-    def _build_result(self, end: float) -> SimulationResult:
-        energy = EnergyBreakdown()
-        time = TimeBreakdown()
-        wakes = 0
-        for chip in self.chips:
-            energy.add(chip.energy)
-            time.add(chip.time)
-            wakes += chip.wake_count
-        energy.validate()
-        time.validate()
-
-        mu = (self.config.alignment.mu
-              if self.technique in ("dma-ta", "dma-ta-pl") else 0.0)
-        service = self.config.undisturbed_service_cycles
-        avg_extra = ((self.head_delay_total + self.extra_service_total)
-                     / self.requests) if self.requests else 0.0
-        violated = mu > 0 and avg_extra > mu * service * (1 + 1e-6) + 1e-9
-        if violated and self.config.strict_guarantee:
-            raise GuaranteeViolationError(
-                f"average extra service {avg_extra:.3f} cycles exceeds "
-                f"mu*T = {mu * service:.3f}")
-
-        responses = {}
-        for request_id, client in self.trace.clients.items():
-            completion = self._last_completion.get(request_id)
-            if completion is None:
-                continue
-            responses[request_id] = max(
-                0.0, completion - client.arrival + client.base_cycles)
-
-        return SimulationResult(
-            metrics=self._build_metrics(mu, service),
-            trace_name=self.trace.name,
-            technique=self.technique,
-            engine=self.name,
-            duration_cycles=end,
-            energy=energy,
-            time=time,
-            transfers=self.transfers,
-            requests=self.requests,
-            proc_accesses=self.proc_accesses,
-            mu=mu,
-            service_cycles=service,
-            head_delay_cycles=self.head_delay_total,
-            extra_service_cycles=self.extra_service_total,
-            client_responses=responses,
-            migrations=self.migrations,
-            table_flushes=self.table_flushes,
-            wakes=wakes,
-            controller_stats=self.controller.stats(),
-            guarantee_violated=violated,
-            chip_energy=[c.energy.total for c in self.chips],
-        )
-
-    def _build_metrics(self, mu: float, service_cycles: float):
-        """Snapshot the run's registry into a :class:`MetricsReport`."""
-        registry = self.registry
-        registry.counter("sim.transfers").inc(self.transfers)
-        registry.counter("sim.requests").inc(self.requests)
-        registry.counter("sim.proc_accesses").inc(self.proc_accesses)
-        registry.counter("sim.wakes").inc(
-            sum(c.wake_count for c in self.chips))
-        if self._kernel is not None:
-            registry.counter("kernel.batches").inc(self._kernel.batches)
-            registry.counter("kernel.batched_requests").inc(
-                self._kernel.batched_requests)
-            registry.counter("kernel.proc_windows").inc(
-                self._kernel.proc_windows)
-            registry.counter("kernel.proc_accesses").inc(
-                self._kernel.proc_accesses)
-        registry.gauge("dma.service_bound").set((1 + mu) * service_cycles)
-        slack = getattr(self.controller, "slack", None)
-        if slack is not None:
-            registry.counter("slack.violations").inc(slack.violations)
-        chip_residency: dict[int, dict[str, float]] = {}
-        transitions: dict[str, int] = {}
-        for chip in self.chips:
-            buckets = chip.time.as_dict()
-            buckets.pop("total", None)
-            chip_residency[chip.chip_id] = buckets
-            for edge, count in chip.transition_counts.items():
-                transitions[edge] = transitions.get(edge, 0) + count
-        return registry.report(chip_residency=chip_residency,
-                               transitions=transitions)
 
 
 def _dispatch_descent(engine: PreciseEngine, payload, now: float) -> None:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.config import SimulationConfig
 from repro.core.cp_limit import calibrate_mu
 from repro.errors import ConfigurationError
+from repro.sim.engine import TECHNIQUES, EngineCore
+from repro.sim.fluid import FluidEngine
+from repro.sim.precise import PreciseEngine
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 
-TECHNIQUES = ("nopm", "baseline", "dma-ta", "pl", "dma-ta-pl")
 #: ``precise-scalar`` is the precise engine with the array-timeline
 #: kernel disabled — the pure event-stepping oracle the vectorized
 #: engine is gated against (see docs/ENGINES.md).
@@ -36,8 +40,41 @@ def validate_simulation_args(
             f"unknown engine {engine!r}; expected one of {ENGINES}")
     if mu is not None and cp_limit is not None:
         raise ConfigurationError("pass either mu or cp_limit, not both")
-    if mu is not None and mu < 0:
-        raise ConfigurationError("mu must be non-negative")
+    for name, value in (("mu", mu), ("cp_limit", cp_limit)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{name} must be finite and non-negative, got {value!r}")
+
+
+def build_engine(trace: Trace, config: SimulationConfig | None = None,
+                 technique: str = "baseline", engine: str = "fluid",
+                 mu: float | None = None, cp_limit: float | None = None,
+                 seed: int = 0, record_timeline: bool = False, tracer=None,
+                 telemetry=None, digests=None) -> EngineCore:
+    """The engine :func:`simulate` runs, built but not run.
+
+    Takes :func:`simulate`'s arguments but ``profile``: checks them,
+    calibrates ``mu`` from ``cp_limit`` when given, and builds the
+    engine. ``repro audit`` uses it to reach the slack account.
+    """
+    validate_simulation_args(technique, engine, mu=mu, cp_limit=cp_limit)
+
+    config = config or SimulationConfig()
+    if cp_limit is not None:
+        config = config.with_mu(calibrate_mu(trace, config, cp_limit).mu)
+    elif mu is not None:
+        config = config.with_mu(mu)
+
+    if engine == "fluid":
+        return FluidEngine(trace, config, technique=technique, seed=seed,
+                           record_timeline=record_timeline, tracer=tracer,
+                           telemetry=telemetry, digests=digests)
+    if record_timeline:
+        raise ConfigurationError(
+            "record_timeline is only supported by the fluid engine")
+    return PreciseEngine(trace, config, technique=technique, seed=seed,
+                         tracer=tracer, vectorize=engine != "precise-scalar",
+                         telemetry=telemetry, digests=digests)
 
 
 def simulate(
@@ -100,34 +137,10 @@ def simulate(
     Returns:
         The :class:`~repro.sim.results.SimulationResult`.
     """
-    validate_simulation_args(technique, engine, mu=mu, cp_limit=cp_limit)
-
-    config = config or SimulationConfig()
-    if cp_limit is not None:
-        calibration = calibrate_mu(trace, config, cp_limit)
-        config = config.with_mu(calibration.mu)
-    elif mu is not None:
-        config = config.with_mu(mu)
-
-    if engine == "fluid":
-        from repro.sim.fluid import FluidEngine
-
-        engine_run = FluidEngine(trace, config, technique=technique,
-                                 seed=seed,
-                                 record_timeline=record_timeline,
-                                 tracer=tracer, telemetry=telemetry,
-                                 digests=digests).run
-    else:
-        if record_timeline:
-            raise ConfigurationError(
-                "record_timeline is only supported by the fluid engine")
-        from repro.sim.precise import PreciseEngine
-
-        engine_run = PreciseEngine(trace, config, technique=technique,
-                                   seed=seed, tracer=tracer,
-                                   vectorize=engine != "precise-scalar",
-                                   telemetry=telemetry,
-                                   digests=digests).run
+    engine_run = build_engine(
+        trace, config, technique=technique, engine=engine, mu=mu,
+        cp_limit=cp_limit, seed=seed, record_timeline=record_timeline,
+        tracer=tracer, telemetry=telemetry, digests=digests).run
 
     from repro.obs.perf import profiling_enabled, run_profiled
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import simulate
 from repro.errors import ConfigurationError
+from repro.exec import SimJob, run_many
 from repro.traces.records import DMATransfer
 from repro.traces.trace import Trace
 
@@ -91,6 +92,18 @@ class TestValidation:
     def test_mu_and_cp_limit_exclusive(self, clients_trace):
         with pytest.raises(ConfigurationError):
             simulate(clients_trace, technique="dma-ta", mu=1.0, cp_limit=0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("arg", ["mu", "cp_limit"])
+    def test_non_finite_degradation_rejected(self, clients_trace, arg,
+                                             value):
+        """Every comparison with NaN is false, so a NaN ``mu`` used to
+        run and report ``guarantee_violated=False``."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            simulate(clients_trace, technique="dma-ta", **{arg: value})
+        with pytest.raises(ConfigurationError, match="finite"):
+            run_many([SimJob(clients_trace, technique="dma-ta",
+                             **{arg: value})])
 
     def test_empty_trace(self, small_config):
         result = simulate(Trace(name="empty"), config=small_config)

@@ -94,6 +94,11 @@ class TestAlignmentConfig:
         with pytest.raises(ConfigurationError):
             TemporalAlignmentConfig(mu=-1.0)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SimulationConfig().with_mu(mu)
+
     def test_zero_epoch_rejected(self):
         with pytest.raises(ConfigurationError):
             TemporalAlignmentConfig(epoch_cycles=0.0)
