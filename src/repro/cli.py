@@ -36,11 +36,13 @@ runs in cProfile; see :mod:`repro.obs.perf`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import sys
-from typing import Callable, Sequence
+import time
+from typing import Callable, Iterator, Sequence
 
 from repro import __version__
 from repro.analysis.charts import savings_chart
@@ -65,6 +67,55 @@ GENERATORS: dict[str, Callable] = {
     "synthetic-db": synthetic_database_trace,
     **ZOO,
 }
+
+
+def _run_parser(commands, name: str, technique: str,
+                **kwargs) -> argparse.ArgumentParser:
+    """Add a verb that runs ``technique`` (its default) on one trace:
+    the trace plus --technique, --engine, --cp-limit, --mu and --seed."""
+    parser = commands.add_parser(name, **kwargs)
+    parser.add_argument("trace", help="trace file (JSONL)")
+    parser.add_argument("--technique", choices=TECHNIQUES,
+                        default=technique)
+    parser.add_argument("--engine", choices=ENGINES, default="fluid")
+    parser.add_argument("--cp-limit", type=float, default=None,
+                        help="client-perceived degradation limit (e.g. 0.1)")
+    parser.add_argument("--mu", type=float, default=None,
+                        help="raw per-request degradation parameter")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="page-layout seed")
+    return parser
+
+
+def _run_flags(args) -> dict:
+    """The ``simulate()`` keywords that the flags of :func:`_run_parser`
+    (and ``repro replay``'s) set."""
+    return dict(technique=args.technique, engine=args.engine,
+                cp_limit=args.cp_limit, mu=args.mu, seed=args.seed)
+
+
+def _add_serve_args(parser: argparse.ArgumentParser, port: int,
+                    linger_s: float, live: bool = True) -> None:
+    """Add the flags :func:`_serving` reads. A ``live`` dashboard, one
+    that polls its panels, also gets --no-browser and --refresh-ms."""
+    parser.add_argument("--serve-port", type=int, default=port,
+                        help=f"dashboard HTTP port (0 = ephemeral; "
+                             f"default {port})")
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="dashboard bind address (default 127.0.0.1)")
+    parser.add_argument("--port-file", default=None,
+                        help="write the bound port to this file once "
+                             "listening (for scripts pairing with "
+                             "--serve-port 0)")
+    parser.add_argument("--linger-s", type=float, default=linger_s,
+                        help="keep the dashboard up this many seconds "
+                             f"after the work ends (default {linger_s:g}; "
+                             "0 = exit at once)")
+    if live:
+        parser.add_argument("--no-browser", action="store_true",
+                            help="do not open the dashboard in a browser")
+        parser.add_argument("--refresh-ms", type=int, default=1000,
+                            help="dashboard panel refresh period")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,16 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     char.add_argument("--cdf", action="store_true",
                       help="also print the Figure 4 popularity CDF")
 
-    sim = commands.add_parser("simulate", help="run one simulation")
-    sim.add_argument("trace")
-    sim.add_argument("--technique", choices=TECHNIQUES, default="baseline")
-    sim.add_argument("--engine", choices=ENGINES, default="fluid")
-    sim.add_argument("--cp-limit", type=float, default=None,
-                     help="client-perceived degradation limit (e.g. 0.1)")
-    sim.add_argument("--mu", type=float, default=None,
-                     help="raw per-request degradation parameter")
-    sim.add_argument("--seed", type=int, default=0,
-                     help="page-layout seed")
+    sim = _run_parser(commands, "simulate", "baseline",
+                      help="run one simulation")
     sim.add_argument("--profile", action="store_true",
                      help="profile the engine run and print the top "
                           "hot paths (see also $REPRO_PROFILE)")
@@ -178,26 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-process fleet observability (default: "
                             "auto — on for --jobs > 1 and whenever "
                             "--watch or a fleet output is requested; "
-                            "--no-fleet forces it off)")
+                            "--no-fleet forces it off unless --watch "
+                            "serves it)")
     sweep.add_argument("--watch", action="store_true",
                        help="serve the live fleet dashboard while the "
                             "sweep runs")
-    sweep.add_argument("--serve-port", type=int, default=8766,
-                       help="dashboard port for --watch (0 = ephemeral; "
-                            "default 8766)")
-    sweep.add_argument("--host", default="127.0.0.1",
-                       help="dashboard bind address (default 127.0.0.1)")
-    sweep.add_argument("--port-file", default=None,
-                       help="write the dashboard's bound port to this "
-                            "file once listening (handy with "
-                            "--serve-port 0 in scripts/CI)")
-    sweep.add_argument("--no-browser", action="store_true",
-                       help="do not open the dashboard in a browser")
-    sweep.add_argument("--linger-s", type=float, default=0.0,
-                       help="keep the --watch dashboard up this many "
-                            "seconds after the sweep finishes")
-    sweep.add_argument("--refresh-ms", type=int, default=1000,
-                       help="dashboard panel refresh period")
+    _add_serve_args(sweep, port=8766, linger_s=0.0)
     sweep.add_argument("--fleet-trace-out", default=None, metavar="JSON",
                        help="write the merged fleet Perfetto trace here")
     sweep.add_argument("--fleet-report-out", default=None, metavar="JSON",
@@ -215,16 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 5s; keep it short — the frozen "
                             "worker also delays interpreter exit)")
 
-    trace_cmd = commands.add_parser(
-        "trace", help="run one traced simulation and export a "
-                      "Chrome-trace/Perfetto JSON")
-    trace_cmd.add_argument("trace")
-    trace_cmd.add_argument("--technique", choices=TECHNIQUES,
-                           default="dma-ta-pl")
-    trace_cmd.add_argument("--engine", choices=ENGINES, default="fluid")
-    trace_cmd.add_argument("--cp-limit", type=float, default=None)
-    trace_cmd.add_argument("--mu", type=float, default=None)
-    trace_cmd.add_argument("--seed", type=int, default=0)
+    trace_cmd = _run_parser(
+        commands, "trace", "dma-ta-pl",
+        help="run one traced simulation and export a "
+             "Chrome-trace/Perfetto JSON")
     trace_cmd.add_argument("--out", required=True,
                            help="output trace file (load it at "
                                 "https://ui.perfetto.dev)")
@@ -232,15 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="profile the engine run and attach a "
                                 "'profile' track to the export")
 
-    audit = commands.add_parser(
-        "audit", help="run one audited simulation: latency waterfalls, "
-                      "energy-conservation ledger, slack-guarantee replay")
-    audit.add_argument("trace")
-    audit.add_argument("--technique", choices=TECHNIQUES, default="dma-ta")
-    audit.add_argument("--engine", choices=ENGINES, default="fluid")
-    audit.add_argument("--cp-limit", type=float, default=None)
-    audit.add_argument("--mu", type=float, default=None)
-    audit.add_argument("--seed", type=int, default=0)
+    audit = _run_parser(
+        commands, "audit", "dma-ta",
+        help="run one audited simulation: latency waterfalls, "
+             "energy-conservation ledger, slack-guarantee replay")
     audit.add_argument("--strict", action="store_true",
                        help="fail fast: raise at the first violation and "
                             "exit non-zero (default: warn and exit 0)")
@@ -260,15 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "the run's events plus the slowest-transfer "
                             "waterfall spans on the audit track")
 
-    stats = commands.add_parser(
-        "stats", help="run one simulation and print its metrics report")
-    stats.add_argument("trace")
-    stats.add_argument("--technique", choices=TECHNIQUES,
-                       default="dma-ta-pl")
-    stats.add_argument("--engine", choices=ENGINES, default="fluid")
-    stats.add_argument("--cp-limit", type=float, default=None)
-    stats.add_argument("--mu", type=float, default=None)
-    stats.add_argument("--seed", type=int, default=0)
+    stats = _run_parser(
+        commands, "stats", "dma-ta-pl",
+        help="run one simulation and print its metrics report")
     stats.add_argument("--histogram", action="append", default=None,
                        metavar="NAME",
                        help="print the full digest of this histogram "
@@ -276,16 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of failing — e.g. ta.batch_size "
                             "is only recorded when DMA-TA runs")
 
-    watch = commands.add_parser(
-        "watch", help="run one simulation while serving a live telemetry "
-                      "dashboard (HTML + Prometheus /metrics + SSE)")
-    watch.add_argument("trace")
-    watch.add_argument("--technique", choices=TECHNIQUES,
-                       default="dma-ta-pl")
-    watch.add_argument("--engine", choices=ENGINES, default="fluid")
-    watch.add_argument("--cp-limit", type=float, default=None)
-    watch.add_argument("--mu", type=float, default=None)
-    watch.add_argument("--seed", type=int, default=0)
+    watch = _run_parser(
+        commands, "watch", "dma-ta-pl",
+        help="run one simulation while serving a live telemetry "
+             "dashboard (HTML + Prometheus /metrics + SSE)")
     watch.add_argument("--sample-cycles", type=float, default=None,
                        help="sampling period in memory cycles (default: "
                             "the run's DMA-TA epoch length)")
@@ -293,22 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="telemetry ring rows kept in memory; on "
                             "overflow every other row is dropped and "
                             "the stride doubles (O(capacity) memory)")
-    watch.add_argument("--serve-port", type=int, default=8765,
-                       help="dashboard HTTP port (0 = ephemeral; see "
-                            "--port-file)")
-    watch.add_argument("--host", default="127.0.0.1",
-                       help="dashboard bind address")
-    watch.add_argument("--no-browser", action="store_true",
-                       help="do not open the dashboard in a browser")
-    watch.add_argument("--port-file", default=None,
-                       help="write the bound port to this file once "
-                            "listening (for scripts pairing with "
-                            "--serve-port 0)")
-    watch.add_argument("--linger-s", type=float, default=10.0,
-                       help="keep the dashboard up this many seconds "
-                            "after the run ends (0 = exit immediately)")
-    watch.add_argument("--refresh-ms", type=int, default=1000,
-                       help="dashboard auto-refresh period")
+    _add_serve_args(watch, port=8765, linger_s=10.0)
     watch.add_argument("--telemetry-out", default=None, metavar="JSONL",
                        help="append every sample and anomaly to this "
                             "JSONL stream")
@@ -323,21 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where in the trace the injected spike "
                             "lands (fraction of the duration)")
 
-    diff = commands.add_parser(
-        "diff", help="run two configurations of one trace, compare their "
-                     "per-epoch state-digest chains, and bisect to the "
-                     "first divergent epoch and field (exit 0 identical, "
-                     "2 diverged, 1 error)")
-    diff.add_argument("trace")
-    diff.add_argument("--technique", choices=TECHNIQUES, default="dma-ta")
-    diff.add_argument("--engine", choices=ENGINES, default="fluid",
-                      help="engine for both sides (see --engines)")
+    diff = _run_parser(
+        commands, "diff", "dma-ta",
+        help="run two configurations of one trace, compare their "
+             "per-epoch state-digest chains, and bisect to the first "
+             "divergent epoch and field (exit 0 identical, 2 diverged, "
+             "1 error)")
     diff.add_argument("--engines", default=None, metavar="A,B",
                       help="engine pair, e.g. precise,precise-scalar — "
                            "overrides --engine per side")
-    diff.add_argument("--cp-limit", type=float, default=None)
-    diff.add_argument("--mu", type=float, default=None)
-    diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--technique-b", choices=TECHNIQUES, default=None,
                       help="run B technique (default: same as run A)")
     diff.add_argument("--cp-limit-b", type=float, default=None,
@@ -379,16 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--serve", action="store_true",
                       help="serve the finished report on a local HTTP "
                            "dashboard")
-    diff.add_argument("--serve-port", type=int, default=0,
-                      help="dashboard HTTP port (0 = ephemeral)")
-    diff.add_argument("--host", default="127.0.0.1",
-                      help="dashboard bind address")
-    diff.add_argument("--port-file", default=None,
-                      help="write the bound port to this file once "
-                           "listening")
-    diff.add_argument("--linger-s", type=float, default=10.0,
-                      help="keep the --serve dashboard up this many "
-                           "seconds after printing the report")
+    _add_serve_args(diff, port=0, linger_s=10.0, live=False)
 
     calibrate = commands.add_parser(
         "calibrate", help="show the mu a CP-Limit translates to")
@@ -475,9 +451,7 @@ def _cmd_replay(args) -> int:
     from repro.errors import AuditError
 
     try:
-        result = simulate(trace, technique=args.technique,
-                          engine=args.engine, cp_limit=args.cp_limit,
-                          mu=args.mu, seed=args.seed, tracer=auditor)
+        result = simulate(trace, **_run_flags(args), tracer=auditor)
         report = auditor.finalize(result)
     except AuditError as exc:
         print(f"audit: FAIL (strict) — {exc}", file=sys.stderr)
@@ -532,8 +506,7 @@ def _print_profile(result, top: int = 10) -> None:
 
 def _cmd_simulate(args) -> int:
     trace = read_trace(args.trace)
-    result = simulate(trace, technique=args.technique, engine=args.engine,
-                      cp_limit=args.cp_limit, mu=args.mu, seed=args.seed,
+    result = simulate(trace, **_run_flags(args),
                       profile=args.profile or None)
     print(result.summary())
     _print_profile(result)
@@ -562,10 +535,40 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    import time
+@contextlib.contextmanager
+def _serving(args, server, banner: str,
+             noun: str = "dashboard") -> Iterator[None]:
+    """Serve ``server`` around the body of a ``with`` block.
 
-    from repro.analysis.sweep import sweep_cp_limit, sweep_errors
+    Starts it, prints ``banner`` with ``{url}`` filled in, writes
+    --port-file and opens a browser unless --no-browser (a verb without
+    that flag never opens one). Once the body has finished it keeps
+    serving for --linger-s. The server stops on every exit path.
+    """
+    try:
+        server.start()
+        print(banner.format(url=server.url))
+        if args.port_file:
+            with open(args.port_file, "w", encoding="utf-8") as handle:
+                handle.write(f"{server.port}\n")
+        if not getattr(args, "no_browser", True):
+            import webbrowser
+
+            webbrowser.open(server.url)
+        yield
+        if args.linger_s > 0:
+            print(f"{noun} stays up for {args.linger_s:g}s "
+                  "(Ctrl-C to stop early)")
+            try:
+                time.sleep(args.linger_s)
+            except KeyboardInterrupt:
+                pass
+    finally:
+        server.stop()
+
+
+def _cmd_sweep(args) -> int:
+    from repro.analysis.sweep import sweep_cp_limit
     from repro.exec import ResultCache
 
     try:
@@ -581,12 +584,10 @@ def _cmd_sweep(args) -> int:
 
     want_fleet = args.fleet
     if want_fleet is None:  # auto: on when there is something to observe
-        want_fleet = bool(args.jobs > 1 or args.watch
-                          or args.fleet_trace_out or args.fleet_report_out
-                          or args.inject_stall)
+        want_fleet = bool(args.jobs > 1 or args.fleet_trace_out
+                          or args.fleet_report_out or args.inject_stall)
     fleet = None
-    server = None
-    if want_fleet:
+    if want_fleet or args.watch:  # the dashboard serves the collector
         from repro.obs.fleet import FleetCollector, FleetConfig
 
         fleet = FleetCollector(FleetConfig(
@@ -595,40 +596,23 @@ def _cmd_sweep(args) -> int:
             inject_stall_s=args.inject_stall_s if args.inject_stall
             else 0.0,
         ))
-    if args.watch:
-        from repro.obs.serve import FleetServer
-
-        server = FleetServer(
-            fleet, host=args.host, port=args.serve_port,
-            title=f"{trace.name} / {args.technique}",
-            refresh_ms=args.refresh_ms)
-        server.start()
-        print(f"fleet dashboard: {server.url} "
-              f"(snapshot at {server.url}fleet.json, "
-              f"SSE at {server.url}events)")
-        if args.port_file:
-            with open(args.port_file, "w", encoding="utf-8") as handle:
-                handle.write(f"{server.port}\n")
-        if not args.no_browser:
-            import webbrowser
-
-            webbrowser.open(server.url)
-
     try:
-        points = sweep_cp_limit(trace, cp_limits, [args.technique],
-                                max_workers=args.jobs, cache=cache,
-                                fleet=fleet)
-        exit_code = _report_sweep(args, trace, points, cache, fleet)
-        if server is not None and args.linger_s > 0:
-            print(f"dashboard stays up for {args.linger_s:g}s "
-                  "(Ctrl-C to stop early)")
-            try:
-                time.sleep(args.linger_s)
-            except KeyboardInterrupt:
-                pass
+        serving = contextlib.nullcontext()
+        if args.watch:
+            from repro.obs.serve import FleetServer
+
+            serving = _serving(args, FleetServer(
+                fleet, host=args.host, port=args.serve_port,
+                title=f"{trace.name} / {args.technique}",
+                refresh_ms=args.refresh_ms),
+                "fleet dashboard: {url} (snapshot at {url}fleet.json, "
+                "SSE at {url}events)")
+        with serving:
+            points = sweep_cp_limit(trace, cp_limits, [args.technique],
+                                    max_workers=args.jobs, cache=cache,
+                                    fleet=fleet)
+            exit_code = _report_sweep(args, trace, points, cache, fleet)
     finally:
-        if server is not None:
-            server.stop()
         if fleet is not None:
             fleet.close()
     return exit_code
@@ -665,14 +649,12 @@ def _report_sweep(args, trace, points, cache, fleet) -> int:
         print(f"audit: {sum(1 for p in points if p.ok)} point(s) passed "
               "result invariants")
     if fleet is not None:
-        import json as json_module
-
         report = fleet.report()
         print(report.render())
         if args.fleet_report_out:
             with open(args.fleet_report_out, "w",
                       encoding="utf-8") as handle:
-                json_module.dump(report.as_dict(), handle, indent=2)
+                json.dump(report.as_dict(), handle, indent=2)
             print(f"wrote {args.fleet_report_out}: fleet report "
                   f"({report.events_received} worker events)")
         if args.fleet_trace_out:
@@ -694,9 +676,8 @@ def _cmd_trace(args) -> int:
 
     trace = read_trace(args.trace)
     tracer = RingTracer()
-    result = simulate(trace, technique=args.technique, engine=args.engine,
-                      cp_limit=args.cp_limit, mu=args.mu, seed=args.seed,
-                      tracer=tracer, profile=args.profile or None)
+    result = simulate(trace, **_run_flags(args), tracer=tracer,
+                      profile=args.profile or None)
     events = list(tracer.events)
     if result.profile:
         events.extend(profile_events(result.profile))
@@ -731,10 +712,7 @@ def _cmd_audit(args) -> int:
                       downstream=ring)
     # Build the engine without running it, so the under-charge fault can
     # be injected into its slack account.
-    engine = build_engine(trace, technique=args.technique,
-                          engine=args.engine, mu=args.mu,
-                          cp_limit=args.cp_limit, seed=args.seed,
-                          tracer=auditor)
+    engine = build_engine(trace, **_run_flags(args), tracer=auditor)
     if args.inject_undercharge:
         slack = getattr(engine.controller, "slack", None)
         if slack is None:
@@ -791,9 +769,7 @@ def _cmd_stats(args) -> int:
 
     trace = read_trace(args.trace)
     auditor = Auditor(strict=False)
-    result = simulate(trace, technique=args.technique, engine=args.engine,
-                      cp_limit=args.cp_limit, mu=args.mu, seed=args.seed,
-                      tracer=auditor)
+    result = simulate(trace, **_run_flags(args), tracer=auditor)
     report = auditor.finalize(result)
     title = f"{trace.name} / {args.technique} ({args.engine})"
     if result.metrics is None:
@@ -823,8 +799,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    import time
-
     from repro.obs.serve import TelemetryServer
     from repro.obs.telemetry import (
         JsonlExporter,
@@ -836,56 +810,34 @@ def _cmd_watch(args) -> int:
     validate_simulation_args(args.technique, args.engine,
                              mu=args.mu, cp_limit=args.cp_limit)
     trace = read_trace(args.trace)
-    exporters = []
-    jsonl = None
-    if args.telemetry_out:
-        jsonl = JsonlExporter(args.telemetry_out)
-        exporters.append(jsonl)
     config = TelemetryConfig(
         sample_cycles=args.sample_cycles,
         capacity=args.capacity,
         inject_spike_cycles=args.inject_spike,
         inject_spike_at_frac=args.inject_spike_at,
     )
-    sampler = TelemetrySampler(config, exporters=exporters)
-    server = TelemetryServer(
-        sampler, host=args.host, port=args.serve_port,
-        title=f"{trace.name} / {args.technique} ({args.engine})",
-        refresh_ms=args.refresh_ms)
-    sampler.exporters.extend(server.exporters)
-    server.start()
-    print(f"dashboard: {server.url} (Prometheus at {server.url}metrics, "
-          f"SSE at {server.url}events)")
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
-            handle.write(f"{server.port}\n")
-    if not args.no_browser:
-        import webbrowser
-
-        webbrowser.open(server.url)
+    jsonl = JsonlExporter(args.telemetry_out) if args.telemetry_out else None
+    sampler = TelemetrySampler(config, exporters=[jsonl] if jsonl else [])
     try:
-        result = simulate(trace, technique=args.technique,
-                          engine=args.engine, cp_limit=args.cp_limit,
-                          mu=args.mu, seed=args.seed, telemetry=sampler)
-        print(result.summary())
-        snapshot = sampler.store.snapshot()
-        print(f"\ntelemetry: {snapshot.ticks} samples "
-              f"({len(snapshot)} retained, stride {snapshot.stride}), "
-              f"{len(sampler.anomalies)} anomalies")
-        for anomaly in sampler.anomalies:
-            print(f"telemetry.anomaly: {anomaly.kind} "
-                  f"@ {anomaly.ts:,.0f}: {anomaly.message}")
-        if jsonl is not None:
-            print(f"wrote {jsonl.path}: {jsonl.lines} JSONL lines")
-        if args.linger_s > 0:
-            print(f"dashboard stays up for {args.linger_s:g}s "
-                  "(Ctrl-C to stop early)")
-            try:
-                time.sleep(args.linger_s)
-            except KeyboardInterrupt:
-                pass
+        server = TelemetryServer(
+            sampler, host=args.host, port=args.serve_port,
+            title=f"{trace.name} / {args.technique} ({args.engine})",
+            refresh_ms=args.refresh_ms)
+        sampler.exporters.extend(server.exporters)
+        with _serving(args, server, "dashboard: {url} (Prometheus at "
+                                    "{url}metrics, SSE at {url}events)"):
+            result = simulate(trace, **_run_flags(args), telemetry=sampler)
+            print(result.summary())
+            snapshot = sampler.store.snapshot()
+            print(f"\ntelemetry: {snapshot.ticks} samples "
+                  f"({len(snapshot)} retained, stride {snapshot.stride}), "
+                  f"{len(sampler.anomalies)} anomalies")
+            for anomaly in sampler.anomalies:
+                print(f"telemetry.anomaly: {anomaly.kind} "
+                      f"@ {anomaly.ts:,.0f}: {anomaly.message}")
+            if jsonl is not None:
+                print(f"wrote {jsonl.path}: {jsonl.lines} JSONL lines")
     finally:
-        server.stop()
         sampler.close()
     return 0
 
@@ -899,8 +851,6 @@ def _cmd_diff(args) -> int:
     not left to :func:`main` — because ``main`` maps :class:`ReproError`
     to exit 2, which this command reserves for divergence.
     """
-    import time
-
     from repro.errors import DiffError
     from repro.obs.diff import (
         DigestConfig,
@@ -992,21 +942,9 @@ def _cmd_diff(args) -> int:
             from repro.obs.serve import DiffServer
 
             server = DiffServer(report, host=args.host,
-                                port=args.serve_port,
-                                title=f"repro diff: {trace.name}")
-            server.start()
-            print(f"diff report at {server.url}")
-            if args.port_file:
-                with open(args.port_file, "w", encoding="utf-8") as handle:
-                    handle.write(f"{server.port}\n")
-            if args.linger_s > 0:
-                print(f"report stays up for {args.linger_s:g}s "
-                      "(Ctrl-C to stop early)")
-                try:
-                    time.sleep(args.linger_s)
-                except KeyboardInterrupt:
-                    pass
-            server.stop()
+                                port=args.serve_port, title=trace.name)
+            with _serving(args, server, "diff report at {url}", "report"):
+                pass  # the report is done; serve it for --linger-s
     except (ReproError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

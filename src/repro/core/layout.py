@@ -58,12 +58,6 @@ class GroupPlan:
                 hot.update(group.chips)
         return hot
 
-    def group_of_chip(self, chip: int) -> int:
-        for group in self.groups:
-            if chip in group.chips:
-                return group.index
-        raise LayoutError(f"chip {chip} not in any group")
-
     def target_group(self, page: int) -> int:
         """Target group index for ``page`` (cold if untracked)."""
         return self.page_group.get(page, self.groups[-1].index)

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.config import PopularityLayoutConfig
 from repro.core.layout import GroupPlan
-from repro.errors import LayoutError
 from repro.memory.address import MutableLayout
 from repro.obs.events import TRACK_CONTROLLER
 

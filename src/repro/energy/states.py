@@ -11,7 +11,7 @@ break-even idle times).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ConfigurationError
@@ -61,16 +61,6 @@ class Transition:
 
     power_watts: float
     time_cycles: float
-
-    @property
-    def energy_joules_per_hz(self) -> float:
-        """Energy of the transition per unit memory frequency.
-
-        Multiply by ``1 / frequency_hz`` is already folded in by callers via
-        :meth:`PowerModel.transition_energy`; this raw product is exposed for
-        testing the Table 1 numbers directly.
-        """
-        return self.power_watts * self.time_cycles
 
 
 @dataclass(frozen=True)
@@ -159,10 +149,6 @@ class PowerModel:
     def round_trip_energy(self, state: PowerState) -> float:
         """Energy of a full ACTIVE -> state -> ACTIVE excursion."""
         return self.sleep_energy(state) + self.wake_energy(state)
-
-    def round_trip_time_cycles(self, state: PowerState) -> float:
-        """Cycles spent in transit for a full excursion to ``state``."""
-        return self.sleep_time_cycles(state) + self.wake_time_cycles(state)
 
     # --- derived geometry ----------------------------------------------
 

@@ -10,7 +10,7 @@ aligns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import cycle
 
 from repro.errors import ConfigurationError

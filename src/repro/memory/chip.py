@@ -30,7 +30,6 @@ from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
 from repro.energy.policies import PowerPolicy
 from repro.energy.states import PowerModel, PowerState
-from repro.errors import SimulationError
 from repro.obs.events import chip_track
 
 if TYPE_CHECKING:

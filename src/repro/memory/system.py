@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.config import MemoryConfig
-from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
 from repro.energy.policies import PowerPolicy
 from repro.errors import LayoutError
 from repro.memory.address import PageLayout, RandomLayout
@@ -37,29 +36,7 @@ class MemorySystem:
             for i in range(config.num_chips)
         ]
 
-    def chip_of_page(self, page: int) -> FluidChip:
-        """The chip currently holding logical ``page``."""
-        return self.chips[self.layout.chip_of(page)]
-
     def advance_all(self, now: float) -> None:
         """Bring every chip's accounting up to ``now``."""
         for chip in self.chips:
             chip.advance(now)
-
-    def total_energy(self) -> EnergyBreakdown:
-        """Aggregate energy breakdown across all chips."""
-        total = EnergyBreakdown()
-        for chip in self.chips:
-            total.add(chip.energy)
-        return total
-
-    def total_time(self) -> TimeBreakdown:
-        """Aggregate time breakdown across all chips."""
-        total = TimeBreakdown()
-        for chip in self.chips:
-            total.add(chip.time)
-        return total
-
-    def total_wakes(self) -> int:
-        """Number of low-power -> ACTIVE transitions across all chips."""
-        return sum(chip.wake_count for chip in self.chips)

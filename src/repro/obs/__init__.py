@@ -27,10 +27,8 @@ The observability layer of the simulator:
 * **telemetry** (:mod:`repro.obs.telemetry`) — a live per-epoch sampler
   (``simulate(..., telemetry=...)``) filling a bounded columnar store
   with residency/power/slack/migration/bus time series, streaming
-  JSONL / Prometheus / SSE exporters, and online anomaly detectors;
-  :mod:`repro.obs.serve` + :mod:`repro.obs.dashboard` put an HTTP
-  dashboard on top (``repro watch``). Telemetry-enabled runs stay
-  bit-identical in energy.
+  JSONL / Prometheus / SSE exporters, and online anomaly detectors.
+  Telemetry-enabled runs stay bit-identical in energy.
 * **diff** (:mod:`repro.obs.diff`) — differential observability:
   per-epoch rolling state-digest chains (``simulate(..., digests=...)``,
   bit-identity preserving like telemetry), first-divergence bisection
@@ -43,6 +41,10 @@ The observability layer of the simulator:
   heartbeat watchdog requeues stalled jobs onto the serial path and
   whose outputs are a merged fleet Perfetto trace, a sweep-level
   :class:`FleetReport`, and the live ``repro sweep --watch`` dashboard.
+* **serve** (:mod:`repro.obs.serve`, :mod:`repro.obs.dashboard`) — one
+  HTTP server and one page shell for the dashboards of ``repro watch``,
+  ``repro sweep --watch`` and ``repro diff --serve``; each observer
+  only supplies its route table.
 
 See ``docs/OBSERVABILITY.md`` for the event schema and a Perfetto
 walkthrough.

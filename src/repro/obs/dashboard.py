@@ -1,15 +1,20 @@
-"""Self-contained HTML dashboard for ``repro watch``.
+"""Self-contained HTML pages for the dashboards (:mod:`repro.obs.serve`).
 
-Pure render functions: the panel fragment is rebuilt server-side from a
-:class:`~repro.obs.telemetry.TelemetrySnapshot` on every poll, reusing
-the bench report's inline-SVG sparkline machinery, so the page needs no
-JS framework and no external assets — a tiny inline script swaps the
-``#panels`` fragment every refresh and mirrors the SSE feed into a log.
+Pure render functions. Every dashboard's ``/`` is one page shell,
+:func:`render_shell`: a heading, the endpoint list, and either static
+preformatted panels (``repro diff --serve``) or a live ``#panels``
+fragment (``repro watch``, ``repro sweep --watch``). The live fragment
+is rebuilt server-side on every poll, reusing the bench report's
+inline-SVG sparkline machinery, so the page needs no JS framework and
+no external assets: a tiny inline script swaps the fragment every
+refresh and mirrors the SSE feed into a log.
 """
 
 from __future__ import annotations
 
 import html
+import json
+from typing import Mapping, Sequence
 
 from repro.bench.report import sparkline
 from repro.obs.telemetry import TelemetryAnomaly, TelemetrySnapshot
@@ -201,6 +206,7 @@ h1 { font-size: 1.3em; } h3 { font-size: .85em; margin: 0 0 .2em; }
 #log { font-family: monospace; font-size: .75em; color: #555;
        white-space: pre-wrap; max-height: 10em; overflow-y: auto; }
 footer { margin-top: 3em; color: #888; font-size: .75em; }
+pre { background: #f6f6f6; padding: 1em; overflow-x: auto; }
 table.fleet { border-collapse: collapse; font-size: .85em; }
 table.fleet th, table.fleet td { border: 1px solid #ddd;
        padding: .25em .6em; text-align: left;
@@ -208,25 +214,41 @@ table.fleet th, table.fleet td { border: 1px solid #ddd;
 """
 
 
-def render_page(title: str, refresh_ms: int = 1000) -> str:
-    """The dashboard shell served at ``/``.
+def render_shell(command: str, title: str, endpoints: Sequence[str], *,
+                 refresh_ms: int = 1000,
+                 log_lines: Mapping[str, str] | None = None,
+                 panels: Sequence[tuple[str, str]] = ()) -> str:
+    """The page every dashboard serves at ``/``.
 
-    The inline script polls ``/panels`` (server-rendered fragment) at
-    ``refresh_ms`` and tails the SSE feed into a small event log; both
-    degrade gracefully when the run (and its server) has ended.
+    ``command`` and ``title`` head the page and ``endpoints`` lists the
+    server's other paths in the footer. A static page passes ``panels``,
+    (heading, text) pairs shown preformatted. A live page passes
+    ``log_lines`` instead, mapping each SSE event kind to the JavaScript
+    expression of its log line (``e`` is the event, ``d`` its parsed
+    data): it polls ``/panels`` every ``refresh_ms`` and tails
+    ``/events``, and both degrade gracefully once the server is gone.
+    Every string but the script is HTML-escaped.
     """
-    return f"""<!doctype html>
+    parts = [f"""<!doctype html>
 <html lang="en"><head><meta charset="utf-8">
 <title>{html.escape(title)}</title>
 <style>{_CSS}</style></head>
 <body>
-<h1>repro watch &mdash; {html.escape(title)}</h1>
-<div id="panels"><p class="meta">loading&hellip;</p></div>
+<h1>{html.escape(command)} &mdash; {html.escape(title)}</h1>
+"""]
+    for heading, text in panels:
+        parts.append(f"<h3>{html.escape(heading)}</h3>\n"
+                     f"<pre>{html.escape(text)}</pre>\n")
+    if log_lines is not None:
+        listeners = "".join(
+            f"  source.addEventListener({json.dumps(event)}, (e) => {{\n"
+            f"    const d = JSON.parse(e.data);\n"
+            f"    append({line});\n"
+            f"  }});\n" for event, line in log_lines.items())
+        parts.append(f"""<div id="panels"><p class="meta">loading&hellip;</p>
+</div>
 <h3>Event stream</h3>
 <div id="log"></div>
-<footer>Endpoints: <code>/panels</code> &middot; <code>/data.json</code>
-&middot; <code>/metrics</code> (Prometheus) &middot; <code>/events</code>
-(SSE). See docs/OBSERVABILITY.md.</footer>
 <script>
 async function poll() {{
   try {{
@@ -236,7 +258,7 @@ async function poll() {{
     }}
   }} catch (err) {{ /* server gone: run finished */ }}
 }}
-setInterval(poll, {refresh_ms});
+setInterval(poll, {int(refresh_ms)});
 poll();
 const log = document.getElementById('log');
 try {{
@@ -245,66 +267,41 @@ try {{
     log.textContent += line + '\\n';
     log.scrollTop = log.scrollHeight;
   }};
-  source.addEventListener('anomaly', (e) => append('anomaly ' + e.data));
-  source.addEventListener('sample', (e) => {{
-    const row = JSON.parse(e.data);
-    append('sample ts=' + row.ts.toFixed(0) + ' power=' +
-           row.power_w.toFixed(2) + 'W');
-  }});
-}} catch (err) {{ /* no SSE: polling still works */ }}
+{listeners}}} catch (err) {{ /* no SSE: polling still works */ }}
 </script>
-</body></html>
-"""
+""")
+    paths = " &middot; ".join(f"<code>{html.escape(path)}</code>"
+                              for path in endpoints)
+    parts.append(f"<footer>Endpoints: {paths}. See docs/OBSERVABILITY.md."
+                 "</footer>\n</body></html>\n")
+    return "".join(parts)
+
+
+def render_page(title: str, refresh_ms: int = 1000) -> str:
+    """The ``repro watch`` dashboard served at ``/``; its log tails
+    telemetry samples and anomalies."""
+    return render_shell(
+        "repro watch", title, ("/panels", "/data.json", "/metrics",
+                               "/events"),
+        refresh_ms=refresh_ms, log_lines={
+            "anomaly": "'anomaly ' + e.data",
+            "sample": "'sample ts=' + d.ts.toFixed(0) + ' power=' + "
+                      "d.power_w.toFixed(2) + 'W'",
+        })
 
 
 def render_fleet_page(title: str, refresh_ms: int = 1000) -> str:
-    """The fleet dashboard shell served at ``/`` by ``sweep --watch``.
-
-    Same shape as :func:`render_page` — a polled server-rendered
-    ``#panels`` fragment plus an SSE event log — but the log tails the
-    fleet feed (snapshots and ``fleet.stall`` diagnoses).
-    """
-    return f"""<!doctype html>
-<html lang="en"><head><meta charset="utf-8">
-<title>{html.escape(title)}</title>
-<style>{_CSS}</style></head>
-<body>
-<h1>repro sweep &mdash; {html.escape(title)}</h1>
-<div id="panels"><p class="meta">loading&hellip;</p></div>
-<h3>Event stream</h3>
-<div id="log"></div>
-<footer>Endpoints: <code>/panels</code> &middot; <code>/fleet.json</code>
-&middot; <code>/events</code> (SSE). See docs/OBSERVABILITY.md.</footer>
-<script>
-async function poll() {{
-  try {{
-    const response = await fetch('/panels');
-    if (response.ok) {{
-      document.getElementById('panels').outerHTML = await response.text();
-    }}
-  }} catch (err) {{ /* server gone: sweep finished */ }}
-}}
-setInterval(poll, {refresh_ms});
-poll();
-const log = document.getElementById('log');
-try {{
-  const source = new EventSource('/events');
-  const append = (line) => {{
-    log.textContent += line + '\\n';
-    log.scrollTop = log.scrollHeight;
-  }};
-  source.addEventListener('stall', (e) => append('stall ' + e.data));
-  source.addEventListener('fleet', (e) => {{
-    const snap = JSON.parse(e.data);
-    append('fleet ' + snap.done + '/' + snap.total + ' jobs, ' +
-           snap.jobs_per_s.toFixed(2) + ' jobs/s');
-  }});
-}} catch (err) {{ /* no SSE: polling still works */ }}
-</script>
-</body></html>
-"""
+    """The ``repro sweep --watch`` dashboard served at ``/``; its log
+    tails fleet snapshots and ``fleet.stall`` diagnoses."""
+    return render_shell(
+        "repro sweep", title, ("/panels", "/fleet.json", "/events"),
+        refresh_ms=refresh_ms, log_lines={
+            "stall": "'stall ' + e.data",
+            "fleet": "'fleet ' + d.done + '/' + d.total + ' jobs, ' + "
+                     "d.jobs_per_s.toFixed(2) + ' jobs/s'",
+        })
 
 
 __all__ = ["SCALAR_PANELS", "MAX_POINTS", "decimate", "low_power_share",
-           "render_panels", "render_page", "render_fleet_panels",
-           "render_fleet_page"]
+           "render_panels", "render_shell", "render_page",
+           "render_fleet_panels", "render_fleet_page"]

@@ -15,11 +15,11 @@ two runs disagree but not *where*. This module answers the "where":
   runs evolve identical chains for exactly as long as their observable
   state is identical, so the first chain mismatch brackets the first
   divergent epoch.
-* :class:`DigestStore` — a bounded ring of ``(tick, ts, chain)`` rows
-  with the same deterministic 2:1 downsampling as ``TelemetryStore``:
-  O(capacity) memory regardless of trace length, and the retained ticks
-  stay an evenly spaced subsample, so chain comparison still brackets
-  the divergence after compaction.
+* :class:`DigestStore` — a bounded ring of ``(tick, ts, chain)`` rows,
+  the :class:`~repro.obs.probe.DownsamplingRing` that ``TelemetryStore``
+  also keeps its rows in: O(capacity) memory regardless of trace
+  length, and the retained ticks stay an evenly spaced subsample, so
+  chain comparison still brackets the divergence after compaction.
 * :func:`diff_runs` — compares two runs' chains, binary-searches the
   retained ticks for the first mismatch (chains have the prefix
   property: once diverged, forever diverged), re-runs both sides with
@@ -60,7 +60,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.errors import ConfigurationError, DiffError
-from repro.obs.probe import SNAPSHOT_SCALARS, probe_period, snapshot_fields
+from repro.obs.probe import (
+    SNAPSHOT_SCALARS,
+    DownsamplingRing,
+    probe_period,
+    snapshot_fields,
+)
 
 #: Bump when the trail serialisation layout changes incompatibly.
 TRAIL_VERSION = 1
@@ -124,57 +129,22 @@ class DigestConfig:
 # Bounded chain store
 # ---------------------------------------------------------------------------
 
-class DigestStore:
+class DigestStore(DownsamplingRing):
     """Bounded ring of ``(tick, ts, chain)`` rows.
 
-    Same deterministic 2:1 downsampling as
-    :class:`~repro.obs.telemetry.TelemetryStore`: row ``i`` always holds
-    the digest whose tick index is ``i * stride``; when the ring fills,
-    every other row is compacted away and the acceptance stride doubles.
-    The stride evolution depends only on the tick count, so two runs
-    with equal epoch counts retain exactly the same tick subset —
-    chain comparison stays aligned after compaction.
+    A :class:`~repro.obs.probe.DownsamplingRing`: row ``i`` always holds
+    the digest of tick ``i * stride``, and the stride evolution depends
+    only on the tick count, so two runs with equal epoch counts retain
+    exactly the same tick subset and chain comparison stays aligned
+    after compaction.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 8 or capacity % 2:
-            raise ConfigurationError("capacity must be an even number >= 8")
-        self.capacity = int(capacity)
-        self._rows: list[tuple[int, float, str]] = []
-        self._stride = 1
-        self._ticks = 0
-        self._dropped = 0
-
-    @property
-    def stride(self) -> int:
-        return self._stride
-
-    @property
-    def ticks(self) -> int:
-        return self._ticks
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped
+        super().__init__(capacity)
 
     def append(self, ts: float, chain: str) -> bool:
         """Offer one digest; returns True if the row was retained."""
-        tick = self._ticks
-        self._ticks += 1
-        if tick % self._stride:
-            self._dropped += 1
-            return False
-        if len(self._rows) == self.capacity:
-            # Keep ticks 0, 2s, 4s, ...; the triggering tick is
-            # stride * capacity — a multiple of the doubled stride
-            # (capacity is even), so the layout invariant survives.
-            self._rows = self._rows[0::2]
-            self._stride *= 2
-        self._rows.append((tick, ts, chain))
-        return True
-
-    def rows(self) -> list[tuple[int, float, str]]:
-        return list(self._rows)
+        return super().append((self.ticks, ts, chain))
 
 
 # ---------------------------------------------------------------------------

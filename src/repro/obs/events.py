@@ -21,7 +21,7 @@ tracer costs a single ``is None`` check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 #: Chrome trace-event phases used by this protocol.

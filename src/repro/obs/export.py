@@ -28,7 +28,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro import units
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.obs.events import (
-    PH_COUNTER,
     PH_INSTANT,
     PH_SPAN,
     PHASES,

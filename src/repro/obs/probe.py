@@ -21,14 +21,19 @@ once, at engine construction; sets ``sample_cycles``) and
 ``sample(snapshot)``. The snapshot is built from the chips'
 side-effect-free ``observe`` and never touches accrual, so observed
 runs stay bit-identical to unobserved ones.
+
+Both probes keep what they record in a :class:`DownsamplingRing`, so
+their memory stays bounded however long the run is.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable
 
 from repro.energy.accounting import BUCKETS
+from repro.errors import ConfigurationError
 
 #: Run-wide scalars that open every snapshot, in order.
 SNAPSHOT_SCALARS = ("ts", "requests", "degradation_cycles", "slack_balance",
@@ -145,3 +150,68 @@ class ProbeSet:
             values.append(busy)
             values.append(depth)
         return tuple(values)
+
+
+class DownsamplingRing:
+    """Bounded rows with deterministic 2:1 downsampling.
+
+    Row ``i`` always holds the row offered at tick ``i * stride``: when
+    the ring is full, every other row is dropped and the acceptance
+    stride doubles, so the retained rows stay an evenly spaced subsample
+    of the whole stream in O(capacity) memory. The stride depends only
+    on the tick count, so two streams of equal length retain the same
+    ticks. Thread-safe: the HTTP endpoints read while the simulation
+    thread appends.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 8 or capacity % 2:
+            raise ConfigurationError("capacity must be an even number >= 8")
+        self.capacity = int(capacity)
+        self._rows: list = []
+        self._stride = 1
+        self._ticks = 0
+        self._dropped = 0
+        self._lock = threading.Lock()
+
+    @property
+    def stride(self) -> int:
+        with self._lock:
+            return self._stride
+
+    @property
+    def ticks(self) -> int:
+        with self._lock:
+            return self._ticks
+
+    @property
+    def dropped(self) -> int:
+        with self._lock:
+            return self._dropped
+
+    def append(self, row) -> bool:
+        """Offer one row; returns True if it was retained.
+
+        Ticks that are not multiples of the current stride are dropped
+        (a coarser retained row already stands for them).
+        """
+        with self._lock:
+            tick = self._ticks
+            self._ticks += 1
+            if tick % self._stride:
+                self._dropped += 1
+                return False
+            if len(self._rows) == self.capacity:
+                # Keep ticks 0, 2s, 4s, ...: the triggering tick is
+                # stride * capacity, a multiple of the doubled stride
+                # (capacity is even), so row i still holds tick
+                # i * stride after the compaction.
+                del self._rows[1::2]
+                self._stride *= 2
+            self._rows.append(row)
+            return True
+
+    def rows(self) -> list:
+        """A copy of the retained rows, oldest first."""
+        with self._lock:
+            return list(self._rows)

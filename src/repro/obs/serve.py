@@ -1,29 +1,23 @@
-"""Stdlib HTTP servers for live observability.
+"""One stdlib HTTP server for every live observability view.
 
-All three servers share one lifecycle base,
-:class:`ObservabilityServer`: a ``ThreadingHTTPServer`` run in a daemon
-thread with ``start()``/``stop()``, an ephemeral port via ``port=0``,
-and a cooperative ``stopping`` flag the SSE streams poll.
+:class:`ObservabilityServer` is a ``ThreadingHTTPServer`` run in a
+daemon thread (``start()``/``stop()``, an ephemeral port via
+``port=0``) that serves a route table: each path maps to a content type
+and a body function called once per request. Every response carries
+``Cache-Control: no-store``, and an unknown path is a 404. With an
+:class:`~repro.obs.telemetry.SseBroker` attached, ``/events`` streams
+its Server-Sent Events until the server stops or the broker closes.
 
-A :class:`TelemetryServer` (``repro watch``) serves, off one bound
-:class:`~repro.obs.telemetry.TelemetrySampler`:
+Each observer only builds its table:
 
-* ``/`` — the self-contained HTML dashboard shell,
-* ``/panels`` — the server-rendered SVG panel fragment the page polls,
-* ``/data.json`` — the retained columnar snapshot as JSON,
-* ``/metrics`` — Prometheus text exposition (latest sample),
-* ``/events`` — Server-Sent-Events feed of samples and anomalies.
+* :class:`TelemetryServer` (``repro watch``) over one
+  :class:`~repro.obs.telemetry.TelemetrySampler`;
+* :class:`FleetServer` (``repro sweep --watch``) over one
+  :class:`~repro.obs.fleet.FleetCollector`;
+* :class:`DiffServer` (``repro diff --serve``) over one finished
+  :class:`~repro.obs.diff.DivergenceReport`.
 
-A :class:`FleetServer` (``repro sweep --watch``) serves the same shape
-off a :class:`~repro.obs.fleet.FleetCollector`: ``/`` (fleet dashboard
-shell), ``/panels`` (worker/straggler tables), ``/fleet.json`` (the raw
-snapshot), and ``/events`` (SSE feed of fleet snapshots and
-``fleet.stall`` diagnoses).
-
-A :class:`DiffServer` (``repro diff --serve``) serves a finished
-:class:`~repro.obs.diff.DivergenceReport`: ``/`` (the rendered report)
-and ``/report.json`` (the structured verdict).
-
+docs/OBSERVABILITY.md ("The dashboard server") lists the three tables.
 No third-party dependency: the whole thing is ``http.server`` +
 ``threading``, matching the repo's stdlib-only constraint.
 """
@@ -35,13 +29,14 @@ import logging
 import queue
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs.dashboard import (
     render_fleet_page,
     render_fleet_panels,
     render_page,
     render_panels,
+    render_shell,
 )
 from repro.obs.telemetry import (
     PrometheusExporter,
@@ -55,36 +50,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 logger = logging.getLogger("repro.obs.serve")
 
-#: Seconds between SSE keep-alive comments when no samples flow.
+#: Seconds between SSE keep-alive comments when no events flow.
 _SSE_PING_S = 1.0
+
+HTML = "text/html; charset=utf-8"
+JSON = "application/json"
+
+#: A route table: path -> (content type, body function).
+Routes = dict[str, tuple[str, Callable[[], str]]]
 
 
 class ObservabilityServer(ThreadingHTTPServer):
-    """Lifecycle base of the dashboard servers.
+    """Threaded HTTP server for one route table.
 
-    Subclasses set :attr:`_thread_name` and :attr:`_what` (for the
-    startup log line), pass their request-handler class to
-    ``__init__``, and may override :meth:`_on_stop` (extra teardown
-    before the HTTP shutdown) and :meth:`_extra_stopping` (additional
-    stop conditions the SSE streams should honour).
-
-    Pass ``port=0`` for an ephemeral port (read the actual one from
-    :attr:`port`).
+    Args:
+        routes: path -> (content type, body function); the function is
+            called once per request, on the request's thread.
+        broker: when given, ``/events`` streams it. :meth:`stop`
+            closes it, so every open stream ends at once.
+        host, port: the bind address; ``port=0`` picks an ephemeral
+            port (read the actual one from :attr:`port`).
+        name: the serving thread's name, also used in the start-up log
+            line.
     """
 
     daemon_threads = True
-    _thread_name = "obs-http"
-    _what = "dashboard"
 
-    def __init__(self, handler_class, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self._stopping = threading.Event()
+    def __init__(self, routes: Routes, broker: SseBroker | None = None,
+                 host: str = "127.0.0.1", port: int = 0,
+                 name: str = "obs-http") -> None:
+        self.routes = routes
+        self.broker = broker
+        self.name = name
         self._thread: threading.Thread | None = None
-        super().__init__((host, port), handler_class)
-
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
+        super().__init__((host, port), _Handler)
 
     @property
     def port(self) -> int:
@@ -92,74 +91,50 @@ class ObservabilityServer(ThreadingHTTPServer):
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}/"
+        return f"http://{self.server_address[0]}:{self.port}/"
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name=self._thread_name, daemon=True)
-        self._thread.start()
-        logger.info("%s at %s", self._what, self.url)
+        thread = threading.Thread(target=self.serve_forever, name=self.name,
+                                  daemon=True)
+        thread.start()
+        self._thread = thread
+        logger.info("%s at %s", self.name, self.url)
 
     def stop(self) -> None:
-        """Shut down: run subclass teardown, stop accepting, join."""
-        self._stopping.set()
-        self._on_stop()
-        self.shutdown()
-        self.server_close()
+        """End the streams, stop accepting and join; safe to repeat, and
+        on a server that never started."""
+        if self.broker is not None:
+            self.broker.close()  # wakes every blocked stream
         if self._thread is not None:
+            self.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
-
-    def _on_stop(self) -> None:
-        """Subclass hook run before the HTTP shutdown (e.g. closing an
-        SSE broker so blocked streams wake up)."""
-
-    def _extra_stopping(self) -> bool:
-        """Subclass hook: additional conditions that end SSE streams."""
-        return False
-
-    @property
-    def stopping(self) -> bool:
-        return self._stopping.is_set() or self._extra_stopping()
+        self.server_close()
 
 
-class TelemetryServer(ObservabilityServer):
-    """Threaded HTTP server bound to one telemetry sampler.
+class _Handler(BaseHTTPRequestHandler):
+    """Serves its server's route table and ``/events``."""
 
-    The server owns a :class:`PrometheusExporter` and an
-    :class:`SseBroker`; register both on the sampler via
-    :attr:`exporters` before the run starts.
-    """
-
-    _thread_name = "telemetry-http"
-    _what = "telemetry dashboard"
-
-    def __init__(self, sampler: TelemetrySampler, host: str = "127.0.0.1",
-                 port: int = 0, title: str = "simulation",
-                 refresh_ms: int = 1000) -> None:
-        self.sampler = sampler
-        self.title = title
-        self.refresh_ms = refresh_ms
-        self.prometheus = PrometheusExporter()
-        self.sse = SseBroker()
-        super().__init__(_TelemetryHandler, host=host, port=port)
-
-    @property
-    def exporters(self) -> list:
-        """Exporters to register on the sampler (order is irrelevant)."""
-        return [self.prometheus, self.sse]
-
-    def _on_stop(self) -> None:
-        self.sse.close()  # wake SSE subscribers before shutdown
-
-
-class _BaseHandler(BaseHTTPRequestHandler):
-    """Shared plumbing of the dashboard handlers (send + SSE stream)."""
+    server: ObservabilityServer  # narrowed for do_GET
 
     # Route BaseHTTPRequestHandler's stderr chatter through the module
     # logger, so --log-format json captures access lines too.
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s %s", self.address_string(), format % args)
+
+    def do_GET(self) -> None:  # noqa: N802 (stdlib handler name)
+        path = self.path.split("?", 1)[0]
+        route = self.server.routes.get(path)
+        try:
+            if route is not None:
+                content_type, body = route
+                self._send(200, content_type, body())
+            elif path == "/events" and self.server.broker is not None:
+                self._stream(self.server.broker)
+            else:
+                self._send(404, "text/plain; charset=utf-8", "not found\n")
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-response; nothing to clean up
 
     def _send(self, status: int, content_type: str, body: str) -> None:
         payload = body.encode("utf-8")
@@ -170,15 +145,16 @@ class _BaseHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _stream_sse(self, broker: SseBroker) -> None:
-        """Stream one SSE subscription until the server stops."""
+    def _stream(self, broker: SseBroker) -> None:
+        """Stream one SSE subscription until the broker closes (which
+        :meth:`ObservabilityServer.stop` does)."""
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
         subscriber = broker.subscribe()
         try:
-            while not self.server.stopping:
+            while not broker.closed:
                 try:
                     item = subscriber.get(timeout=_SSE_PING_S)
                 except queue.Empty:
@@ -195,157 +171,95 @@ class _BaseHandler(BaseHTTPRequestHandler):
             broker.unsubscribe(subscriber)
 
 
-class _TelemetryHandler(_BaseHandler):
-    server: TelemetryServer  # narrowed for the route handlers
+class TelemetryServer(ObservabilityServer):
+    """``repro watch``'s dashboard over one telemetry sampler.
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler name)
-        try:
-            path = self.path.split("?", 1)[0]
-            if path == "/":
-                self._send(200, "text/html; charset=utf-8",
-                           render_page(self.server.title,
-                                       self.server.refresh_ms))
-            elif path == "/panels":
-                self._send(200, "text/html; charset=utf-8",
-                           self._render_panels())
-            elif path == "/data.json":
-                self._send(200, "application/json", self._render_data())
-            elif path == "/metrics":
-                self._send(200, "text/plain; version=0.0.4; charset=utf-8",
-                           self.server.prometheus.render())
-            elif path == "/events":
-                self._stream_sse(self.server.sse)
-            else:
-                self._send(404, "text/plain; charset=utf-8", "not found\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to clean up
+    The server owns a :class:`PrometheusExporter` and an
+    :class:`SseBroker`; register both on the sampler via
+    :attr:`exporters` before the run starts.
+    """
 
-    def _render_panels(self) -> str:
-        sampler = self.server.sampler
-        if sampler.store is None:
+    def __init__(self, sampler: TelemetrySampler, host: str = "127.0.0.1",
+                 port: int = 0, title: str = "simulation",
+                 refresh_ms: int = 1000) -> None:
+        self.sampler = sampler
+        self.prometheus = PrometheusExporter()
+        self.sse = SseBroker()
+        self.exporters = [self.prometheus, self.sse]
+        page = render_page(title, refresh_ms)
+        super().__init__({
+            "/": (HTML, lambda: page),
+            "/panels": (HTML, self._panels),
+            "/data.json": (JSON, self._data),
+            "/metrics": ("text/plain; version=0.0.4; charset=utf-8",
+                         self.prometheus.render),
+        }, broker=self.sse, host=host, port=port, name="telemetry-http")
+
+    def _panels(self) -> str:
+        store = self.sampler.store
+        if store is None:
             return ('<div id="panels"><p class="meta">sampler not bound '
                     'yet</p></div>')
-        return render_panels(sampler.store.snapshot(),
-                             list(sampler.anomalies))
+        return render_panels(store.snapshot(), list(self.sampler.anomalies))
 
-    def _render_data(self) -> str:
-        sampler = self.server.sampler
-        if sampler.store is None:
+    def _data(self) -> str:
+        store = self.sampler.store
+        if store is None:
             return json.dumps({"columns": [], "rows": [], "ticks": 0})
-        snapshot = sampler.store.snapshot()
+        snapshot = store.snapshot()
         return json.dumps({
             "columns": list(snapshot.columns),
             "rows": snapshot.data.tolist(),
             "stride": snapshot.stride,
             "ticks": snapshot.ticks,
             "dropped": snapshot.dropped,
-            "anomalies": [a.as_dict() for a in sampler.anomalies],
+            "anomalies": [a.as_dict() for a in self.sampler.anomalies],
         })
 
 
 class FleetServer(ObservabilityServer):
-    """Threaded HTTP server bound to one fleet collector.
+    """``repro sweep --watch``'s dashboard over one fleet collector.
 
-    The ``repro sweep --watch`` counterpart of :class:`TelemetryServer`:
-    same lifecycle, but rendering the collector's live fleet snapshot
-    and relaying its SSE broker. The server does not own the collector —
-    the sweep creates and closes it.
+    ``/events`` streams the collector's broker, which :meth:`stop`
+    closes as the collector's own ``close()`` would. The server does not
+    own the collector: the sweep creates and closes it.
     """
-
-    _thread_name = "fleet-http"
-    _what = "fleet dashboard"
 
     def __init__(self, collector: "FleetCollector",
                  host: str = "127.0.0.1", port: int = 0,
                  title: str = "sweep", refresh_ms: int = 1000) -> None:
         self.collector = collector
-        self.title = title
-        self.refresh_ms = refresh_ms
-        super().__init__(_FleetHandler, host=host, port=port)
-
-    def _extra_stopping(self) -> bool:
-        return self.collector.broker.closed
-
-
-class _FleetHandler(_BaseHandler):
-    server: FleetServer  # narrowed for the route handlers
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler name)
-        try:
-            path = self.path.split("?", 1)[0]
-            if path == "/":
-                self._send(200, "text/html; charset=utf-8",
-                           render_fleet_page(self.server.title,
-                                             self.server.refresh_ms))
-            elif path == "/panels":
-                self._send(200, "text/html; charset=utf-8",
-                           render_fleet_panels(
-                               self.server.collector.snapshot()))
-            elif path == "/fleet.json":
-                self._send(200, "application/json",
-                           json.dumps(self.server.collector.snapshot()))
-            elif path == "/events":
-                self._stream_sse(self.server.collector.broker)
-            else:
-                self._send(404, "text/plain; charset=utf-8", "not found\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to clean up
+        page = render_fleet_page(title, refresh_ms)
+        super().__init__({
+            "/": (HTML, lambda: page),
+            "/panels": (HTML,
+                        lambda: render_fleet_panels(collector.snapshot())),
+            "/fleet.json": (JSON, lambda: json.dumps(collector.snapshot())),
+        }, broker=collector.broker, host=host, port=port, name="fleet-http")
 
 
 class DiffServer(ObservabilityServer):
-    """Threaded HTTP server presenting one finished divergence report.
+    """``repro diff --serve``: one finished divergence report.
 
-    The ``repro diff --serve`` panel: ``/`` renders the report text
-    (side-by-side window causes included), ``/report.json`` the
-    structured verdict. Static content — no SSE feed.
+    ``/`` shows the verdict, the report text (window causes included)
+    and the summary line; ``/report.json`` the structured verdict.
+    Static content, so no ``/events``.
     """
-
-    _thread_name = "diff-http"
-    _what = "diff report"
 
     def __init__(self, report: "DivergenceReport",
                  host: str = "127.0.0.1", port: int = 0,
-                 title: str = "repro diff") -> None:
+                 title: str = "report") -> None:
         self.report = report
-        self.title = title
-        super().__init__(_DiffHandler, host=host, port=port)
-
-
-class _DiffHandler(_BaseHandler):
-    server: DiffServer  # narrowed for the route handlers
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler name)
-        try:
-            path = self.path.split("?", 1)[0]
-            if path == "/":
-                self._send(200, "text/html; charset=utf-8",
-                           self._render_page())
-            elif path == "/report.json":
-                self._send(200, "application/json",
-                           json.dumps(self.server.report.as_dict()))
-            else:
-                self._send(404, "text/plain; charset=utf-8", "not found\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to clean up
-
-    def _render_page(self) -> str:
-        report = self.server.report
         verdict = "identical" if report.identical else "DIVERGED"
-        body = (report.render()
-                .replace("&", "&amp;").replace("<", "&lt;"))
-        return (
-            "<!doctype html><html><head><meta charset='utf-8'>"
-            f"<title>{self.server.title}</title>"
-            "<style>body{font-family:monospace;margin:2em;}"
-            "pre{background:#f6f6f6;padding:1em;}"
-            ".diverged{color:#b00;} .identical{color:#070;}</style>"
-            "</head><body>"
-            f"<h1>{self.server.title} — "
-            f"<span class='{verdict.lower()}'>{verdict}</span></h1>"
-            f"<pre>{body}</pre>"
-            f"<pre>{report.summary_line()}</pre>"
-            "<p><a href='/report.json'>report.json</a></p>"
-            "</body></html>")
+        page = render_shell(
+            "repro diff", f"{title}: {verdict}", ["/report.json"],
+            panels=[("report", report.render()),
+                    ("summary", report.summary_line())])
+        body = json.dumps(report.as_dict())
+        super().__init__({
+            "/": (HTML, lambda: page),
+            "/report.json": (JSON, lambda: body),
+        }, host=host, port=port, name="diff-http")
 
 
 __all__ = ["ObservabilityServer", "TelemetryServer", "FleetServer",

@@ -15,9 +15,10 @@ otherwise), from which it records:
 * degradation-to-date (head delay + extra service cycles) and the
   cumulative arrived-request count.
 
-Samples land in a :class:`TelemetryStore` — a fixed-width numpy ring
-with deterministic 2:1 downsampling on overflow, so memory stays
-O(capacity) regardless of trace length — and fan out to pluggable
+Samples land in a :class:`TelemetryStore` — a
+:class:`~repro.obs.probe.DownsamplingRing` of numpy rows, deterministic
+2:1 downsampling on overflow, so memory stays O(capacity) regardless of
+trace length — and fan out to pluggable
 streaming exporters (:class:`JsonlExporter`, :class:`PrometheusExporter`,
 :class:`SseBroker`; see :mod:`repro.obs.serve` for the HTTP side).
 
@@ -43,7 +44,7 @@ import json
 import math
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,12 @@ import numpy as np
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.errors import ConfigurationError, TelemetryError
 from repro.obs.events import TRACK_SIM
-from repro.obs.probe import SNAPSHOT_SCALARS, probe_period, snapshot_fields
+from repro.obs.probe import (
+    SNAPSHOT_SCALARS,
+    DownsamplingRing,
+    probe_period,
+    snapshot_fields,
+)
 
 #: Run-wide scalar columns, in row order (per-chip and per-bus blocks
 #: follow them; see :meth:`TelemetrySampler.bind`). The snapshot's
@@ -137,84 +143,23 @@ class TelemetrySnapshot:
         return self.data.shape[0]
 
 
-class TelemetryStore:
-    """Fixed-width columnar ring with deterministic 2:1 downsampling.
-
-    Row ``i`` always holds the sample whose tick index is ``i * stride``:
-    when the ring fills, every other row is compacted away in place and
-    the acceptance stride doubles, so the retained rows remain an evenly
-    spaced, deterministic subsample of the full stream no matter how
-    long the run is. All methods are thread-safe (the HTTP exporters
-    read while the simulation thread appends).
-    """
+class TelemetryStore(DownsamplingRing):
+    """The sampler's bounded columnar store: one numpy row per sample in
+    a :class:`~repro.obs.probe.DownsamplingRing` (row ``i`` holds tick
+    ``i * stride``)."""
 
     def __init__(self, columns: Sequence[str], capacity: int = 2048) -> None:
-        if capacity < 8 or capacity % 2:
-            raise ConfigurationError("capacity must be an even number >= 8")
+        super().__init__(capacity)
         self.columns = tuple(columns)
-        self.capacity = int(capacity)
-        self._data = np.zeros((self.capacity, len(self.columns)))
-        self._count = 0
-        self._stride = 1
-        self._ticks = 0
-        self._dropped = 0
-        self._lock = threading.Lock()
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def stride(self) -> int:
-        with self._lock:
-            return self._stride
-
-    @property
-    def ticks(self) -> int:
-        with self._lock:
-            return self._ticks
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
-
-    def append(self, row: np.ndarray) -> bool:
-        """Offer one sample; returns True if it was retained.
-
-        Ticks that are not multiples of the current stride are dropped
-        (they were already represented by a coarser retained sample
-        after a compaction doubled the stride).
-        """
-        with self._lock:
-            tick = self._ticks
-            self._ticks += 1
-            if tick % self._stride:
-                self._dropped += 1
-                return False
-            if self._count == self.capacity:
-                # Compact in place: keep ticks 0, 2s, 4s, ... The
-                # triggering tick is stride * capacity — a multiple of
-                # the doubled stride (capacity is even), so the row
-                # layout invariant survives the compaction.
-                half = self.capacity // 2
-                self._data[:half] = self._data[0:self.capacity:2]
-                self._count = half
-                self._stride *= 2
-            self._data[self._count] = row
-            self._count += 1
-            return True
 
     def snapshot(self) -> TelemetrySnapshot:
         with self._lock:
-            return TelemetrySnapshot(
-                columns=self.columns,
-                data=self._data[:self._count].copy(),
-                stride=self._stride,
-                ticks=self._ticks,
-                dropped=self._dropped,
-            )
+            rows, stride = list(self._rows), self._stride
+            ticks, dropped = self._ticks, self._dropped
+        data = (np.array(rows) if rows
+                else np.zeros((0, len(self.columns))))
+        return TelemetrySnapshot(columns=self.columns, data=data,
+                                 stride=stride, ticks=ticks, dropped=dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, IO, Iterable, Mapping
+from typing import Any, IO, Mapping
 
 from repro.obs.events import PH_COUNTER, PH_INSTANT, PH_SPAN, Event
 

@@ -18,8 +18,8 @@ tests, and spot checks.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Deque
 
 from repro.config import SimulationConfig

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import units
-from repro.traces.records import DMATransfer, ProcessorBurst, SOURCE_DISK, SOURCE_NETWORK
+from repro.traces.records import DMATransfer, SOURCE_DISK, SOURCE_NETWORK
 from repro.traces.trace import Trace
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from repro.errors import TraceError
 from repro.traces.records import ClientRequest, DMATransfer, ProcessorBurst, TraceRecord
@@ -144,11 +144,3 @@ class Trace:
             return 0.0
         duration_ms = self.duration_cycles / frequency_hz * 1e3
         return len(self.transfers) / duration_ms
-
-    def processor_access_rate_per_ms(self, frequency_hz: float) -> float:
-        """Average processor cache-line accesses per millisecond."""
-        if self.duration_cycles <= 0:
-            return 0.0
-        duration_ms = self.duration_cycles / frequency_hz * 1e3
-        total = sum(b.count for b in self.processor_bursts)
-        return total / duration_ms

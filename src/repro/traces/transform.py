@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import TraceError
-from repro.traces.records import ClientRequest, DMATransfer, ProcessorBurst
+from repro.traces.records import ClientRequest, DMATransfer
 from repro.traces.trace import Trace
 
 

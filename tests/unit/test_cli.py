@@ -2,6 +2,8 @@
 
 import json
 import logging
+import threading
+import time
 
 import pytest
 
@@ -402,6 +404,33 @@ class TestWatchParser:
         assert args.capacity == 128
         assert args.inject_spike == 1e6
         assert args.inject_spike_at == 0.75
+
+
+class TestServeLifecycle:
+    """A serving verb stops its server, and whatever else it started,
+    on every exit path: here the --port-file cannot be written."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["watch", "--technique", "dma-ta", "--mu", "2.0",
+          "--no-browser"], 2),
+        (["sweep", "--technique", "dma-ta", "--cp-limits", "0.05",
+          "--no-cache", "--watch", "--no-browser"], 2),
+        (["diff", "--technique", "dma-ta", "--serve"], 1),
+    ], ids=["watch", "sweep", "diff"])
+    def test_unwritable_port_file_leaves_no_thread(self, trace_file,
+                                                   tmp_path, argv, code):
+        before = set(threading.enumerate())
+        port_file = tmp_path / "missing" / "port"
+        assert main([argv[0], str(trace_file), *argv[1:],
+                     "--serve-port", "0", "--linger-s", "0",
+                     "--port-file", str(port_file)]) == code
+        for _ in range(100):  # give a stopped thread time to exit
+            leftover = [thread.name for thread in threading.enumerate()
+                        if thread not in before]
+            if not leftover:
+                break
+            time.sleep(0.02)
+        assert leftover == []
 
 
 class TestCalibrate:

@@ -35,8 +35,8 @@ class TestConstruction:
     def test_custom_layout(self, config, policy):
         layout = SequentialLayout(4, config.pages_per_chip)
         system = MemorySystem(config, policy, layout=layout)
-        assert system.chip_of_page(0).chip_id == 0
-        assert system.chip_of_page(config.pages_per_chip).chip_id == 1
+        assert system.layout.chip_of(0) == 0
+        assert system.layout.chip_of(config.pages_per_chip) == 1
 
     def test_layout_shape_mismatch_rejected(self, config, policy):
         with pytest.raises(LayoutError):
@@ -50,18 +50,15 @@ class TestAggregation:
     def test_totals_sum_chips(self, config, policy):
         system = MemorySystem(config, policy)
         system.advance_all(1_000_000.0)
-        total = system.total_energy()
-        assert total.total == pytest.approx(
-            sum(c.energy.total for c in system.chips))
-        time = system.total_time()
-        assert time.total == pytest.approx(4 * 1_000_000.0)
+        for chip in system.chips:
+            assert chip.time.total == pytest.approx(1_000_000.0)
 
     def test_wake_counting(self, config, policy):
         system = MemorySystem(config, policy)
         system.advance_all(100_000.0)
         system.chips[0].wake(100_000.0)
         system.chips[2].wake(100_000.0)
-        assert system.total_wakes() == 2
+        assert sum(chip.wake_count for chip in system.chips) == 2
 
     def test_start_asleep_flag(self, config, policy):
         asleep = MemorySystem(config, policy, start_asleep=True)

@@ -253,3 +253,20 @@ class TestDiffServer:
             assert obj["epoch"] == 7
         finally:
             server.stop()
+
+    def test_page_escapes_title(self):
+        # The CLI titles the page with the trace name, read from the
+        # trace file.
+        from repro.obs.serve import DiffServer
+
+        report = TestDivergenceReportShape().make_report(identical=True)
+        server = DiffServer(report, port=0, title="<script>x</script>")
+        server.start()
+        try:
+            with urllib.request.urlopen(server.url, timeout=5) as response:
+                page = response.read().decode("utf-8")
+        finally:
+            server.stop()
+        assert "<script>x</script>" not in page
+        assert "&lt;script&gt;x&lt;/script&gt;" in page
+        assert "identical" in page

@@ -3,6 +3,7 @@ HTML panel renderer (repro.obs.dashboard)."""
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -16,7 +17,8 @@ from repro.obs.dashboard import (
     render_page,
     render_panels,
 )
-from repro.obs.serve import TelemetryServer
+from repro.obs.fleet import FleetCollector, FleetConfig
+from repro.obs.serve import FleetServer, TelemetryServer
 from repro.obs.telemetry import (
     TelemetryConfig,
     TelemetrySampler,
@@ -135,9 +137,17 @@ class TestEndpoints:
             server.stop()
 
     def test_stop_is_clean_and_sse_wakes(self, server):
-        # stop() runs in the fixture teardown; here just confirm that a
-        # second explicit stop doesn't hang or raise.
-        pass
+        # The watch server owns its broker; the fleet server streams the
+        # collector's. Either way an open /events stream ends within one
+        # keep-alive period of stop(), and stopping again returns.
+        assert_stop_ends_open_stream(server, server.sse)
+        collector = FleetCollector(FleetConfig())
+        try:
+            fleet = FleetServer(collector, port=0)
+            fleet.start()
+            assert_stop_ends_open_stream(fleet, collector.broker)
+        finally:
+            collector.close()
 
 
 class TestDashboardRendering:
@@ -186,3 +196,28 @@ class TestDashboardRendering:
         assert "my &lt;run&gt;" in page
         assert "src=" not in page  # no external assets
         assert "250" in page
+
+
+def assert_stop_ends_open_stream(server, broker, keep_alive_s=1.0):
+    ended = []
+
+    def reader():
+        with urllib.request.urlopen(server.url + "events",
+                                    timeout=10) as stream:
+            for _ in stream:
+                pass
+        ended.append(time.monotonic())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    for _ in range(500):
+        if broker._subscribers:
+            break
+        time.sleep(0.01)
+    assert broker._subscribers, "the /events stream never subscribed"
+    started = time.monotonic()
+    server.stop()
+    thread.join(timeout=10)
+    assert ended, "the /events stream outlived stop()"
+    assert ended[0] - started <= keep_alive_s
+    server.stop()  # a second stop returns at once
