@@ -111,14 +111,14 @@ class BusConfig:
 class ProcessorConfig:
     """Processor-side access parameters.
 
+    Both engines implement Section 4.1.3 solution 1: processor accesses
+    are always serviced before pending DMA-memory requests.
+
     Attributes:
         cache_line_bytes: granularity of processor-initiated accesses.
-        priority_over_dma: Section 4.1.3 solution 1 — processor accesses
-            are always serviced before pending DMA-memory requests.
     """
 
     cache_line_bytes: int = 64
-    priority_over_dma: bool = True
 
     def __post_init__(self) -> None:
         if self.cache_line_bytes <= 0:

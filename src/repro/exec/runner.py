@@ -38,12 +38,17 @@ override — useful where fork inherits problematic state (threads, CUDA
 handles) into workers.
 
 Fleet observability: pass a :class:`~repro.obs.fleet.FleetCollector` as
-``fleet=`` and the pool is built with the fleet initializer so workers
-stream progress events (started/heartbeat/finished, trace spans, audit
-rollups) back to the submitting process. The collector's heartbeat
-watchdog can declare a silent worker stalled; the runner then cancels
-that job's future and requeues it onto the serial path, so a frozen
-worker costs one requeue instead of the whole sweep.
+``fleet=``. Every job, serial or pooled, observed or not, runs through
+one body, :func:`_run_job`. Under a fleet it also posts liveness
+messages (``job.started``, ``job.finished``, and ``job.heartbeat``
+while it runs in a pool worker) and returns its trace spans with its
+result. The runner reports each job's outcome to the collector exactly
+once (:meth:`~repro.obs.fleet.FleetCollector.settle`), wherever it
+settles the key, so a late message from an abandoned worker cannot
+change it. The collector's heartbeat watchdog can declare a silent
+worker stalled; the runner then cancels that job's future and requeues
+it onto the serial path, so a frozen worker costs one requeue instead
+of the whole sweep.
 """
 
 from __future__ import annotations
@@ -54,10 +59,11 @@ import logging
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import SimJob, validate_jobs
@@ -122,19 +128,95 @@ class JobOutcome:
         return self.error is None and self.result is not None
 
 
-def _execute(job: SimJob) -> SimulationResult:
-    """The worker body: one fully-specified simulate() call."""
+def _execute(job: SimJob, tracer=None) -> SimulationResult:
+    """The default job body: one fully-specified simulate() call."""
     return simulate(job.trace, config=job.config, technique=job.technique,
                     engine=job.engine, mu=job.mu, cp_limit=job.cp_limit,
-                    seed=job.seed)
+                    seed=job.seed, tracer=tracer)
 
 
-def _timed_call(worker: Callable[[SimJob], SimulationResult],
-                job: SimJob) -> tuple[SimulationResult, float]:
-    """Run ``worker(job)`` and measure its wall time (pool-picklable)."""
+#: ``(queue, inject_stall_tag, inject_stall_s)`` in a pool worker that
+#: a fleet observes; installed by :func:`_observe_worker`.
+_POOL_FLEET: tuple[Any, str, float] | None = None
+
+
+def _observe_worker(fleet_queue, stall_tag: str, stall_s: float) -> None:
+    """Pool initializer under a fleet: post liveness to ``fleet_queue``."""
+    global _POOL_FLEET
+    _POOL_FLEET = (fleet_queue, stall_tag, stall_s)
+
+
+def _put(fleet_queue, message: dict) -> None:
+    """Post one message; observation must never fail the job."""
+    try:
+        fleet_queue.put(message)
+    except Exception:  # parent gone / queue closed
+        pass
+
+
+def _heartbeat(post: Callable[[dict], None], pid: int, key: str,
+               stop: threading.Event, period_s: float) -> None:
+    while not stop.wait(period_s):
+        post({"kind": "job.heartbeat", "worker": pid, "key": key,
+              "mono": time.monotonic()})
+
+
+def _run_job(worker: Callable[..., SimulationResult], job: SimJob,
+             key: str, spans: bool = False,
+             post: Callable[[dict], None] | None = None,
+             ) -> tuple[SimulationResult, float, dict[str, Any] | None]:
+    """The one job body, serial or pooled: run ``worker(job)``, timed.
+
+    Returns ``(result, wall_s, observed)``; exceptions propagate
+    unchanged. ``observed`` is ``None`` unless a fleet observes the
+    job: serially through ``post`` (the collector's
+    :meth:`~repro.obs.fleet.FleetCollector.handle`), in a pool worker
+    through the queue :func:`_observe_worker` installed. An observed
+    job posts ``job.started`` and ``job.finished``, and
+    ``job.heartbeat`` while it runs in a pool worker; with ``spans``
+    the default body runs under a ring tracer. ``observed`` names the
+    worker process, the job's ``time.monotonic()`` start and end, and
+    the retained spans.
+    """
+    pooled = post is None and _POOL_FLEET is not None
+    if pooled:
+        fleet_queue, stall_tag, stall_s = _POOL_FLEET
+        post = functools.partial(_put, fleet_queue)
+    if post is None:
+        start = time.perf_counter()
+        result = worker(job)
+        return result, time.perf_counter() - start, None
+
+    from repro.obs.fleet import HEARTBEAT_S, SPAN_CAPACITY
+    from repro.obs.tracer import RingTracer
+
+    pid = os.getpid()
+    started = time.monotonic()
+    post({"kind": "job.started", "worker": pid, "key": key,
+          "mono": started})
+    stop = threading.Event()
+    if pooled:
+        if job.label == stall_tag:
+            # Freeze *without* heartbeats so the watchdog sees a dead worker.
+            time.sleep(stall_s)
+        threading.Thread(target=_heartbeat,
+                         args=(post, pid, key, stop, HEARTBEAT_S),
+                         name="fleet-heartbeat", daemon=True).start()
+    tracer = RingTracer(capacity=SPAN_CAPACITY) if spans else None
     start = time.perf_counter()
-    result = worker(job)
-    return result, time.perf_counter() - start
+    try:
+        result = worker(job, tracer=tracer) if spans else worker(job)
+        wall = time.perf_counter() - start
+    finally:
+        stop.set()
+        finished = time.monotonic()
+        post({"kind": "job.finished", "worker": pid, "key": key,
+              "mono": finished})
+    return result, wall, {
+        "worker": pid, "started": started, "finished": finished,
+        "spans": [event.as_dict() for event in tracer.events]
+        if spans else [],
+    }
 
 
 def _describe(exc: BaseException) -> str:
@@ -202,9 +284,11 @@ def run_many(
         worker: override of the job body, mainly for fault-injection
             tests; must be picklable for pool execution (a module-level
             function). Defaults to running :func:`repro.simulate`.
-        fleet: optional :class:`~repro.obs.fleet.FleetCollector`; pool
-            workers then stream progress/trace/audit events to it and
-            its watchdog can requeue stalled jobs onto the serial path.
+        fleet: optional :class:`~repro.obs.fleet.FleetCollector`; every
+            job then posts liveness to it (the default body also ships
+            its trace spans with its result), the runner reports each
+            outcome to it once, and its watchdog can requeue stalled
+            jobs onto the serial path.
 
     Returns:
         One :class:`JobOutcome` per input job, in input order. Identical
@@ -216,98 +300,91 @@ def run_many(
     """
     jobs = list(jobs)
     validate_jobs(jobs)
-    default_body = worker is None
-    worker = worker or _execute
-    timed = functools.partial(_timed_call, worker)
-
     keys = [job.key() for job in jobs]
-    order: list[str] = []  # unique keys, first-appearance order
-    first_job: dict[str, SimJob] = {}
+    first_job: dict[str, SimJob] = {}  # unique keys, first-appearance order
     for job, key in zip(jobs, keys):
-        if key not in first_job:
-            first_job[key] = job
-            order.append(key)
-
-    results: dict[str, SimulationResult] = {}
-    errors: dict[str, str] = {}
-    walls: dict[str, float] = {}
-    cached: set[str] = set()
+        first_job.setdefault(key, job)
+    batch = _Batch(first_job, worker, fleet)
 
     if fleet is not None:
         fleet.start()
-        fleet.expect(len(order))
-        for key in order:
-            fleet.note_submitted(key, first_job[key])
+        fleet.expect(len(first_job))
+        for key, job in first_job.items():
+            fleet.note_submitted(key, job)
 
     if cache is not None:
-        for key in order:
+        for key in first_job:
             hit = cache.get(key)
             if hit is not None:
-                results[key] = hit
-                cached.add(key)
-                if fleet is not None:
-                    fleet.note_cache_hit(key, first_job[key])
+                batch.settle(key, hit, from_cache=True)
 
-    pending = [key for key in order if key not in results]
-
-    def run_serially(key: str) -> None:
-        if fleet is not None:
-            fleet.note_serial_start(key)
-        try:
-            results[key], walls[key] = timed(first_job[key])
-        except Exception as exc:
-            errors[key] = _describe(exc)
-        if fleet is not None:
-            fleet.note_serial_finish(key, key in results,
-                                     errors.get(key),
-                                     walls.get(key, 0.0))
-
+    pending = [key for key in first_job if key not in batch.done]
     try:
         if len(pending) <= 1 or not max_workers or max_workers <= 1:
             for key in pending:
-                run_serially(key)
+                batch.run_serially(key)
         else:
-            _run_pool(pending, first_job, timed, worker, default_body,
-                      min(max_workers, len(pending)), timeout_s,
-                      results, errors, walls, run_serially, fleet)
+            _run_pool(batch, pending, min(max_workers, len(pending)),
+                      timeout_s)
     finally:
         if fleet is not None:
             fleet.quiesce()
 
     if cache is not None:
         for key in pending:
-            if key in results:
-                cache.put(key, results[key])
+            if batch.done[key].ok:
+                cache.put(key, batch.done[key].result)
 
     outcomes = []
     seen: set[str] = set()
     for job, key in zip(jobs, keys):
-        outcomes.append(JobOutcome(
-            job=job, key=key,
-            result=results.get(key),
-            error=errors.get(key),
-            from_cache=key in cached,
-            wall_s=walls.get(key, 0.0) if key not in seen else 0.0,
-        ))
+        first = batch.done[key]
+        outcomes.append(replace(first, job=job,
+                                wall_s=0.0 if key in seen else first.wall_s))
         seen.add(key)
     return outcomes
 
 
-def _run_pool(
-    pending: Sequence[str],
-    first_job: dict[str, SimJob],
-    timed: Callable[[SimJob], tuple[SimulationResult, float]],
-    worker: Callable[[SimJob], SimulationResult],
-    default_body: bool,
-    max_workers: int,
-    timeout_s: float | None,
-    results: dict[str, SimulationResult],
-    errors: dict[str, str],
-    walls: dict[str, float],
-    run_serially: Callable[[str], None],
-    fleet: "FleetCollector | None",
-) -> None:
-    """Fan ``pending`` out over a process pool, filling results/errors.
+class _Batch:
+    """The unique jobs of one :func:`run_many` call and their outcomes.
+
+    :meth:`settle` is the one place a key gets its outcome, so the fleet
+    (when one observes the batch) hears each outcome exactly once.
+    """
+
+    def __init__(self, first_job: dict[str, SimJob],
+                 worker: Callable[[SimJob], SimulationResult] | None,
+                 fleet: "FleetCollector | None") -> None:
+        self.first_job = first_job
+        self.spans = worker is None  # only the default body is traced
+        self.worker = worker or _execute
+        self.fleet = fleet
+        self.done: dict[str, JobOutcome] = {}
+
+    def settle(self, key: str, result: SimulationResult | None = None,
+               wall_s: float = 0.0, observed: dict[str, Any] | None = None,
+               *, error: str | None = None, from_cache: bool = False,
+               requeued: bool = False) -> None:
+        outcome = JobOutcome(self.first_job[key], key, result, error,
+                             from_cache, wall_s)
+        self.done[key] = outcome
+        if self.fleet is not None:
+            self.fleet.settle(outcome, observed, requeued=requeued)
+
+    def run_serially(self, key: str, requeued: bool = False) -> None:
+        post = self.fleet.handle if self.fleet is not None else None
+        try:
+            ran = _run_job(self.worker, self.first_job[key], key,
+                           self.spans, post)
+        except Exception as exc:
+            self.settle(key, error=_describe(exc), requeued=requeued)
+        else:
+            self.settle(key, *ran, requeued=requeued)
+
+
+def _run_pool(batch: _Batch, pending: Sequence[str], max_workers: int,
+              timeout_s: float | None) -> None:
+    """Fan ``pending`` out over a process pool, settling every key.
 
     Any pool-machinery failure (see :data:`_POOL_FAILURES`) downgrades
     the affected and remaining jobs to the serial path. The wait loop
@@ -319,58 +396,55 @@ def _run_pool(
     try:
         # An unshippable worker fails every job: find out here, before a
         # pool exists, rather than from the pool's queue-feeder thread.
-        pickle.dumps(worker)
+        pickle.dumps(batch.worker)
     except _POOL_FAILURES as exc:
         logger.warning("worker cannot be sent to a process pool (%s); "
                        "running %d jobs serially", _describe(exc),
                        len(pending))
         for key in pending:
-            run_serially(key)
+            batch.run_serially(key)
         return
 
+    fleet = batch.fleet
     kwargs: dict = {"max_workers": max_workers}
     context = executor_mp_context()
     if context is not None:
         kwargs["mp_context"] = context
     if fleet is not None:
-        from repro.obs.fleet import fleet_worker_init
-
-        kwargs["initializer"] = fleet_worker_init
-        kwargs["initargs"] = fleet.initargs()
+        kwargs["initializer"] = _observe_worker
+        kwargs["initargs"] = (fleet.queue, fleet.config.inject_stall_tag,
+                              fleet.config.inject_stall_s)
     try:
         executor = concurrent.futures.ProcessPoolExecutor(**kwargs)
     except _POOL_FAILURES + (RuntimeError,) as exc:
         logger.warning("process pool unavailable (%s); running %d jobs "
                        "serially", _describe(exc), len(pending))
         for key in pending:
-            run_serially(key)
+            batch.run_serially(key)
         return
-
-    def submit(key: str):
-        if fleet is not None:
-            from repro.obs.fleet import fleet_timed_call
-
-            return executor.submit(fleet_timed_call, worker,
-                                   first_job[key], key, default_body)
-        return executor.submit(timed, first_job[key])
 
     pool_broken = False
     abandoned = False  # a running worker's result was given up on
     waiting: dict[str, concurrent.futures.Future] = {}
     submitted_at: dict[str, float] = {}
     started_at: dict[str, float] = {}
+
+    def give_up(key: str) -> None:
+        nonlocal abandoned
+        if not waiting.pop(key).cancel():
+            abandoned = True
+
     try:
         try:
             for key in pending:
-                waiting[key] = submit(key)
+                waiting[key] = executor.submit(
+                    _run_job, batch.worker, batch.first_job[key], key,
+                    batch.spans)
                 submitted_at[key] = time.monotonic()
         except _POOL_FAILURES as exc:
             logger.warning("pool submission failed (%s); running %d jobs "
                            "serially", _describe(exc), len(pending))
             pool_broken = True
-            for future in waiting.values():
-                future.cancel()
-            waiting.clear()
 
         wait_floor = _wait_floor_s()
         max_wall = 0.0
@@ -385,18 +459,20 @@ def _run_pool(
                 future = waiting.pop(key)
                 last_done = now
                 try:
-                    results[key], walls[key] = future.result()
-                    max_wall = max(max_wall, walls[key])
+                    ran = future.result()
                 except _POOL_FAILURES as exc:
                     logger.warning("pool broke (%s); downgrading "
                                    "remaining jobs to serial execution",
                                    _describe(exc))
                     pool_broken = True
-                    run_serially(key)
+                    batch.run_serially(key)
                 except concurrent.futures.CancelledError:
-                    run_serially(key)
+                    batch.run_serially(key)
                 except Exception as exc:
-                    errors[key] = _describe(exc)
+                    batch.settle(key, error=_describe(exc))
+                else:
+                    max_wall = max(max_wall, ran[1])
+                    batch.settle(key, *ran)
             if pool_broken:
                 break
 
@@ -406,13 +482,9 @@ def _run_pool(
 
             if fleet is not None:
                 for key in fleet.take_stalled():
-                    future = waiting.pop(key, None)
-                    if future is None:
-                        continue  # completed while being flagged
-                    if not future.cancel():
-                        abandoned = True
-                    fleet.note_requeued(key)
-                    run_serially(key)
+                    if key in waiting:  # else completed while flagged
+                        give_up(key)
+                        batch.run_serially(key, requeued=True)
 
             # A queued job's wait clock starts when the pool last made
             # progress — it could not have started any earlier.
@@ -424,37 +496,29 @@ def _run_pool(
                 for key in list(waiting):
                     if now - wait_ref(key) <= timeout_s:
                         continue
-                    future = waiting.pop(key)
                     logger.warning("job %s timed out after %gs", key[:12],
                                    timeout_s)
-                    errors[key] = (f"timed out after {timeout_s:g}s "
-                                   "(result abandoned)")
-                    if not future.cancel():
-                        abandoned = True
-                    if fleet is not None:
-                        fleet.note_failed(key, errors[key])
+                    give_up(key)
+                    batch.settle(key, error=f"timed out after "
+                                 f"{timeout_s:g}s (result abandoned)")
             else:
                 bound = max(wait_floor, _WAIT_WALL_FACTOR * max_wall)
                 for key in list(waiting):
                     if now - wait_ref(key) <= bound:
                         continue
-                    future = waiting.pop(key)
                     logger.warning(
                         "job %s exceeded the %.0fs pool wait bound; "
                         "retrying it serially", key[:12], bound)
-                    if not future.cancel():
-                        abandoned = True
-                    if fleet is not None:
-                        fleet.note_requeued(key)
-                    run_serially(key)
+                    give_up(key)
+                    batch.run_serially(key, requeued=True)
 
         if pool_broken:
             for future in waiting.values():
                 future.cancel()
             waiting.clear()
             for key in pending:
-                if key not in results and key not in errors:
-                    run_serially(key)
+                if key not in batch.done:
+                    batch.run_serially(key)
     finally:
         # Abandoned workers may be wedged mid-job: don't block shutdown
         # on them (their processes are reaped at interpreter exit). A

@@ -1,25 +1,30 @@
 """Cross-process observability for the exec fan-out.
 
-:func:`repro.exec.run_many` workers normally run blind: their traces and
-audit results die at the process boundary, and a stalled worker is a
-silent deadlock. This module closes that gap with three pieces:
+:func:`repro.exec.run_many` workers normally run blind: their traces
+die at the process boundary, and a stalled worker is a silent deadlock.
+This module closes that gap with three pieces:
 
-* **Worker side** — :func:`fleet_worker_init` (a pool initializer) hands
-  every worker the collector's queue; :func:`fleet_timed_call` wraps the
-  job body and streams structured progress events back over it:
-  ``job.started``, periodic ``job.heartbeat`` (from a tiny daemon
-  thread), and ``job.finished`` carrying the job's ring-buffered trace
-  spans, its audit-violation rollup, and an optional telemetry summary.
-  Messages are plain picklable dicts; a worker that cannot post (parent
-  gone) drops the message rather than failing the job.
+* **Liveness** — every job, serial or pooled, runs through the runner's
+  one body (:func:`repro.exec.runner._run_job`). Under a fleet it posts
+  ``job.started`` and ``job.finished`` (plus a periodic
+  ``job.heartbeat`` from a tiny daemon thread while it runs in a pool
+  worker) and returns its ring-buffered trace spans with its result.
+  Pool workers post over the collector's queue; the serial path calls
+  :meth:`FleetCollector.handle` directly. Messages are plain picklable
+  dicts and carry no outcome.
 
 * **Collector** — :class:`FleetCollector` owns the queue and drains it
-  on a daemon thread in the submitting process. It tracks per-worker and
-  per-job state, and a watchdog on the heartbeat stream detects stalled
-  workers: no heartbeat for a bound derived from observed job wall-times
-  flags the job, logs a ``fleet.stall`` diagnosis naming it, and hands
-  the key back to the runner (:meth:`take_stalled`) for cancellation and
-  serial requeue. Live state fans out through an owned
+  on a daemon thread in the submitting process. The runner reports each
+  job's outcome to it exactly once, through :meth:`FleetCollector.settle`,
+  wherever it settles the key: a pool result, a serial run, a cache
+  hit, an explicit timeout, or a requeued run. A settled record ignores
+  every later message, so a late message from an abandoned worker
+  changes no outcome and no tally. A watchdog on the heartbeat stream
+  detects stalled workers: no heartbeat for a bound derived from
+  observed job wall-times flags the job, logs a ``fleet.stall``
+  diagnosis naming it, and hands the key back to the runner
+  (:meth:`take_stalled`) for cancellation and serial requeue. Live
+  state fans out through an owned
   :class:`~repro.obs.telemetry.SseBroker` so ``repro sweep --watch`` can
   serve a fleet dashboard (:mod:`repro.obs.serve`).
 
@@ -33,10 +38,7 @@ silent deadlock. This module closes that gap with three pieces:
 Span capture attaches a :class:`~repro.obs.tracer.RingTracer` to the
 default job body — traced runs are bit-identical (a tier-1 gated
 guarantee), so fleet-observed sweeps return byte-identical results to
-serial ones. Per-job telemetry sampling is **opt-in**
-(``sample_telemetry``): the sampler can perturb the fluid engine's
-head-delay float rounding at ULP scale, which would break that
-byte-identity.
+serial ones.
 
 Timestamps ride ``time.monotonic()``: on Linux ``CLOCK_MONOTONIC`` is
 system-wide, so worker and parent clocks are directly comparable.
@@ -76,189 +78,57 @@ FLEET_TRACE_HZ = 1e6
 # Configuration
 # ---------------------------------------------------------------------------
 
+#: Period of a pool worker's heartbeat while it runs a job.
+HEARTBEAT_S = 0.25
+
+#: Queue-poll period of the collector's drain thread (bounds watchdog
+#: latency).
+POLL_S = 0.2
+
+#: Floor of the derived stall bound.
+STALL_FLOOR_S = 5.0
+
+#: Derived stall bound = this factor times the longest computed job's
+#: wall time (never below the floor or 20 heartbeats).
+STALL_WALL_FACTOR = 8.0
+
+#: Trace spans kept (and shipped) per job.
+SPAN_CAPACITY = 512
+
+#: The message kinds a worker posts; none of them carries an outcome.
+_LIVENESS = ("job.started", "job.heartbeat", "job.finished")
+
+
 @dataclass(frozen=True)
 class FleetConfig:
-    """Knobs for the worker emitters and the collector watchdog.
+    """The fleet settings ``repro sweep`` exposes.
 
     Attributes:
-        heartbeat_s: period of the per-job worker heartbeat thread.
-        poll_s: collector queue-poll period (bounds watchdog latency).
         stall_after_s: absolute no-heartbeat bound before a job is
             declared stalled; ``None`` derives one from observed job
             wall-times (see :meth:`FleetCollector.stall_bound`).
-        stall_floor_s: lower bound of the derived stall bound.
-        stall_wall_factor: derived bound = this factor times the largest
-            finished job wall-time (never below the floor or 20
-            heartbeats).
-        capture_spans: attach a ring tracer to default job bodies and
-            ship the retained spans in ``job.finished``.
-        span_capacity: ring capacity per job (and the shipped-span cap).
-        sample_telemetry: also attach a per-job
-            :class:`~repro.obs.telemetry.TelemetrySampler` and ship a
-            summary. Off by default: sampling can perturb fluid-engine
-            float rounding at ULP scale, breaking sweep byte-identity.
-        inject_stall_tag: fault injection — a worker whose job tag
-            equals this freezes (sleeps without heartbeats) for
+        inject_stall_tag: fault injection — a pool worker whose job
+            label equals this freezes (sleeps without heartbeats) for
             ``inject_stall_s`` before running, so tests and CI can prove
             the watchdog detects, attributes, and recovers the stall.
         inject_stall_s: how long the injected freeze lasts.
     """
 
-    heartbeat_s: float = 0.25
-    poll_s: float = 0.2
     stall_after_s: float | None = None
-    stall_floor_s: float = 5.0
-    stall_wall_factor: float = 8.0
-    capture_spans: bool = True
-    span_capacity: int = 512
-    sample_telemetry: bool = False
     inject_stall_tag: str = ""
     inject_stall_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.heartbeat_s <= 0 or self.poll_s <= 0:
-            raise ConfigurationError(
-                "heartbeat_s and poll_s must be positive")
-        if self.stall_after_s is not None and self.stall_after_s <= 0:
+        # Written so that NaN fails too: a NaN bound would flag every
+        # running job at once, and time.sleep() rejects an infinite one.
+        if self.stall_after_s is not None and not self.stall_after_s > 0:
             raise ConfigurationError("stall_after_s must be positive")
-        if self.stall_floor_s <= 0 or self.stall_wall_factor <= 0:
+        if not 0 <= self.inject_stall_s < math.inf:
             raise ConfigurationError(
-                "stall_floor_s and stall_wall_factor must be positive")
-        if self.span_capacity < 1:
-            raise ConfigurationError("span_capacity must be at least 1")
-        if self.inject_stall_s < 0:
-            raise ConfigurationError("inject_stall_s must be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-#: (queue, opts) installed by the pool initializer in each worker.
-_WORKER_CTX: tuple[Any, dict[str, Any]] | None = None
-
-
-def fleet_worker_init(fleet_queue, opts: Mapping[str, Any]) -> None:
-    """Process-pool initializer: bind this worker to the collector."""
-    global _WORKER_CTX
-    _WORKER_CTX = (fleet_queue, dict(opts))
-
-
-def _post(fleet_queue, payload: dict[str, Any]) -> None:
-    """Ship one event; observability must never fail the job."""
-    try:
-        fleet_queue.put(payload)
-    except Exception:  # parent gone / queue closed
-        pass
-
-
-def _heartbeat_loop(fleet_queue, pid: int, key: str,
-                    stop: threading.Event, period_s: float) -> None:
-    started = time.monotonic()
-    while not stop.wait(period_s):
-        _post(fleet_queue, {
-            "kind": "job.heartbeat", "worker": pid, "key": key,
-            "mono": time.monotonic(),
-            "busy_s": time.monotonic() - started,
-        })
-
-
-def _observed_body(job, opts: Mapping[str, Any]):
-    """Run the default job body with a ring tracer (and optional
-    telemetry sampler) attached; returns (result, spans_payload)."""
-    from repro.obs.tracer import RingTracer
-    from repro.sim.run import simulate
-
-    capacity = int(opts.get("span_capacity", 512))
-    tracer = RingTracer(capacity=capacity)
-    sampler = None
-    if opts.get("sample_telemetry"):
-        from repro.obs.telemetry import TelemetrySampler
-
-        sampler = TelemetrySampler()
-    result = simulate(job.trace, config=job.config,
-                      technique=job.technique, engine=job.engine,
-                      mu=job.mu, cp_limit=job.cp_limit, seed=job.seed,
-                      tracer=tracer, telemetry=sampler)
-    payload: dict[str, Any] = {
-        "spans": [event.as_dict() for event in tracer.events],
-        "spans_dropped": tracer.dropped,
-        "duration_cycles": float(result.duration_cycles),
-    }
-    if sampler is not None:
-        payload["telemetry"] = {
-            "samples": sampler.samples_captured,
-            "anomalies": len(sampler.anomalies),
-        }
-    return result, payload
-
-
-def fleet_timed_call(worker: Callable, job, key: str,
-                     default_body: bool):
-    """The fleet-instrumented pool job body: run, time, and report.
-
-    Mirrors :func:`repro.exec.runner._timed_call` (returns ``(result,
-    wall_s)`` and re-raises job exceptions unchanged) while streaming
-    ``job.started`` / ``job.heartbeat`` / ``job.finished`` to the
-    collector. ``default_body`` marks the stock simulate() body, which
-    is re-run with a ring tracer attached so spans can be shipped.
-    """
-    ctx = _WORKER_CTX
-    if ctx is None:  # pool built without the fleet initializer
-        start = time.perf_counter()
-        result = worker(job)
-        return result, time.perf_counter() - start
-    fleet_queue, opts = ctx
-    pid = os.getpid()
-    tag = getattr(job, "label", None) or job.technique
-    _post(fleet_queue, {
-        "kind": "job.started", "worker": pid, "key": key, "tag": tag,
-        "technique": job.technique, "mono": time.monotonic(),
-    })
-    stall_s = float(opts.get("inject_stall_s", 0.0))
-    if stall_s > 0 and tag == opts.get("inject_stall_tag"):
-        # Freeze *without* heartbeats so the watchdog sees a dead worker.
-        time.sleep(stall_s)
-    stop = threading.Event()
-    beat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(fleet_queue, pid, key, stop,
-              float(opts.get("heartbeat_s", 0.25))),
-        name="fleet-heartbeat", daemon=True)
-    beat.start()
-    start = time.perf_counter()
-    try:
-        if default_body and opts.get("capture_spans", True):
-            result, observed = _observed_body(job, opts)
-        else:
-            result = worker(job)
-            observed = {}
-        wall = time.perf_counter() - start
-    except BaseException as exc:
-        stop.set()
-        _post(fleet_queue, {
-            "kind": "job.finished", "worker": pid, "key": key,
-            "mono": time.monotonic(), "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "wall_s": time.perf_counter() - start,
-        })
-        raise
-    stop.set()
-    from repro.obs.audit import audit_result
-
-    violations: dict[str, int] = {}
-    for violation in audit_result(result):
-        violations[violation.kind] = violations.get(violation.kind, 0) + 1
-    finished: dict[str, Any] = {
-        "kind": "job.finished", "worker": pid, "key": key,
-        "mono": time.monotonic(), "ok": True, "error": None,
-        "wall_s": wall, "violations": violations,
-        "energy_j": float(result.energy_joules),
-        "requests": float(result.requests),
-    }
-    finished.update(observed)
-    _post(fleet_queue, finished)
-    return result, wall
+                "inject_stall_s must be finite and >= 0")
+        if self.inject_stall_s > 0 and not self.inject_stall_tag:
+            raise ConfigurationError(
+                "inject_stall_s needs an inject_stall_tag to freeze")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +137,11 @@ def fleet_timed_call(worker: Callable, job, key: str,
 
 @dataclass
 class JobRecord:
-    """Everything the collector knows about one unique job key."""
+    """Everything the collector knows about one unique job key.
+
+    ``ok`` stays ``None`` until the runner settles the key
+    (:meth:`FleetCollector.settle`); a settled record hears no message.
+    """
 
     key: str
     tag: str = ""
@@ -285,12 +159,12 @@ class JobRecord:
     requeued: bool = False
     stalled: bool = False
     spans: list[dict[str, Any]] = field(default_factory=list)
-    spans_dropped: int = 0
     duration_cycles: float = 0.0
     violations: dict[str, int] = field(default_factory=dict)
-    energy_j: float | None = None
-    requests: float | None = None
-    telemetry: dict[str, Any] | None = None
+
+    @property
+    def settled(self) -> bool:
+        return self.ok is not None
 
     @property
     def running(self) -> bool:
@@ -395,10 +269,10 @@ class FleetCollector:
     """Parent-side aggregator for the worker event stream.
 
     Create one per ``run_many`` fan-out and pass it as ``fleet=``. The
-    runner calls :meth:`start`, the submission hooks, and
-    :meth:`quiesce`; the dashboard reads :meth:`snapshot` and subscribes
-    to :attr:`broker`; callers pull :meth:`report` /
-    :meth:`chrome_trace` afterwards.
+    runner calls :meth:`start`, the submission hooks, :meth:`settle`
+    once per key, and :meth:`quiesce`; the dashboard reads
+    :meth:`snapshot` and subscribes to :attr:`broker`; callers pull
+    :meth:`report` / :meth:`chrome_trace` afterwards.
 
     ``clock`` is injectable for deterministic watchdog tests.
     """
@@ -416,8 +290,8 @@ class FleetCollector:
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        self._pid = os.getpid()  # the serial parent, worker slot 0
         self.jobs: dict[str, JobRecord] = {}
-        self._job_order: list[str] = []
         self._workers: dict[int, _WorkerState] = {}  # pid -> state
         self.stalls: list[FleetStall] = []
         self._stalled_pending: list[str] = []
@@ -427,23 +301,6 @@ class FleetCollector:
         self.finished_mono: float | None = None
         self.events_received = 0
         self._last_published = 0.0
-
-    # --- pool wiring ------------------------------------------------------
-
-    def worker_opts(self) -> dict[str, Any]:
-        """The picklable knob dict shipped to every worker."""
-        return {
-            "heartbeat_s": self.config.heartbeat_s,
-            "capture_spans": self.config.capture_spans,
-            "span_capacity": self.config.span_capacity,
-            "sample_telemetry": self.config.sample_telemetry,
-            "inject_stall_tag": self.config.inject_stall_tag,
-            "inject_stall_s": self.config.inject_stall_s,
-        }
-
-    def initargs(self) -> tuple:
-        """``(initializer args)`` for the pool's :func:`fleet_worker_init`."""
-        return (self.queue, self.worker_opts())
 
     # --- lifecycle --------------------------------------------------------
 
@@ -460,7 +317,7 @@ class FleetCollector:
     def _drain(self) -> None:
         while not self._stop.is_set():
             try:
-                message = self.queue.get(timeout=self.config.poll_s)
+                message = self.queue.get(timeout=POLL_S)
             except queue_module.Empty:
                 message = None
             except (EOFError, OSError):  # queue torn down under us
@@ -476,34 +333,20 @@ class FleetCollector:
                         return
             self.check_stalls()
 
-    def quiesce(self, wait_s: float = 2.0) -> None:
-        """Flush and stop the drain thread at the end of a run.
+    def quiesce(self) -> None:
+        """Stop the drain thread at the end of a run.
 
-        Waits up to ``wait_s`` for started-but-unfinished jobs to report
-        in (the runner has already collected every result, so this only
-        covers queue latency), drains whatever is left synchronously,
-        and stops the thread. The collector stays readable — report,
-        snapshot, and trace all keep working — and the broker stays open
-        for a lingering dashboard.
+        The runner has settled every key by now, so nothing still on the
+        queue can change a record. The collector stays readable —
+        report, snapshot, and trace all keep working — and the broker
+        stays open for a lingering dashboard.
         """
-        deadline = self._clock() + wait_s
-        while self._clock() < deadline:
-            with self._lock:
-                inflight = any(record.running
-                               for record in self.jobs.values())
-            if not inflight:
-                break
-            time.sleep(min(0.05, self.config.poll_s))
         self._stop.set()
         thread = self._thread
         if thread is not None:
-            thread.join(timeout=max(1.0, 4 * self.config.poll_s))
+            self.queue.put(None)  # wake the drain thread's blocking get
+            thread.join(timeout=max(1.0, 4 * POLL_S))
             self._thread = None
-        while True:
-            try:
-                self.handle(self.queue.get_nowait())
-            except (queue_module.Empty, EOFError, OSError):
-                break
         with self._lock:
             if self.finished_mono is None:
                 self.finished_mono = self._clock()
@@ -511,7 +354,7 @@ class FleetCollector:
 
     def close(self) -> None:
         """Tear down: quiesce, wake SSE subscribers, drop the queue."""
-        self.quiesce(wait_s=0.0)
+        self.quiesce()
         self.broker.close()
         try:
             self.queue.close()
@@ -523,9 +366,7 @@ class FleetCollector:
     def _record(self, key: str) -> JobRecord:
         record = self.jobs.get(key)
         if record is None:
-            record = JobRecord(key=key)
-            self.jobs[key] = record
-            self._job_order.append(key)
+            record = self.jobs[key] = JobRecord(key=key)
         return record
 
     def expect(self, total: int) -> None:
@@ -536,140 +377,104 @@ class FleetCollector:
         with self._lock:
             record = self._record(key)
             record.submitted_mono = self._clock()
-            record.tag = getattr(job, "label", None) or job.technique
+            record.tag = job.label
             record.technique = job.technique
 
-    def note_cache_hit(self, key: str, job) -> None:
+    def settle(self, outcome, observed: Mapping[str, Any] | None = None,
+               requeued: bool = False) -> None:
+        """Record one job's outcome; the runner calls this exactly once
+        per key, and it is the only way an outcome reaches the collector.
+
+        ``outcome`` is the runner's :class:`~repro.exec.runner.JobOutcome`
+        for the key. ``observed`` is what the job body returned with the
+        result when it ran (its worker's pid, its start and end, its
+        spans); the worker is credited with the job when it succeeded.
+        ``requeued`` marks a job taken back from the pool and run on the
+        serial path.
+        """
         now = self._clock()
         with self._lock:
-            record = self._record(key)
-            record.tag = record.tag \
-                or getattr(job, "label", None) or job.technique
-            record.technique = record.technique or job.technique
-            if record.submitted_mono is None:
-                record.submitted_mono = now
-            record.cached = True
-            record.ok = True
-            record.finished_mono = now
-        self._publish_snapshot()
+            record = self._record(outcome.key)
+            record.ok = outcome.ok
+            record.error = outcome.error
+            record.wall_s = outcome.wall_s
+            record.cached = outcome.from_cache
+            record.requeued = requeued
+            for state in self._workers.values():
+                if state.busy_key == outcome.key:
+                    state.busy_key = None
+            if observed is not None:
+                state = self._worker_state(observed["worker"])
+                record.worker = state.slot
+                record.serial = state.slot == 0
+                record.started_mono = observed["started"]
+                record.finished_mono = observed["finished"]
+                record.spans = observed["spans"]
+                state.last_seen_mono = max(state.last_seen_mono,
+                                           record.finished_mono)
+                if outcome.ok:
+                    state.jobs_done += 1
+                    state.wall_s += outcome.wall_s
+            elif record.finished_mono is None:
+                record.finished_mono = now
+            result = outcome.result
+            if result is not None:
+                from repro.obs.audit import audit_result
 
-    def note_serial_start(self, key: str) -> None:
-        now = self._clock()
-        with self._lock:
-            record = self._record(key)
-            record.serial = True
-            record.worker = 0
-            state = self._workers.setdefault(
-                0, _WorkerState(slot=0, pid=os.getpid()))
-            state.busy_key = key
-            state.last_seen_mono = now
-            if record.started_mono is None:
-                record.started_mono = now
-            record.last_seen_mono = now
-        self._publish_snapshot()
-
-    def note_serial_finish(self, key: str, ok: bool,
-                           error: str | None, wall_s: float) -> None:
-        now = self._clock()
-        with self._lock:
-            record = self._record(key)
-            record.serial = True
-            record.finished_mono = now
-            record.ok = ok
-            record.error = error
-            record.wall_s = wall_s
-            if wall_s > 0:
-                self._max_wall_s = max(self._max_wall_s, wall_s)
-            state = self._workers.get(0)
-            if state is not None:
-                state.busy_key = None
-                state.jobs_done += 1
-                state.wall_s += wall_s
-                state.last_seen_mono = now
-        self._publish_snapshot()
-
-    def note_requeued(self, key: str) -> None:
-        with self._lock:
-            record = self._record(key)
-            record.requeued = True
-
-    def note_failed(self, key: str, error: str) -> None:
-        """A job the runner gave up on (explicit timeout, abandoned)."""
-        now = self._clock()
-        with self._lock:
-            record = self._record(key)
-            record.finished_mono = now
-            record.ok = False
-            record.error = error
+                record.duration_cycles = float(result.duration_cycles)
+                for violation in audit_result(result):
+                    record.violations[violation.kind] = \
+                        record.violations.get(violation.kind, 0) + 1
+            if outcome.ok and not outcome.from_cache:
+                self._max_wall_s = max(self._max_wall_s, outcome.wall_s)
         self._publish_snapshot()
 
     # --- worker message handling ------------------------------------------
 
     def handle(self, message: Mapping[str, Any]) -> None:
-        """Apply one worker event (public so tests can drive it)."""
+        """Apply one liveness message (public so tests can drive it).
+
+        Ignored: malformed messages, unknown or settled keys, and
+        messages from a pool worker about a job taken back from the pool
+        (stalled, or running on the serial path), so a late message
+        from an abandoned worker changes nothing.
+        """
         if not isinstance(message, Mapping):
             return
         kind = message.get("kind")
-        key = message.get("key")
-        if not isinstance(key, str):
+        pid = message.get("worker")
+        if kind not in _LIVENESS or not isinstance(pid, int):
             return
         now = float(message.get("mono", self._clock()))
         with self._lock:
+            record = self.jobs.get(message.get("key"))
+            if record is None or record.settled or (
+                    (record.serial or record.stalled) and pid != self._pid):
+                return
+            state = self._worker_state(pid)
+            if kind != "job.started" and state.slot != record.worker:
+                return  # not the worker running the job
             self.events_received += 1
-            state = self._worker_state(message.get("worker"))
-            if state is not None:
-                state.last_seen_mono = max(state.last_seen_mono, now)
-            record = self._record(key)
-            record.last_seen_mono = max(record.last_seen_mono or 0.0, now)
+            state.last_seen_mono = max(state.last_seen_mono, now)
             if kind == "job.started":
-                record.started_mono = now
-                record.tag = message.get("tag", record.tag) or record.tag
-                record.technique = (message.get("technique")
-                                    or record.technique)
-                if state is not None:
-                    record.worker = state.slot
-                    state.busy_key = key
+                record.started_mono = record.last_seen_mono = now
+                record.worker = state.slot
+                record.serial = state.slot == 0
+                state.busy_key = record.key
             elif kind == "job.heartbeat":
-                pass  # last_seen bookkeeping above is the payload
-            elif kind == "job.finished":
+                record.last_seen_mono = max(record.last_seen_mono, now)
+            else:  # job.finished: off its worker, not yet settled
                 record.finished_mono = now
-                record.ok = bool(message.get("ok"))
-                record.error = message.get("error")
-                record.wall_s = float(message.get("wall_s", 0.0))
-                if record.ok and record.wall_s > 0:
-                    self._max_wall_s = max(self._max_wall_s,
-                                           record.wall_s)
-                spans = message.get("spans")
-                if isinstance(spans, list):
-                    record.spans = spans
-                record.spans_dropped = int(
-                    message.get("spans_dropped", 0))
-                record.duration_cycles = float(
-                    message.get("duration_cycles", 0.0))
-                violations = message.get("violations")
-                if isinstance(violations, Mapping):
-                    record.violations = {str(k): int(v)
-                                         for k, v in violations.items()}
-                record.energy_j = message.get("energy_j")
-                record.requests = message.get("requests")
-                telemetry = message.get("telemetry")
-                if isinstance(telemetry, Mapping):
-                    record.telemetry = dict(telemetry)
-                if state is not None:
-                    if state.busy_key == key:
-                        state.busy_key = None
-                    state.jobs_done += 1
-                    state.wall_s += record.wall_s
+                if state.busy_key == record.key:
+                    state.busy_key = None
         self._publish_snapshot()
 
-    def _worker_state(self, pid) -> _WorkerState | None:
-        if not isinstance(pid, int):
-            return None
+    def _worker_state(self, pid: int) -> _WorkerState:
         state = self._workers.get(pid)
         if state is None:
-            slot = 1 + sum(1 for s in self._workers.values() if s.slot > 0)
-            state = _WorkerState(slot=slot, pid=pid)
-            self._workers[pid] = state
+            slot = 0 if pid == self._pid else 1 + sum(
+                1 for s in self._workers.values() if s.slot > 0)
+            state = self._workers[pid] = _WorkerState(slot=slot, pid=pid)
         return state
 
     # --- watchdog ---------------------------------------------------------
@@ -678,15 +483,14 @@ class FleetCollector:
         """Seconds of heartbeat silence before a running job is stalled.
 
         Either the configured absolute bound, or one derived from the
-        observed job wall-times: generous (8x the slowest finished job)
+        observed job wall-times: generous (8x the slowest computed job)
         but never below the floor or 20 heartbeat periods, so a cold
-        fleet with no finished jobs yet still has a sane bound.
+        fleet with no computed jobs yet still has a sane bound.
         """
         if self.config.stall_after_s is not None:
             return self.config.stall_after_s
-        return max(self.config.stall_floor_s,
-                   20.0 * self.config.heartbeat_s,
-                   self.config.stall_wall_factor * self._max_wall_s)
+        return max(STALL_FLOOR_S, 20.0 * HEARTBEAT_S,
+                   STALL_WALL_FACTOR * self._max_wall_s)
 
     def check_stalls(self) -> list[FleetStall]:
         """Scan running jobs for heartbeat silence; returns new stalls."""
@@ -742,12 +546,7 @@ class FleetCollector:
         now = self._clock()
         with self._lock:
             records = list(self.jobs.values())
-            finished = [r for r in records if r.finished_mono is not None]
-            computed = [r for r in finished
-                        if r.ok and not r.cached]
-            cached = sum(1 for r in finished if r.cached)
-            failed = sum(1 for r in finished
-                         if r.ok is False and not r.requeued)
+            settled, computed, cached, failed = _tally(records)
             running = [r for r in records if r.running]
             walls = [r.wall_s for r in computed if r.wall_s > 0]
             mean_wall = (math.fsum(walls) / len(walls)) if walls else 0.0
@@ -757,7 +556,7 @@ class FleetCollector:
                          sum(1 for s in self._workers.values()
                              if s.slot > 0 and not s.stalled), 1)
             total = max(self.total_expected, len(records))
-            remaining = max(0, total - len(finished))
+            remaining = max(0, total - len(settled))
             eta_s = (remaining * mean_wall / active) if walls else None
             end = self.finished_mono or now
             elapsed = max(end - self.started_mono, 1e-9)
@@ -780,14 +579,14 @@ class FleetCollector:
             return {
                 "elapsed_s": elapsed,
                 "total": total,
-                "done": len(finished),
+                "done": len(settled),
                 "computed": len(computed),
                 "cached": cached,
                 "failed": failed,
                 "running": len(running),
-                "jobs_per_s": len(finished) / elapsed,
-                "cache_hit_rate": (cached / len(finished)
-                                   if finished else 0.0),
+                "jobs_per_s": len(settled) / elapsed,
+                "cache_hit_rate": (cached / len(settled)
+                                   if settled else 0.0),
                 "mean_wall_s": mean_wall,
                 "eta_s": eta_s,
                 "violations": violations,
@@ -814,10 +613,7 @@ class FleetCollector:
         """The sweep-level rollup (call after the run has quiesced)."""
         with self._lock:
             records = list(self.jobs.values())
-            finished = [r for r in records if r.finished_mono is not None]
-            computed = sum(1 for r in finished if r.ok and not r.cached)
-            cached = sum(1 for r in finished if r.cached)
-            failed = sum(1 for r in finished if r.ok is False)
+            settled, computed, cached, failed = _tally(records)
             serial = sum(1 for r in records if r.serial)
             requeued = sum(1 for r in records if r.requeued)
             end = self.finished_mono or self._clock()
@@ -834,11 +630,11 @@ class FleetCollector:
                               key=lambda s: s.slot))
             return FleetReport(
                 total=max(self.total_expected, len(records)),
-                computed=computed, cached=cached, failed=failed,
+                computed=len(computed), cached=cached, failed=failed,
                 serial=serial, requeued=requeued, wall_s=wall,
-                jobs_per_s=len(finished) / wall,
-                cache_hit_rate=(cached / len(finished)
-                                if finished else 0.0),
+                jobs_per_s=len(settled) / wall,
+                cache_hit_rate=(cached / len(settled)
+                                if settled else 0.0),
                 violations=violations,
                 stalls=tuple(self.stalls),
                 workers=workers,
@@ -859,7 +655,7 @@ class FleetCollector:
         prefix + ``args.stalled``) so the freeze is visible in Perfetto.
         """
         with self._lock:
-            records = [self.jobs[key] for key in self._job_order]
+            records = list(self.jobs.values())
             end_mono = self.finished_mono or self._clock()
         t0 = self.started_mono
 
@@ -960,7 +756,16 @@ class FleetCollector:
         return path
 
 
+def _tally(records: list[JobRecord]) -> tuple[list[JobRecord],
+                                               list[JobRecord], int, int]:
+    """``(settled, computed, cached count, failed count)`` of records."""
+    settled = [r for r in records if r.settled]
+    computed = [r for r in settled if r.ok and not r.cached]
+    cached = sum(1 for r in settled if r.cached)
+    return settled, computed, cached, sum(1 for r in settled if not r.ok)
+
+
 __all__ = [
     "FLEET_TRACE_HZ", "FleetConfig", "FleetCollector", "FleetReport",
-    "FleetStall", "JobRecord", "fleet_worker_init", "fleet_timed_call",
+    "FleetStall", "JobRecord",
 ]

@@ -66,6 +66,23 @@ SCALAR_COLUMNS = (*SNAPSHOT_SCALARS, "migration_waves", "power_w")
 
 _I_TS, _I_REQ, _I_DEG, _I_BAL, _I_PEND, _I_MIG, _I_WAVES, _I_POWER = range(8)
 
+#: Samples used to estimate the degradation-rate reference mean/sigma
+#: before the CUSUM arms (and re-arms after each alarm).
+CUSUM_WARMUP = 16
+
+#: CUSUM slack ``k`` in estimated sigmas.
+CUSUM_K_SIGMAS = 1.0
+
+#: CUSUM alarm threshold ``h`` in estimated sigmas.
+CUSUM_H_SIGMAS = 10.0
+
+#: Samples used to baseline the slack-pending count.
+PENDING_WARMUP = 8
+
+#: Absolute slack-pending alarm threshold; ``None`` derives
+#: ``max(8, 4 * warmup max)`` from the warmup window.
+PENDING_LIMIT: float | None = None
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -82,15 +99,6 @@ class TelemetryConfig:
         capacity: ring rows kept in memory; on overflow every other row
             is dropped and the acceptance stride doubles (deterministic
             2:1 downsampling, O(capacity) memory forever).
-        detectors: run the online anomaly detectors.
-        cusum_warmup: samples used to estimate the degradation-rate
-            reference mean/sigma before the CUSUM arms (and re-arms
-            after each alarm).
-        cusum_k_sigmas: CUSUM slack ``k`` in estimated sigmas.
-        cusum_h_sigmas: CUSUM alarm threshold ``h`` in estimated sigmas.
-        pending_warmup: samples used to baseline the pending count.
-        pending_limit: absolute slack-pending alarm threshold; ``None``
-            derives ``max(8, 4 * warmup max)`` from the warmup window.
         inject_spike_cycles: fault injection — add this many phantom
             degradation cycles to the *observed* series (the simulation
             is untouched) at the first sample past
@@ -101,22 +109,15 @@ class TelemetryConfig:
 
     sample_cycles: float | None = None
     capacity: int = 2048
-    detectors: bool = True
-    cusum_warmup: int = 16
-    cusum_k_sigmas: float = 1.0
-    cusum_h_sigmas: float = 10.0
-    pending_warmup: int = 8
-    pending_limit: float | None = None
     inject_spike_cycles: float = 0.0
     inject_spike_at_frac: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sample_cycles is not None and self.sample_cycles <= 0:
+        # NaN fails too: it would leave only the end-of-run sample.
+        if self.sample_cycles is not None and not self.sample_cycles > 0:
             raise ConfigurationError("sample_cycles must be positive")
         if self.capacity < 8 or self.capacity % 2:
             raise ConfigurationError("capacity must be an even number >= 8")
-        if self.cusum_warmup < 2 or self.pending_warmup < 1:
-            raise ConfigurationError("detector warmup windows are too short")
         if not 0.0 <= self.inject_spike_at_frac <= 1.0:
             raise ConfigurationError(
                 "inject_spike_at_frac must be in [0, 1]")
@@ -214,8 +215,9 @@ class CusumDetector:
     #: (E|X-mu| = sigma * sqrt(2/pi), so sigma = dev * 1.2533).
     _DEV_TO_SIGMA = 1.2533
 
-    def __init__(self, warmup: int = 16, k_sigmas: float = 1.0,
-                 h_sigmas: float = 10.0) -> None:
+    def __init__(self, warmup: int = CUSUM_WARMUP,
+                 k_sigmas: float = CUSUM_K_SIGMAS,
+                 h_sigmas: float = CUSUM_H_SIGMAS) -> None:
         self._warmup = warmup
         self._k_sigmas = k_sigmas
         self._h_sigmas = h_sigmas
@@ -280,7 +282,8 @@ class PendingDriftDetector:
 
     kind = "slack-pending-drift"
 
-    def __init__(self, warmup: int = 8, limit: float | None = None) -> None:
+    def __init__(self, warmup: int = PENDING_WARMUP,
+                 limit: float | None = PENDING_LIMIT) -> None:
         self._warmup = warmup
         self._limit = limit
         self._window: list[float] = []
@@ -558,8 +561,8 @@ class TelemetrySampler:
         self._waves = 0
         self._spike_at = math.inf
         self._spike_pending = 0.0
-        self._cusum: CusumDetector | None = None
-        self._pending: PendingDriftDetector | None = None
+        self._cusum = CusumDetector()
+        self._pending = PendingDriftDetector()
 
     # --- binding ----------------------------------------------------------
 
@@ -598,14 +601,6 @@ class TelemetrySampler:
             self._spike_at = (self.config.inject_spike_at_frac
                               * engine.trace.duration_cycles)
             self._spike_pending = self.config.inject_spike_cycles
-        if self.config.detectors:
-            self._cusum = CusumDetector(
-                warmup=self.config.cusum_warmup,
-                k_sigmas=self.config.cusum_k_sigmas,
-                h_sigmas=self.config.cusum_h_sigmas)
-            self._pending = PendingDriftDetector(
-                warmup=self.config.pending_warmup,
-                limit=self.config.pending_limit)
         for exporter in self.exporters:
             exporter.on_bind(self.columns)
 
@@ -636,15 +631,10 @@ class TelemetrySampler:
         index = self.samples_captured
         self.samples_captured += 1
 
-        fresh: list[TelemetryAnomaly] = []
-        if self._cusum is not None:
-            alarm = self._cusum.observe(index, now, degradation)
-            if alarm is not None:
-                fresh.append(alarm)
-        if self._pending is not None:
-            alarm = self._pending.observe(index, now, snapshot[_I_PEND])
-            if alarm is not None:
-                fresh.append(alarm)
+        fresh = [alarm for alarm in (
+            self._cusum.observe(index, now, degradation),
+            self._pending.observe(index, now, snapshot[_I_PEND]))
+            if alarm is not None]
         for anomaly in fresh:
             self.anomalies.append(anomaly)
             if self._tracer is not None:

@@ -1,11 +1,15 @@
 """Units for cross-process fleet observability.
 
-Collector logic is driven directly through :meth:`FleetCollector.handle`
-(the watchdog on an injectable fake clock), the worker wrapper runs
-in-process against a plain queue, and one round-trip test ships real
-messages through the multiprocessing queue the pool would use.
+The job body (:func:`repro.exec.runner._run_job`) runs in-process
+against a plain list or queue, collector logic is driven directly
+through :meth:`FleetCollector.handle` and :meth:`FleetCollector.settle`
+(the watchdog on an injectable fake clock), and one round-trip test
+ships real messages through the multiprocessing queue the pool uses.
 """
 
+import dataclasses
+import math
+import os
 import pickle
 import queue
 import threading
@@ -15,15 +19,16 @@ import pytest
 
 from repro.config import BusConfig, MemoryConfig, SimulationConfig
 from repro.errors import ConfigurationError
+from repro.exec import run_many
+from repro.exec import runner as runner_module
 from repro.exec.jobs import SimJob
-from repro.exec.runner import _execute
-from repro.obs import fleet as fleet_module
+from repro.exec.runner import JobOutcome, _execute, _observe_worker, _run_job
 from repro.obs.export import validate_chrome_trace
 from repro.obs.fleet import (
+    HEARTBEAT_S,
+    STALL_FLOOR_S,
     FleetCollector,
     FleetConfig,
-    fleet_timed_call,
-    fleet_worker_init,
 )
 from repro.traces.records import DMATransfer, ProcessorBurst
 from repro.traces.trace import Trace
@@ -60,13 +65,13 @@ class FakeClock:
 
 
 @pytest.fixture
-def worker_ctx():
-    """Bind the in-process 'worker' to a plain queue; restore after."""
+def pool_worker():
+    """Make this process look like a fleet-observed pool worker posting
+    to a plain queue; restore after."""
     q = queue.Queue()
-    fleet_worker_init(q, FleetCollector(FleetConfig(
-        heartbeat_s=0.05)).worker_opts())
+    _observe_worker(q, "", 0.0)
     yield q
-    fleet_module._WORKER_CTX = None
+    runner_module._POOL_FLEET = None
 
 
 def drain(q) -> list[dict]:
@@ -78,20 +83,34 @@ def drain(q) -> list[dict]:
             return out
 
 
+def outcome(job, result=None, error=None, wall_s=0.0, from_cache=False):
+    return JobOutcome(job, job.key(), result, error, from_cache, wall_s)
+
+
+def observed(pid, started, finished, spans=()):
+    return {"worker": pid, "started": started, "finished": finished,
+            "spans": list(spans)}
+
+
+def started(job, pid, mono):
+    return {"kind": "job.started", "worker": pid, "key": job.key(),
+            "mono": mono}
+
+
 class TestFleetConfig:
     def test_defaults_are_valid(self):
-        config = FleetConfig()
-        assert config.capture_spans
-        assert not config.sample_telemetry  # ULP-perturbing: opt-in only
+        # Only the settings repro sweep exposes remain.
+        assert [f.name for f in dataclasses.fields(FleetConfig())] == \
+            ["stall_after_s", "inject_stall_tag", "inject_stall_s"]
 
     @pytest.mark.parametrize("kwargs", [
-        {"heartbeat_s": 0.0},
-        {"poll_s": -1.0},
         {"stall_after_s": 0.0},
-        {"stall_floor_s": 0.0},
-        {"stall_wall_factor": -2.0},
-        {"span_capacity": 0},
+        {"stall_after_s": -1.0},
+        {"stall_after_s": math.nan},  # would flag every running job
         {"inject_stall_s": -1.0},
+        {"inject_stall_s": math.nan},
+        {"inject_stall_s": math.inf, "inject_stall_tag": "x"},
+        {"inject_stall_s": 2.0},  # a freeze with no job to freeze
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -99,40 +118,34 @@ class TestFleetConfig:
 
 
 class TestWorkerWrapper:
-    def test_streams_started_and_finished_with_spans(self, worker_ctx):
+    def test_streams_started_and_finished_with_spans(self):
+        messages = []
         job = SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
                      mu=1.0, tag="mu=1:dma-ta")
-        result, wall = fleet_timed_call(_execute, job, job.key(), True)
+        result, wall, seen = _run_job(_execute, job, job.key(), True,
+                                      messages.append)
         assert result.technique == "dma-ta"
         assert wall > 0
-        messages = drain(worker_ctx)
-        kinds = [m["kind"] for m in messages]
-        assert kinds[0] == "job.started"
-        assert kinds[-1] == "job.finished"
-        started, finished = messages[0], messages[-1]
-        assert started["tag"] == "mu=1:dma-ta"
-        assert started["technique"] == "dma-ta"
-        assert finished["ok"] is True
-        assert finished["error"] is None
-        assert finished["wall_s"] == wall
-        assert finished["spans"], "ring-tracer spans must ship"
-        assert finished["duration_cycles"] == result.duration_cycles
-        assert finished["violations"] == {}
-        assert finished["energy_j"] == result.energy_joules
+        assert [m["kind"] for m in messages] == ["job.started",
+                                                 "job.finished"]
+        assert {m["key"] for m in messages} == {job.key()}
+        assert seen["worker"] == os.getpid()
+        assert seen["started"] == messages[0]["mono"]
+        assert seen["finished"] == messages[1]["mono"] >= seen["started"]
+        assert seen["spans"], "ring-tracer spans must ship"
         # Everything on the wire must survive the pickle boundary.
-        for message in messages:
+        for message in messages + [seen]:
             assert pickle.loads(pickle.dumps(message)) == message
 
-    def test_observed_body_matches_plain_run_exactly(self, worker_ctx):
-        import dataclasses
-
+    def test_observed_body_matches_plain_run_exactly(self):
         job = SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
                      mu=1.0)
-        observed, _ = fleet_timed_call(_execute, job, job.key(), True)
+        result, _, _ = _run_job(_execute, job, job.key(), True,
+                                [].append)
         plain = _execute(job)
-        assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
+        assert dataclasses.asdict(result) == dataclasses.asdict(plain)
 
-    def test_custom_worker_body_skips_span_capture(self, worker_ctx):
+    def test_custom_worker_body_skips_span_capture(self):
         calls = []
 
         def custom(job):
@@ -140,68 +153,93 @@ class TestWorkerWrapper:
             return _execute(job)
 
         job = tiny_job()
-        result, _ = fleet_timed_call(custom, job, job.key(), False)
+        _, _, seen = _run_job(custom, job, job.key(), False, [].append)
         assert calls == ["baseline"]
-        finished = drain(worker_ctx)[-1]
-        assert finished["ok"] is True
-        assert "spans" not in finished
+        assert seen["spans"] == []
 
-    def test_exception_reports_failure_and_reraises(self, worker_ctx):
+    def test_exception_reports_failure_and_reraises(self):
+        messages = []
+
         def boom(job):
             raise RuntimeError("injected worker fault")
 
         job = tiny_job()
         with pytest.raises(RuntimeError, match="injected worker fault"):
-            fleet_timed_call(boom, job, job.key(), False)
-        finished = drain(worker_ctx)[-1]
-        assert finished["kind"] == "job.finished"
-        assert finished["ok"] is False
-        assert "injected worker fault" in finished["error"]
+            _run_job(boom, job, job.key(), False, messages.append)
+        assert messages[-1]["kind"] == "job.finished"  # off the worker
+        collector = FleetCollector(FleetConfig())
+        try:
+            (out,) = run_many([job], worker=boom, fleet=collector)
+            report = collector.report()
+        finally:
+            collector.close()
+        assert "injected worker fault" in out.error
+        assert report.failed == 1 and report.computed == 0
+        record = collector.jobs[job.key()]
+        assert record.ok is False and record.error == out.error
 
-    def test_heartbeats_flow_during_long_jobs(self, worker_ctx):
+    def test_heartbeats_flow_during_long_jobs(self, pool_worker):
         def slow(job):
-            time.sleep(0.25)
+            time.sleep(2.4 * HEARTBEAT_S)
             return _execute(job)
 
         job = tiny_job()
-        fleet_timed_call(slow, job, job.key(), False)
-        kinds = [m["kind"] for m in drain(worker_ctx)]
+        _run_job(slow, job, job.key())
+        kinds = [m["kind"] for m in drain(pool_worker)]
+        assert kinds[0] == "job.started" and "job.finished" in kinds
         assert "job.heartbeat" in kinds
 
+    def test_injected_stall_freezes_only_the_tagged_pool_job(self):
+        fleet_queue = queue.Queue()
+        job = tiny_job(tag="frozen")
+        try:
+            _observe_worker(fleet_queue, "frozen", 0.3)
+            start = time.monotonic()
+            _run_job(_execute, job, job.key())
+            assert time.monotonic() - start >= 0.3
+            start = time.monotonic()  # the serial path never freezes
+            _run_job(_execute, job, job.key(), post=[].append)
+            assert time.monotonic() - start < 0.3
+        finally:
+            runner_module._POOL_FLEET = None
+
     def test_without_initializer_degrades_to_plain_timing(self):
-        fleet_module._WORKER_CTX = None
+        threads = threading.active_count()
+
+        def plain(job, **kwargs):
+            assert not kwargs, "no tracer without a fleet"
+            assert threading.active_count() == threads, "no thread"
+            return _execute(job)
+
         job = tiny_job()
-        result, wall = fleet_timed_call(_execute, job, job.key(), True)
+        result, wall, seen = _run_job(plain, job, job.key(), True)
         assert result.technique == "baseline"
         assert wall > 0
+        assert seen is None
 
 
 class TestCollectorStateMachine:
     def make(self, clock=None, **config_kwargs):
-        collector = FleetCollector(FleetConfig(**config_kwargs),
-                                   clock=clock or FakeClock())
-        return collector
+        return FleetCollector(FleetConfig(**config_kwargs),
+                              clock=clock or FakeClock())
 
     def test_lifecycle_counts_and_report(self):
         clock = FakeClock()
         collector = self.make(clock)
         job = tiny_job("dma-ta", tag="point-a")
-        key = job.key()
+        result = _execute(job)
+        # A per-chip total that disagrees with the breakdown.
+        result.chip_energy = [2 * e for e in result.chip_energy]
         collector.expect(2)
-        collector.note_submitted(key, job)
-        collector.handle({"kind": "job.started", "worker": 4242,
-                          "key": key, "tag": "point-a",
-                          "technique": "dma-ta", "mono": clock()})
+        collector.note_submitted(job.key(), job)
+        collector.handle(started(job, 4242, clock()))
         clock.advance(0.5)
-        collector.handle({"kind": "job.finished", "worker": 4242,
-                          "key": key, "mono": clock(), "ok": True,
-                          "error": None, "wall_s": 0.5,
-                          "violations": {"result-energy-mismatch": 1},
-                          "energy_j": 1.0, "requests": 4.0})
+        collector.settle(outcome(job, result, wall_s=0.5),
+                         observed(4242, clock() - 0.5, clock()))
         cached = tiny_job("pl", tag="point-b")
         collector.note_submitted(cached.key(), cached)
-        collector.note_cache_hit(cached.key(), cached)
-        collector.quiesce(wait_s=0.0)
+        collector.settle(outcome(cached, _execute(cached), from_cache=True))
+        collector.quiesce()
         report = collector.report()
         assert report.total == 2
         assert report.computed == 1
@@ -209,6 +247,7 @@ class TestCollectorStateMachine:
         assert report.failed == 0
         assert report.violations == {"result-energy-mismatch": 1}
         assert report.cache_hit_rate == 0.5
+        assert [w["jobs_done"] for w in report.workers] == [1]
         rendered = report.render()
         assert "2 job(s)" in rendered
         assert "result-energy-mismatch: 1" in rendered
@@ -218,9 +257,7 @@ class TestCollectorStateMachine:
         jobs = [tiny_job("baseline"), tiny_job("pl"), tiny_job("nopm")]
         for pid, job in zip((900, 800, 900), jobs):
             collector.note_submitted(job.key(), job)
-            collector.handle({"kind": "job.started", "worker": pid,
-                              "key": job.key(), "tag": job.label,
-                              "technique": job.technique, "mono": 1.0})
+            collector.handle(started(job, pid, 1.0))
         snapshot = collector.snapshot()
         slots = {w["pid"]: w["slot"] for w in snapshot["workers"]}
         assert slots == {900: 1, 800: 2}
@@ -228,14 +265,14 @@ class TestCollectorStateMachine:
     def test_serial_path_is_worker_slot_zero(self):
         collector = self.make()
         job = tiny_job()
-        key = job.key()
-        collector.note_submitted(key, job)
-        collector.note_serial_start(key)
-        collector.note_serial_finish(key, True, None, 0.1)
+        (out,) = run_many([job], fleet=collector)
         report = collector.report()
         assert report.serial == 1
         assert report.workers[0]["slot"] == 0
+        assert report.workers[0]["pid"] == os.getpid()
         assert report.workers[0]["jobs_done"] == 1
+        assert collector.jobs[out.key].wall_s == out.wall_s
+        assert report.spans_merged > 0, "serial jobs ship spans too"
 
     def test_snapshot_eta_and_rates(self):
         clock = FakeClock()
@@ -244,16 +281,11 @@ class TestCollectorStateMachine:
         jobs = [tiny_job(t) for t in ("baseline", "pl")]
         for job in jobs:
             collector.note_submitted(job.key(), job)
-        for index, job in enumerate(jobs):
-            collector.handle({"kind": "job.started", "worker": 7000,
-                              "key": job.key(), "tag": job.label,
-                              "technique": job.technique,
-                              "mono": clock()})
+        for job in jobs:
+            collector.handle(started(job, 7000, clock()))
             clock.advance(2.0)
-            collector.handle({"kind": "job.finished", "worker": 7000,
-                              "key": job.key(), "mono": clock(),
-                              "ok": True, "error": None, "wall_s": 2.0,
-                              "violations": {}})
+            collector.settle(outcome(job, _execute(job), wall_s=2.0),
+                             observed(7000, clock() - 2.0, clock()))
         snapshot = collector.snapshot()
         assert snapshot["done"] == 2
         assert snapshot["total"] == 4
@@ -265,22 +297,105 @@ class TestCollectorStateMachine:
     def test_ignores_malformed_messages(self):
         collector = self.make()
         collector.handle("not a mapping")
-        collector.handle({"kind": "job.started"})  # no key
-        collector.handle({"kind": "mystery", "key": "k", "mono": 1.0})
-        assert collector.report().total == 1  # the mystery key only
+        collector.handle({"kind": "job.started"})  # no key or worker
+        collector.handle({"kind": "mystery", "key": "k", "worker": 1,
+                          "mono": 1.0})
+        collector.handle({"kind": "job.started", "key": "unknown",
+                          "worker": 1, "mono": 1.0})
+        report = collector.report()
+        assert report.total == 0
+        assert report.events_received == 0
+
+
+class TestOneOutcomePath:
+    def test_late_messages_cannot_change_a_settled_record(self):
+        clock = FakeClock()
+        collector = FleetCollector(FleetConfig(), clock=clock)
+        job = tiny_job(tag="settled")
+        key = job.key()
+        collector.note_submitted(key, job)
+        collector.handle(started(job, 31, clock()))
+        clock.advance(1.0)
+        collector.settle(outcome(job, error="timed out after 1s"))
+        collector.quiesce()
+        record = dataclasses.asdict(collector.jobs[key])
+        report = collector.report().as_dict()
+        clock.advance(5.0)
+        for message in (
+                {"kind": "job.heartbeat", "worker": 31, "key": key,
+                 "mono": clock()},
+                started(job, 31, clock()),
+                # The full outcome payload older workers used to send.
+                {"kind": "job.finished", "worker": 31, "key": key,
+                 "mono": clock(), "ok": True, "error": None,
+                 "wall_s": 6.0, "spans": [{"ph": "X"}]}):
+            collector.handle(message)
+        assert dataclasses.asdict(collector.jobs[key]) == record
+        assert collector.report().as_dict() == report
+        assert report["failed"] == 1
+
+    def test_requeued_job_hears_only_the_parent(self):
+        clock = FakeClock()
+        collector = FleetCollector(FleetConfig(stall_after_s=1.0),
+                                   clock=clock)
+        job = tiny_job(tag="bounced")
+        key = job.key()
+        collector.note_submitted(key, job)
+        collector.handle(started(job, 41, clock()))
+        clock.advance(2.0)
+        assert [s.key for s in collector.check_stalls()] == [key]
+        collector.handle(started(job, os.getpid(), clock()))  # serial run
+        collector.handle(started(job, 41, clock()))  # the frozen worker
+        collector.handle({"kind": "job.finished", "worker": 41,
+                          "key": key, "mono": clock()})
+        record = collector.jobs[key]
+        assert record.worker == 0 and record.serial
+        assert record.finished_mono is None
+
+    def test_finished_pool_job_is_not_stalled_while_runner_is_busy(self):
+        """The runner settles pool results only between its own serial
+        runs; a job whose worker already finished must not look silent
+        in the meantime."""
+        clock = FakeClock()
+        collector = FleetCollector(FleetConfig(stall_after_s=1.0),
+                                   clock=clock)
+        done, stuck = tiny_job("pl", tag="done"), tiny_job(tag="stuck")
+        for job in (done, stuck):
+            collector.note_submitted(job.key(), job)
+        collector.handle(started(done, 51, clock()))
+        collector.handle(started(stuck, 52, clock()))
+        clock.advance(0.5)
+        collector.handle({"kind": "job.finished", "worker": 51,
+                          "key": done.key(), "mono": clock()})
+        clock.advance(1.0)
+        assert [s.key for s in collector.check_stalls()] == [stuck.key()]
+        assert collector.take_stalled() == [stuck.key()]
+        # The runner now runs the stalled job serially for a long time.
+        collector.handle(started(stuck, os.getpid(), clock()))
+        for _ in range(10):
+            clock.advance(1.0)
+            assert collector.check_stalls() == []
+        collector.settle(outcome(done, _execute(done), wall_s=0.5),
+                         observed(51, 1000.0, 1000.5))
+        collector.settle(outcome(stuck, _execute(stuck), wall_s=10.0),
+                         observed(os.getpid(), 1001.5, clock()),
+                         requeued=True)
+        report = collector.report()
+        assert len(report.stalls) == 1
+        assert report.computed == 2 and report.failed == 0
+        assert report.requeued == 1 and report.serial == 1
+        assert sum(w["jobs_done"] for w in report.workers) == 2
 
 
 class TestWatchdog:
     def test_stall_detected_attributed_and_drained_once(self):
         clock = FakeClock()
-        collector = FleetCollector(
-            FleetConfig(heartbeat_s=0.25, stall_after_s=3.0), clock=clock)
+        collector = FleetCollector(FleetConfig(stall_after_s=3.0),
+                                   clock=clock)
         job = tiny_job("dma-ta", tag="stuck-point")
         key = job.key()
         collector.note_submitted(key, job)
-        collector.handle({"kind": "job.started", "worker": 5555,
-                          "key": key, "tag": "stuck-point",
-                          "technique": "dma-ta", "mono": clock()})
+        collector.handle(started(job, 5555, clock()))
         # A worker that dies mid-job: started, then permanent silence.
         clock.advance(2.0)
         assert collector.check_stalls() == []
@@ -299,14 +414,12 @@ class TestWatchdog:
 
     def test_heartbeats_defer_the_watchdog(self):
         clock = FakeClock()
-        collector = FleetCollector(
-            FleetConfig(stall_after_s=3.0), clock=clock)
+        collector = FleetCollector(FleetConfig(stall_after_s=3.0),
+                                   clock=clock)
         job = tiny_job(tag="alive")
         key = job.key()
         collector.note_submitted(key, job)
-        collector.handle({"kind": "job.started", "worker": 1, "key": key,
-                          "tag": "alive", "technique": "baseline",
-                          "mono": clock()})
+        collector.handle(started(job, 1, clock()))
         for _ in range(4):
             clock.advance(2.0)
             collector.handle({"kind": "job.heartbeat", "worker": 1,
@@ -315,29 +428,21 @@ class TestWatchdog:
 
     def test_derived_bound_scales_with_observed_walls(self):
         clock = FakeClock()
-        collector = FleetCollector(
-            FleetConfig(heartbeat_s=0.25, stall_floor_s=5.0,
-                        stall_wall_factor=8.0), clock=clock)
-        assert collector.stall_bound() == 5.0  # cold: the floor
+        collector = FleetCollector(FleetConfig(), clock=clock)
+        assert collector.stall_bound() == STALL_FLOOR_S  # cold: the floor
         job = tiny_job()
-        key = job.key()
-        collector.note_submitted(key, job)
-        collector.handle({"kind": "job.finished", "worker": 1,
-                          "key": key, "mono": clock(), "ok": True,
-                          "error": None, "wall_s": 2.0})
+        collector.note_submitted(job.key(), job)
+        collector.settle(outcome(job, _execute(job), wall_s=2.0))
         assert collector.stall_bound() == pytest.approx(16.0)
 
     def test_stall_publishes_sse_event(self):
         clock = FakeClock()
-        collector = FleetCollector(
-            FleetConfig(stall_after_s=1.0), clock=clock)
+        collector = FleetCollector(FleetConfig(stall_after_s=1.0),
+                                   clock=clock)
         subscriber = collector.broker.subscribe()
         job = tiny_job(tag="pub")
-        key = job.key()
-        collector.note_submitted(key, job)
-        collector.handle({"kind": "job.started", "worker": 1, "key": key,
-                          "tag": "pub", "technique": "baseline",
-                          "mono": clock()})
+        collector.note_submitted(job.key(), job)
+        collector.handle(started(job, 1, clock()))
         clock.advance(2.0)
         collector.check_stalls()
         events = []
@@ -352,26 +457,20 @@ class TestWatchdog:
 class TestFleetTrace:
     def test_merged_trace_validates_and_flags_stalls(self):
         clock = FakeClock()
-        collector = FleetCollector(
-            FleetConfig(stall_after_s=1.0), clock=clock)
+        collector = FleetCollector(FleetConfig(stall_after_s=1.0),
+                                   clock=clock)
         good = tiny_job("pl", tag="good")
         stuck = tiny_job("dma-ta", tag="stuck")
         for job in (good, stuck):
             collector.note_submitted(job.key(), job)
         clock.advance(0.1)
-        collector.handle({"kind": "job.started", "worker": 10,
-                          "key": good.key(), "tag": "good",
-                          "technique": "pl", "mono": clock()})
-        collector.handle({"kind": "job.started", "worker": 20,
-                          "key": stuck.key(), "tag": "stuck",
-                          "technique": "dma-ta", "mono": clock()})
+        collector.handle(started(good, 10, clock()))
+        collector.handle(started(stuck, 20, clock()))
         clock.advance(0.4)
-        collector.handle({
-            "kind": "job.finished", "worker": 10, "key": good.key(),
-            "mono": clock(), "ok": True, "error": None, "wall_s": 0.4,
-            "duration_cycles": 1000.0,
-            "spans": [{"ts": 0.0, "name": "active", "track": "chip:0",
-                       "ph": "X", "dur": 500.0}]})
+        span = {"ts": 0.0, "name": "active", "track": "chip:0",
+                "ph": "X", "dur": 50_000.0}  # half of the 100k-cycle run
+        collector.settle(outcome(good, _execute(good), wall_s=0.4),
+                         observed(10, clock() - 0.4, clock(), [span]))
         clock.advance(2.0)
         collector.check_stalls()
         trace = collector.chrome_trace(label="unit")
@@ -400,12 +499,12 @@ class TestFleetTrace:
         hit = tiny_job("pl", tag="warm")
         requeued = tiny_job("dma-ta", tag="bounced")
         collector.note_submitted(hit.key(), hit)
-        collector.note_cache_hit(hit.key(), hit)
+        collector.settle(outcome(hit, _execute(hit), from_cache=True))
         collector.note_submitted(requeued.key(), requeued)
-        collector.note_requeued(requeued.key())
-        collector.note_serial_start(requeued.key())
         clock.advance(0.3)
-        collector.note_serial_finish(requeued.key(), True, None, 0.3)
+        collector.settle(outcome(requeued, _execute(requeued), wall_s=0.3),
+                         observed(os.getpid(), clock() - 0.3, clock()),
+                         requeued=True)
         names = {e["name"] for e in collector.chrome_trace()["traceEvents"]}
         assert "cache.hit" in names
         assert "job.requeued" in names
@@ -413,31 +512,32 @@ class TestFleetTrace:
 
 class TestQueueRoundTrip:
     def test_messages_survive_the_real_mp_queue(self):
-        collector = FleetCollector(FleetConfig(heartbeat_s=0.05))
-        fleet_queue, opts = collector.initargs()
+        collector = FleetCollector(FleetConfig())
         job = SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
                      mu=1.0, tag="round-trip")
         key = job.key()
         collector.note_submitted(key, job)
+        ran = []
 
         def worker_side():
-            fleet_worker_init(fleet_queue, opts)
+            _observe_worker(collector.queue, "", 0.0)
             try:
-                fleet_timed_call(_execute, job, key, True)
+                ran.append(_run_job(_execute, job, key, True))
             finally:
-                fleet_module._WORKER_CTX = None
+                runner_module._POOL_FLEET = None
 
+        collector.start()
         thread = threading.Thread(target=worker_side)
         thread.start()
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        collector.start()
         deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            report = collector.report()
-            if report.computed == 1:
-                break
+        while collector.jobs[key].finished_mono is None:
+            assert time.monotonic() < deadline, "liveness never arrived"
             time.sleep(0.05)
+        assert collector.events_received >= 2  # started + finished
+        (result, wall, seen), = ran
+        collector.settle(outcome(job, result, wall_s=wall), seen)
         collector.quiesce()
         report = collector.report()
         assert report.computed == 1
@@ -445,8 +545,18 @@ class TestQueueRoundTrip:
         assert validate_chrome_trace(collector.chrome_trace()) == []
         collector.close()
 
-    def test_initargs_are_picklable_for_spawned_workers(self):
+    def test_initargs_are_picklable_for_spawned_workers(self, monkeypatch):
+        """Spawned workers receive the collector's queue and the stall
+        settings through the pool initializer's arguments."""
+        monkeypatch.setenv(runner_module.START_METHOD_ENV, "spawn")
         collector = FleetCollector(FleetConfig())
-        _, opts = collector.initargs()
-        assert pickle.loads(pickle.dumps(opts)) == opts
-        collector.close()
+        jobs = [tiny_job("baseline"), tiny_job("pl")]
+        try:
+            outcomes = run_many(jobs, max_workers=2, fleet=collector)
+            report = collector.report()
+        finally:
+            collector.close()
+        assert all(o.ok for o in outcomes)
+        assert report.computed == 2 and report.serial == 0
+        assert report.spans_merged > 0
+        assert sum(w["jobs_done"] for w in report.workers) == 2

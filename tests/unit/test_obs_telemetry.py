@@ -35,8 +35,8 @@ class TestTelemetryConfig:
         {"sample_cycles": -5.0},
         {"capacity": 6},          # too small
         {"capacity": 9},          # odd
-        {"cusum_warmup": 1},
-        {"pending_warmup": 0},
+        {"sample_cycles": math.nan},
+        {"inject_spike_at_frac": -0.1},
         {"inject_spike_at_frac": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
