@@ -11,27 +11,32 @@ Run:  python examples/chip_activity_heatmap.py
 """
 
 from repro import simulate, synthetic_storage_trace
-from repro.analysis.timeline import activity_share, render_heatmap
+from repro.analysis.timeline import (activity_share, busy_intervals,
+                                     render_heatmap)
+from repro.obs import RingTracer
 
 
 def main() -> None:
     trace = synthetic_storage_trace(duration_ms=10.0, seed=6)
 
-    baseline = simulate(trace, technique="baseline", record_timeline=True)
+    # The chips' trace spans say when each one was busy.
+    base_spans, tapl_spans = RingTracer(), RingTracer()
+    baseline = simulate(trace, technique="baseline", tracer=base_spans)
     aligned = simulate(trace, technique="dma-ta-pl", cp_limit=0.10,
-                       record_timeline=True)
+                       tracer=tapl_spans)
+    base_timeline = busy_intervals(base_spans.events)
+    tapl_timeline = busy_intervals(tapl_spans.events)
 
-    print(render_heatmap(baseline.timeline, baseline.duration_cycles,
+    print(render_heatmap(base_timeline, baseline.duration_cycles,
                          width=70, title="baseline: traffic on all chips"))
     print()
-    print(render_heatmap(aligned.timeline, aligned.duration_cycles,
+    print(render_heatmap(tapl_timeline, aligned.duration_cycles,
                          width=70,
                          title="DMA-TA-PL @ 10%: hot pages clustered, "
                                "bursts aligned"))
 
-    base_shares = activity_share(baseline.timeline,
-                                 baseline.duration_cycles)
-    tapl_shares = activity_share(aligned.timeline, aligned.duration_cycles)
+    base_shares = activity_share(base_timeline, baseline.duration_cycles)
+    tapl_shares = activity_share(tapl_timeline, aligned.duration_cycles)
     hottest = max(tapl_shares, key=tapl_shares.get)
     print(f"\nhottest chip under PL: chip {hottest} "
           f"({tapl_shares[hottest]:.0%} busy vs "

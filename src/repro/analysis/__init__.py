@@ -1,14 +1,18 @@
-"""Analysis helpers: metrics, sweeps, and table rendering for the benches."""
+"""Analysis helpers: sweeps, reports, timelines and table rendering.
 
-from repro.analysis.metrics import (
-    energy_savings,
-    breakdown_fractions,
-    utilization_series,
-)
-from repro.analysis.sweep import SweepPoint, sweep_cp_limit, sweep_errors, run_pair
+:func:`sweep_cp_limit` is the one technique-vs-baseline comparison: it
+runs every point against one shared baseline through
+:func:`repro.exec.run_many`. Savings, breakdown fractions and the
+utilization factor are read off each
+:class:`~repro.sim.results.SimulationResult`
+(``energy_savings_vs``, ``energy.fractions()``, ``utilization_factor``).
+"""
+
+from repro.analysis.sweep import SweepPoint, sweep_cp_limit, sweep_errors
 from repro.analysis.tables import format_table, format_series, format_breakdown
 from repro.analysis.charts import bar_chart, line_chart, savings_chart
-from repro.analysis.timeline import activity_share, render_heatmap
+from repro.analysis.timeline import (activity_share, busy_intervals,
+                                     render_heatmap)
 
 __all__ = [
     "bar_chart",
@@ -16,13 +20,10 @@ __all__ = [
     "savings_chart",
     "render_heatmap",
     "activity_share",
-    "energy_savings",
-    "breakdown_fractions",
-    "utilization_series",
+    "busy_intervals",
     "SweepPoint",
     "sweep_cp_limit",
     "sweep_errors",
-    "run_pair",
     "format_table",
     "format_series",
     "format_breakdown",

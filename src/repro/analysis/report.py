@@ -1,11 +1,12 @@
 """One-shot experiment reports.
 
 :func:`build_report` runs the full technique matrix on one trace —
-baseline, DMA-TA, PL, DMA-TA-PL at a list of CP-Limits — and renders a
-markdown-ish text report with the energy table, the savings curves, the
-breakdown comparison, and the guarantee audit. It is the programmatic
-equivalent of reading Figures 5-7 for a single workload, and what the
-``repro report`` CLI command prints.
+baseline, DMA-TA, PL, DMA-TA-PL at a list of CP-Limits — through
+:func:`~repro.analysis.sweep.sweep_cp_limit`, against one shared
+baseline, and renders a markdown-ish text report with the energy table,
+the savings curves, the breakdown comparison, and the guarantee audit.
+It is the programmatic equivalent of reading Figures 5-7 for a single
+workload, and what the ``repro report`` CLI command prints.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.charts import savings_chart
+from repro.analysis.sweep import sweep_cp_limit, sweep_errors
 from repro.analysis.tables import format_breakdown, format_table
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.results import SimulationResult
-from repro.sim.run import simulate
 from repro.traces.stats import characterize
 from repro.traces.trace import Trace
 
@@ -54,17 +55,25 @@ def build_report(trace: Trace, config: SimulationConfig | None = None,
                  cp_limits: tuple[float, ...] = DEFAULT_CP_LIMITS,
                  techniques: tuple[str, ...] = ("dma-ta", "dma-ta-pl"),
                  ) -> ExperimentReport:
-    """Run the matrix and return the structured report."""
+    """Run the matrix and return the structured report.
+
+    Raises :class:`~repro.errors.SimulationError` naming every failed
+    run: a report is never built from part of its matrix.
+    """
     if not cp_limits:
         raise ConfigurationError("need at least one CP-Limit")
-    baseline = simulate(trace, config=config, technique="baseline")
-    report = ExperimentReport(trace=trace, baseline=baseline)
+    if not techniques:
+        raise ConfigurationError("need at least one technique")
+    points = sweep_cp_limit(trace, list(cp_limits), list(techniques),
+                            config=config)
+    failures = sweep_errors(points)
+    if failures:
+        raise SimulationError(failures)
+    report = ExperimentReport(trace=trace, baseline=points[0].baseline)
     for technique in techniques:
-        runs = {}
-        for cp in cp_limits:
-            runs[cp] = simulate(trace, config=config, technique=technique,
-                                cp_limit=cp)
-        report.by_technique[technique] = runs
+        report.by_technique[technique] = {
+            point.x: point.result for point in points
+            if point.technique == technique}
     return report
 
 

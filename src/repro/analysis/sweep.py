@@ -19,7 +19,6 @@ from repro.exec.jobs import SimJob
 from repro.exec.runner import run_many
 from repro.obs.audit import audit_result, audit_summary
 from repro.sim.results import SimulationResult
-from repro.sim.run import simulate, validate_simulation_args
 from repro.traces.trace import Trace
 
 
@@ -67,27 +66,6 @@ def sweep_errors(points: list[SweepPoint]) -> str:
     return "\n".join(lines)
 
 
-def run_pair(trace: Trace, config: SimulationConfig | None,
-             technique: str, cp_limit: float | None = None,
-             mu: float | None = None,
-             baseline: SimulationResult | None = None,
-             engine: str = "fluid") -> tuple[SimulationResult, SimulationResult]:
-    """Run ``technique`` and (if not supplied) the baseline on a trace.
-
-    The spec is validated *before* anything runs, so a contradictory
-    ``cp_limit``/``mu`` combination raises
-    :class:`~repro.errors.ConfigurationError` immediately instead of
-    after a wasted baseline run (or, worse, inside a pool worker).
-    """
-    validate_simulation_args(technique, engine, mu=mu, cp_limit=cp_limit)
-    if baseline is None:
-        baseline = simulate(trace, config=config, technique="baseline",
-                            engine=engine)
-    result = simulate(trace, config=config, technique=technique,
-                      cp_limit=cp_limit, mu=mu, engine=engine)
-    return result, baseline
-
-
 def sweep_cp_limit(trace: Trace, cp_limits: list[float],
                    techniques: list[str],
                    config: SimulationConfig | None = None,
@@ -100,7 +78,10 @@ def sweep_cp_limit(trace: Trace, cp_limits: list[float],
 
     The baseline run is shared across all points (it has no performance
     guarantee, exactly as in the paper: "our techniques' results are
-    always compared to the same baseline result").
+    always compared to the same baseline result"). It is the one
+    technique-vs-baseline comparison path: ``repro sweep``, ``repro
+    compare``, ``repro report`` and ``repro bench explain`` all take
+    their points from it.
 
     Args:
         max_workers: fan the points out over this many worker processes
@@ -141,8 +122,7 @@ def sweep_cp_limit(trace: Trace, cp_limits: list[float],
             savings = float("nan")
             if error is None and outcome.result is not None \
                     and baseline is not None and baseline.energy_joules > 0:
-                savings = 1.0 - (outcome.result.energy_joules
-                                 / baseline.energy_joules)
+                savings = outcome.result.energy_savings_vs(baseline)
             audit: tuple[str, ...] = ()
             if error is None and outcome.result is not None:
                 audit = audit_summary(audit_result(outcome.result))

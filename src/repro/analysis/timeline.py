@@ -1,23 +1,53 @@
-"""Chip-activity timelines: recording and text-heatmap rendering.
+"""Chip-activity timelines: busy intervals and text-heatmap rendering.
 
-When a simulation runs with ``record_timeline=True`` (fluid engine), each
-chip logs its busy intervals with their serving fractions. The heatmap
-renders one character row per chip over the simulated horizon — a direct
-visual of what the techniques do: the baseline's traffic speckles every
-row; after PL, one or two hot rows darken while the rest go blank, and
-under DMA-TA the speckles fuse into short dense bursts.
+A traced run's chips already say when they were busy: each fluid chip
+emits an ``active`` span per busy slice, with the cycles it served per
+bucket, and each precise chip a ``serve`` span per request.
+:func:`busy_intervals` turns the chip spans a
+:class:`~repro.obs.tracer.RingTracer` recorded into per-chip
+``(start, end, serving_fraction)`` intervals. The heatmap renders one
+character row per chip over the simulated horizon — a direct visual of
+what the techniques do: the baseline's traffic speckles every row; after
+PL, one or two hot rows darken while the rest go blank, and under DMA-TA
+the speckles fuse into short dense bursts.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs.events import TRACK_CHIP, Event
 
 #: Shade ramp from idle to fully utilised.
 SHADES = " .:-=+*#"
 
 Interval = tuple[float, float, float]
+
+
+def busy_intervals(events: Iterable[Event]) -> dict[int, list[Interval]]:
+    """Each chip's busy intervals, from a traced run's chip spans.
+
+    Every chip with a span gets an entry. A fluid ``active`` span's
+    serving fraction is the cycles its DMA, processor and migration
+    buckets served over its length; a precise ``serve`` span is one
+    request served at full rate.
+    """
+    prefix = f"{TRACK_CHIP}:"
+    timelines: dict[int, list[Interval]] = {}
+    for event in events:
+        if not event.track.startswith(prefix):
+            continue
+        intervals = timelines.setdefault(int(event.track[len(prefix):]), [])
+        if event.name == "serve":
+            intervals.append((event.ts, event.ts + event.dur, 1.0))
+        elif event.name == "active":
+            args = event.args
+            served = (args["serving_dma"] + args["serving_proc"]
+                      + args["migration"])
+            intervals.append((event.ts, event.ts + event.dur,
+                              min(1.0, served / event.dur)))
+    return timelines
 
 
 def bucketize(intervals: Sequence[Interval], start: float, end: float,
@@ -70,13 +100,14 @@ def render_heatmap(timelines: dict[int, Sequence[Interval]],
     """All chips' activity as a labelled text heatmap.
 
     Args:
-        timelines: ``chip_id -> busy intervals`` (a result's
-            :attr:`~repro.sim.results.SimulationResult.timeline`).
+        timelines: ``chip_id -> busy intervals`` (see
+            :func:`busy_intervals`).
         duration_cycles: the simulated horizon.
         width: characters per row.
     """
     if not timelines:
-        return "(no timeline recorded; run with record_timeline=True)"
+        return ("(no timeline recorded; build one with busy_intervals() "
+                "from a traced run)")
     lines = [title] if title else []
     label_width = len(f"chip {max(timelines)}")
     for chip_id in sorted(timelines):

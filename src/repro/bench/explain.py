@@ -34,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from repro.analysis.sweep import SweepPoint, sweep_cp_limit
 from repro.bench.record import BenchRecord, Metric
 from repro.bench.trajectory import (
     load_result_records,
@@ -43,8 +44,8 @@ from repro.bench.trajectory import (
 )
 from repro.energy.accounting import BUCKETS
 from repro.errors import DiffError, ReproError
-from repro.obs.diff import SimRunSpec, diff_runs
-from repro.sim.run import simulate
+from repro.exec.jobs import SimJob
+from repro.obs.diff import diff_runs
 from repro.traces.oltp import oltp_database_trace, oltp_storage_trace
 from repro.traces.synthetic import (
     synthetic_database_trace,
@@ -118,17 +119,20 @@ def _metric_value(record: BenchRecord, name: str) -> float | None:
     return None
 
 
-def _savings_runs(trace_name: str, technique: str, cp: float,
-                  bench_ms: float):
-    """Re-run one fig 5 grid point: (baseline run, technique run)."""
+def _savings_point(trace_name: str, technique: str, cp: float,
+                   bench_ms: float) -> tuple[SimJob, SweepPoint]:
+    """Re-run one fig 5 grid point: its technique job and its sweep
+    point (the technique run against its baseline)."""
     maker = _TRACE_MAKERS.get(trace_name)
     if maker is None:
         raise DiffError(f"trace {trace_name!r} is not one of the paper's "
                         f"evaluation traces {tuple(_TRACE_MAKERS)}")
     trace = maker(duration_ms=bench_ms)
-    base = simulate(trace, technique="baseline")
-    run = simulate(trace, technique=technique, cp_limit=cp)
-    return trace, base, run
+    (point,) = sweep_cp_limit(trace, [cp], [technique])
+    if not point.ok:
+        raise DiffError(f"{trace_name} {technique} at cp={cp:g} failed: "
+                        f"{point.error}")
+    return SimJob(trace, technique, cp_limit=cp), point
 
 
 def explain_figure(figure: str,
@@ -164,25 +168,16 @@ def explain_figure(figure: str,
 
     # Re-run the candidate point, and the baseline configuration when it
     # differs (otherwise the candidate runs double as the baseline runs).
-    trace_c, base_c, run_c = _savings_runs(trace_name, technique, cp,
-                                           cand_ms)
-    value_c = run_c.energy_savings_vs(base_c)
+    job_c, point_c = _savings_point(trace_name, technique, cp, cand_ms)
     cross_duration = base_ms is not None and abs(base_ms - cand_ms) > 1e-9
-    if cross_duration:
-        _trace_b, base_b, run_b = _savings_runs(trace_name, technique, cp,
-                                                base_ms)
-        value_b = run_b.energy_savings_vs(base_b)
-    else:
-        run_b, value_b = run_c, value_c
+    job_b, point_b = (_savings_point(trace_name, technique, cp, base_ms)
+                      if cross_duration else (job_c, point_c))
+    run_c, value_c = point_c.result, point_c.savings
+    run_b, value_b = point_b.result, point_b.savings
 
     # Digest-diff the two technique runs to localise where their
     # behaviour first departs.
-    maker = _TRACE_MAKERS[trace_name]
-    spec_c = SimRunSpec(trace=trace_c, technique=technique, cp_limit=cp)
-    spec_b = SimRunSpec(trace=maker(duration_ms=base_ms)
-                        if cross_duration else trace_c,
-                        technique=technique, cp_limit=cp)
-    report = diff_runs(spec_c.runner(), spec_b.runner(),
+    report = diff_runs(job_c, job_b,
                        label_a=f"{trace_name}@{cand_ms:g}ms",
                        label_b=f"{trace_name}@{base_ms:g}ms"
                        if cross_duration else f"{trace_name} (baseline)",

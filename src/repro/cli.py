@@ -42,6 +42,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, Iterator, Sequence
 
 from repro import __version__
@@ -50,7 +51,8 @@ from repro.analysis.tables import format_breakdown, format_table
 from repro.config import SimulationConfig
 from repro.core.cp_limit import calibrate_mu
 from repro.errors import ReproError
-from repro.sim.run import ENGINES, TECHNIQUES, simulate
+from repro.exec.jobs import SimJob
+from repro.sim.run import ENGINES, TECHNIQUES
 from repro.traces.io import read_trace, write_trace
 from repro.traces.oltp import oltp_database_trace, oltp_storage_trace
 from repro.traces.replay import DIALECTS, PAGE_LAYOUTS, ReplayConfig, replay_trace
@@ -87,11 +89,15 @@ def _run_parser(commands, name: str, technique: str,
     return parser
 
 
-def _run_flags(args) -> dict:
-    """The ``simulate()`` keywords that the flags of :func:`_run_parser`
-    (and ``repro replay``'s) set."""
-    return dict(technique=args.technique, engine=args.engine,
-                cp_limit=args.cp_limit, mu=args.mu, seed=args.seed)
+def _job(args, trace, **changes) -> SimJob:
+    """The validated run of ``trace`` that the flags of
+    :func:`_run_parser` (and ``repro replay``'s) describe, with
+    ``changes`` to its fields applied."""
+    flags = dict(technique=args.technique, engine=args.engine,
+                 cp_limit=args.cp_limit, mu=args.mu, seed=args.seed)
+    job = SimJob(trace, **{**flags, **changes})
+    job.validate()
+    return job
 
 
 def _add_serve_args(parser: argparse.ArgumentParser, port: int,
@@ -241,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "'cp=0.1:dma-ta') to exercise the watchdog")
     sweep.add_argument("--inject-stall-s", type=float, default=5.0,
                        help="how long the injected freeze lasts "
-                            "(default 5s; keep it short — the frozen "
-                            "worker also delays interpreter exit)")
+                            "(default 5s; the frozen worker is "
+                            "terminated once the sweep is done)")
 
     trace_cmd = _run_parser(
         commands, "trace", "dma-ta-pl",
@@ -402,8 +408,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.obs.audit import Auditor
-
     window_start, window_s = 0.0, None
     if args.window:
         try:
@@ -446,25 +450,9 @@ def _cmd_replay(args) -> int:
         print(f"wrote {args.output}")
     if args.technique is None:
         return 0
-
-    auditor = Auditor(strict=True)
-    from repro.errors import AuditError
-
-    try:
-        result = simulate(trace, **_run_flags(args), tracer=auditor)
-        report = auditor.finalize(result)
-    except AuditError as exc:
-        print(f"audit: FAIL (strict) — {exc}", file=sys.stderr)
-        return 1
+    job = _job(args, trace)
     print()
-    print(result.summary())
-    print()
-    print(report.render())
-    if not report.ok:
-        print(f"audit: {len(report.violations)} violation kind(s)",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _audited_run(job, strict=True)
 
 
 def _cmd_characterize(args) -> int:
@@ -505,27 +493,32 @@ def _print_profile(result, top: int = 10) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    trace = read_trace(args.trace)
-    result = simulate(trace, **_run_flags(args),
-                      profile=args.profile or None)
+    result = _job(args, read_trace(args.trace)).run(
+        profile=args.profile or None)
     print(result.summary())
     _print_profile(result)
     return 0
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.sweep import sweep_cp_limit, sweep_errors
+
     trace = read_trace(args.trace)
-    baseline = simulate(trace, technique="baseline")
-    ta = simulate(trace, technique="dma-ta", cp_limit=args.cp_limit)
-    tapl = simulate(trace, technique="dma-ta-pl", cp_limit=args.cp_limit)
+    points = sweep_cp_limit(trace, [args.cp_limit], ["dma-ta", "dma-ta-pl"])
+    failures = sweep_errors(points)
+    if failures:
+        raise ReproError(failures)
+    baseline = points[0].baseline
+    ta, tapl = (point.result for point in points)
     print(format_breakdown(
         [baseline, ta, tapl], labels=["baseline", "DMA-TA", "DMA-TA-PL"],
         title=f"{trace.name} at CP-Limit {args.cp_limit:.0%}"))
     rows = []
-    for result, label in ((ta, "DMA-TA"), (tapl, "DMA-TA-PL")):
+    for point, label in zip(points, ("DMA-TA", "DMA-TA-PL")):
+        result = point.result
         rows.append([
             label,
-            f"{result.energy_savings_vs(baseline):+.1%}",
+            f"{point.savings:+.1%}",
             f"{result.client_degradation_vs(baseline):+.2%}",
             f"{result.utilization_factor:.3f}",
         ])
@@ -676,8 +669,8 @@ def _cmd_trace(args) -> int:
 
     trace = read_trace(args.trace)
     tracer = RingTracer()
-    result = simulate(trace, **_run_flags(args), tracer=tracer,
-                      profile=args.profile or None)
+    result = _job(args, trace).run(tracer=tracer,
+                                   profile=args.profile or None)
     events = list(tracer.events)
     if result.profile:
         events.extend(profile_events(result.profile))
@@ -701,25 +694,39 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    return _audited_run(
+        _job(args, read_trace(args.trace)), strict=args.strict,
+        slowest=max(0, args.slowest), undercharge=args.inject_undercharge,
+        out=args.out, trace_out=args.trace_out)
+
+
+def _audited_run(job: SimJob, strict: bool, slowest: int = 8,
+                 undercharge: float = 0.0, out: str | None = None,
+                 trace_out: str | None = None) -> int:
+    """Run ``job`` under an :class:`~repro.obs.audit.Auditor` and print
+    its summary and audit report (``repro audit``, ``repro replay
+    --technique``); returns the exit code.
+
+    ``undercharge`` scales the slack account's epoch charge down by
+    that fraction, a fault the auditor must catch; ``out`` and
+    ``trace_out`` name the report JSON and the Perfetto export.
+    """
     from repro.errors import AuditError
     from repro.obs import RingTracer, write_chrome_trace
     from repro.obs.audit import Auditor, write_audit_report
-    from repro.sim.run import build_engine
 
-    trace = read_trace(args.trace)
-    ring = RingTracer() if args.trace_out else None
-    auditor = Auditor(strict=args.strict, slowest=max(0, args.slowest),
-                      downstream=ring)
+    ring = RingTracer() if trace_out else None
+    auditor = Auditor(strict=strict, slowest=slowest, downstream=ring)
     # Build the engine without running it, so the under-charge fault can
     # be injected into its slack account.
-    engine = build_engine(trace, **_run_flags(args), tracer=auditor)
-    if args.inject_undercharge:
+    engine = job.build_engine(tracer=auditor)
+    if undercharge:
         slack = getattr(engine.controller, "slack", None)
         if slack is None:
             raise ReproError(
                 "--inject-undercharge needs a slack account; use a "
                 "DMA-TA technique (dma-ta or dma-ta-pl)")
-        slack.undercharge_fraction = args.inject_undercharge
+        slack.undercharge_fraction = undercharge
 
     try:
         result = engine.run()
@@ -727,26 +734,26 @@ def _cmd_audit(args) -> int:
     except AuditError as exc:
         print(f"audit: FAIL (strict) — {exc}", file=sys.stderr)
         report = auditor.finalize(None)
-        if args.out:
-            path = write_audit_report(report, args.out)
+        if out:
+            path = write_audit_report(report, out)
             print(f"wrote {path}", file=sys.stderr)
         return 1
     print(result.summary())
     print()
     print(report.render())
-    if args.out:
-        path = write_audit_report(report, args.out)
+    if out:
+        path = write_audit_report(report, out)
         print(f"\nwrote {path}")
     if ring is not None:
         events = list(ring.events) + report.waterfall_events()
-        path = write_chrome_trace(events, args.trace_out, label=trace.name)
+        path = write_chrome_trace(events, trace_out, label=job.trace.name)
         print(f"wrote {path}: {len(events)} events (slack counter on the "
               "controller track, waterfalls on the audit tracks) — load "
               "it at https://ui.perfetto.dev")
     if not report.ok:
         print(f"audit: {len(report.violations)} violation kind(s) "
               f"detected", file=sys.stderr)
-        return 1 if args.strict else 0
+        return 1 if strict else 0
     return 0
 
 
@@ -769,7 +776,7 @@ def _cmd_stats(args) -> int:
 
     trace = read_trace(args.trace)
     auditor = Auditor(strict=False)
-    result = simulate(trace, **_run_flags(args), tracer=auditor)
+    result = _job(args, trace).run(tracer=auditor)
     report = auditor.finalize(result)
     title = f"{trace.name} / {args.technique} ({args.engine})"
     if result.metrics is None:
@@ -805,11 +812,9 @@ def _cmd_watch(args) -> int:
         TelemetryConfig,
         TelemetrySampler,
     )
-    from repro.sim.run import validate_simulation_args
 
-    validate_simulation_args(args.technique, args.engine,
-                             mu=args.mu, cp_limit=args.cp_limit)
     trace = read_trace(args.trace)
+    job = _job(args, trace)
     config = TelemetryConfig(
         sample_cycles=args.sample_cycles,
         capacity=args.capacity,
@@ -826,7 +831,7 @@ def _cmd_watch(args) -> int:
         sampler.exporters.extend(server.exporters)
         with _serving(args, server, "dashboard: {url} (Prometheus at "
                                     "{url}metrics, SSE at {url}events)"):
-            result = simulate(trace, **_run_flags(args), telemetry=sampler)
+            result = job.run(telemetry=sampler)
             print(result.summary())
             snapshot = sampler.store.snapshot()
             print(f"\ntelemetry: {snapshot.ticks} samples "
@@ -852,14 +857,7 @@ def _cmd_diff(args) -> int:
     to exit 2, which this command reserves for divergence.
     """
     from repro.errors import DiffError
-    from repro.obs.diff import (
-        DigestConfig,
-        SimRunSpec,
-        diff_runs,
-        read_trail,
-        write_trail,
-    )
-    from repro.sim.run import validate_simulation_args
+    from repro.obs.diff import DigestConfig, diff_runs, read_trail, write_trail
 
     try:
         engine_a = engine_b = args.engine
@@ -869,24 +867,20 @@ def _cmd_diff(args) -> int:
                 raise DiffError(f"--engines wants two of {ENGINES} "
                                 f"(comma-separated), got {args.engines!r}")
             engine_a, engine_b = parts
-        validate_simulation_args(args.technique, engine_a,
-                                 mu=args.mu, cp_limit=args.cp_limit)
-        technique_b = args.technique_b or args.technique
         mu_b, cp_limit_b = args.mu, args.cp_limit
         if args.mu_b is not None:
             mu_b, cp_limit_b = args.mu_b, None
         if args.cp_limit_b is not None:
             mu_b, cp_limit_b = None, args.cp_limit_b
-        seed_b = args.seed_b if args.seed_b is not None else args.seed
-        validate_simulation_args(technique_b, engine_b,
-                                 mu=mu_b, cp_limit=cp_limit_b)
         trace = read_trace(args.trace)
-        spec_a = SimRunSpec(trace=trace, technique=args.technique,
-                            engine=engine_a, mu=args.mu,
-                            cp_limit=args.cp_limit, seed=args.seed)
-        spec_b = SimRunSpec(trace=trace, technique=technique_b,
-                            engine=engine_b, mu=mu_b,
-                            cp_limit=cp_limit_b, seed=seed_b,
+        job_a = _job(args, trace, engine=engine_a)
+        job_b = _job(args, trace, engine=engine_b, mu=mu_b,
+                     cp_limit=cp_limit_b,
+                     technique=args.technique_b or args.technique,
+                     seed=args.seed if args.seed_b is None else args.seed_b)
+        digests = DigestConfig(epoch_cycles=args.epoch_cycles,
+                               capacity=args.capacity)
+        digests_b = replace(digests,
                             inject_skew_epoch=args.inject_epoch_skew,
                             inject_skew_cycles=args.skew_cycles)
 
@@ -896,30 +890,18 @@ def _cmd_diff(args) -> int:
 
             tracer_a, tracer_b = RingTracer(), RingTracer()
 
-        trail_a = None
+        run_b, label_b = job_b, None
+        if args.against:
+            run_b, label_b = read_trail(args.against), f"trail {args.against}"
+        report = diff_runs(job_a, run_b, label_b=label_b, digests=digests,
+                           digests_b=digests_b,
+                           collect_causes=not args.no_causes,
+                           tracer_a=tracer_a, tracer_b=tracer_b)
         if args.save:
-            # Run A once up front so its trail can be persisted; the
-            # diff reuses it instead of re-running.
-            trail_a = spec_a.runner()(
-                DigestConfig(epoch_cycles=args.epoch_cycles,
-                             capacity=args.capacity), tracer=tracer_a)
+            trail_a = report.trail_a
             write_trail(trail_a, args.save)
             print(f"wrote {args.save}: {trail_a.ticks} digest epochs "
                   f"(chain tip {trail_a.chain_tip})")
-
-        if args.against:
-            trail_b, run_b = read_trail(args.against), None
-            label_b = f"trail {args.against}"
-        else:
-            trail_b, run_b = None, spec_b.runner()
-            label_b = spec_b.label
-        report = diff_runs(spec_a.runner(), run_b,
-                           label_a=spec_a.label, label_b=label_b,
-                           epoch_cycles=args.epoch_cycles,
-                           capacity=args.capacity,
-                           trail_a=trail_a, trail_b=trail_b,
-                           collect_causes=not args.no_causes,
-                           tracer_a=tracer_a, tracer_b=tracer_b)
 
         print(report.render())
         print(report.summary_line())
@@ -933,7 +915,7 @@ def _cmd_diff(args) -> int:
             payload = diff_chrome_trace(
                 tracer_a.events if tracer_a is not None else [],
                 tracer_b.events if tracer_b is not None else [],
-                label_a=spec_a.label, label_b=label_b)
+                label_a=report.label_a, label_b=report.label_b)
             with open(args.trace_out, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
             print(f"wrote {args.trace_out} (aligned two-run Perfetto "

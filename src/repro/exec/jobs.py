@@ -1,10 +1,13 @@
-"""Job specifications for the sweep executor.
+"""Job specifications: the one description of a simulation.
 
 A :class:`SimJob` is one fully-specified :func:`repro.simulate` call —
 trace, configuration, technique, technique parameters, engine, and seed
 — as inert data. Jobs exist so that sweeps can be validated eagerly,
 deduplicated, dispatched to worker processes, and cached by content
-rather than by object identity.
+rather than by object identity. :meth:`SimJob.run` runs one with the
+observers a caller attaches; :meth:`SimJob.build_engine` builds its
+engine unrun. The CLI's run verbs, :func:`repro.obs.diff.diff_runs` and
+:func:`~repro.exec.runner.run_many` all describe their runs this way.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import json
 from dataclasses import dataclass, field
 
 from repro.config import SimulationConfig
-from repro.sim.run import validate_simulation_args
+from repro.sim.engine import EngineCore
+from repro.sim.results import SimulationResult
+from repro.sim.run import build_engine, simulate, validate_simulation_args
 from repro.traces.trace import Trace
 
 #: Bump when the meaning of a cached result changes without the package
@@ -75,11 +80,36 @@ class SimJob:
         construction, so errors surface in the submitting process before
         any worker is involved.
         """
-        validate_simulation_args(self.technique, self.engine,
-                                 mu=self.mu, cp_limit=self.cp_limit)
+        validate_simulation_args(self.technique, self.engine, mu=self.mu,
+                                 cp_limit=self.cp_limit, config=self.config)
         config = self.config or SimulationConfig()
         if self.mu is not None:
             config.with_mu(self.mu)  # triggers alignment-config validation
+
+    def run(self, tracer=None, telemetry=None, digests=None,
+            profile: bool | None = None) -> SimulationResult:
+        """Run the job: :func:`repro.simulate` with these observers.
+
+        The keywords are :func:`~repro.sim.run.simulate`'s. This is the
+        default job body of :func:`~repro.exec.runner.run_many`.
+        """
+        return simulate(self.trace, **self._arguments(), tracer=tracer,
+                        telemetry=telemetry, digests=digests,
+                        profile=profile)
+
+    def build_engine(self, tracer=None, telemetry=None,
+                     digests=None) -> EngineCore:
+        """The engine :meth:`run` would run, built but not run (``repro
+        audit`` injects its under-charge fault into it)."""
+        return build_engine(self.trace, **self._arguments(), tracer=tracer,
+                            telemetry=telemetry, digests=digests)
+
+    def _arguments(self) -> dict:
+        """The job as :func:`~repro.sim.run.simulate` and
+        :func:`~repro.sim.run.build_engine` keywords."""
+        return dict(config=self.config, technique=self.technique,
+                    engine=self.engine, mu=self.mu, cp_limit=self.cp_limit,
+                    seed=self.seed)
 
     def key(self) -> str:
         """The content-addressed identity of this job.

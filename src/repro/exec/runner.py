@@ -22,15 +22,19 @@ gracefully: the affected and remaining jobs are re-run serially in the
 submitting process instead.
 
 Hang containment: the submitter never waits unboundedly on the pool.
-An explicit per-job ``timeout_s`` marks an overrunning job failed and
-abandons its eventual result. With ``timeout_s=None`` (the default) a
-*derived* wait bound applies instead — generous (the larger of
-:data:`DEFAULT_WAIT_FLOOR_S` and 20x the slowest job observed so far,
-floor overridable via ``REPRO_EXEC_WAIT_FLOOR_S``) — and a job that
-exceeds it is *downgraded*, not failed: its future is cancelled and the
-job re-runs on the serial path in the submitting process. Timeouts and
-wait bounds apply to pool execution only — the serial path runs each
-job to completion.
+The pool holds no more jobs than it has free workers, so a job's wait
+clock starts when it is submitted. An explicit per-job ``timeout_s``
+marks an overrunning job failed and abandons its eventual result. With
+``timeout_s=None`` (the default) a *derived* wait bound applies instead
+— generous (the larger of :data:`DEFAULT_WAIT_FLOOR_S` and 20x the
+slowest job observed so far, floor overridable via
+``REPRO_EXEC_WAIT_FLOOR_S``) — and a job that exceeds it is
+*downgraded*, not failed: the job re-runs on the serial path in the
+submitting process. A worker still running an abandoned job is not
+free; when no worker is, the remaining jobs run serially, and when the
+pool shuts down its workers are terminated. Timeouts and wait bounds
+apply to pool execution only — the serial path runs each job to
+completion.
 
 The pool's start method follows the platform default; set
 ``REPRO_EXEC_START_METHOD=spawn`` (or ``forkserver``/``fork``) to
@@ -39,7 +43,9 @@ handles) into workers.
 
 Fleet observability: pass a :class:`~repro.obs.fleet.FleetCollector` as
 ``fleet=``. Every job, serial or pooled, observed or not, runs through
-one body, :func:`_run_job`. Under a fleet it also posts liveness
+one body, :func:`_run_job`, around :meth:`SimJob.run
+<repro.exec.jobs.SimJob.run>` or the caller's ``worker``. Under a fleet
+it also posts liveness
 messages (``job.started``, ``job.finished``, and ``job.heartbeat``
 while it runs in a pool worker) and returns its trace spans with its
 result. The runner reports each job's outcome to the collector exactly
@@ -53,6 +59,7 @@ of the whole sweep.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
 import logging
@@ -68,7 +75,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import SimJob, validate_jobs
 from repro.sim.results import SimulationResult
-from repro.sim.run import simulate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.fleet import FleetCollector
@@ -126,13 +132,6 @@ class JobOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None and self.result is not None
-
-
-def _execute(job: SimJob, tracer=None) -> SimulationResult:
-    """The default job body: one fully-specified simulate() call."""
-    return simulate(job.trace, config=job.config, technique=job.technique,
-                    engine=job.engine, mu=job.mu, cp_limit=job.cp_limit,
-                    seed=job.seed, tracer=tracer)
 
 
 #: ``(queue, inject_stall_tag, inject_stall_s)`` in a pool worker that
@@ -283,7 +282,8 @@ def run_many(
             path rather than failing them (see module docstring).
         worker: override of the job body, mainly for fault-injection
             tests; must be picklable for pool execution (a module-level
-            function). Defaults to running :func:`repro.simulate`.
+            function). Defaults to :meth:`SimJob.run
+            <repro.exec.jobs.SimJob.run>`.
         fleet: optional :class:`~repro.obs.fleet.FleetCollector`; every
             job then posts liveness to it (the default body also ships
             its trace spans with its result), the runner reports each
@@ -357,7 +357,7 @@ class _Batch:
                  fleet: "FleetCollector | None") -> None:
         self.first_job = first_job
         self.spans = worker is None  # only the default body is traced
-        self.worker = worker or _execute
+        self.worker = worker or SimJob.run
         self.fleet = fleet
         self.done: dict[str, JobOutcome] = {}
 
@@ -387,11 +387,15 @@ def _run_pool(batch: _Batch, pending: Sequence[str], max_workers: int,
     """Fan ``pending`` out over a process pool, settling every key.
 
     Any pool-machinery failure (see :data:`_POOL_FAILURES`) downgrades
-    the affected and remaining jobs to the serial path. The wait loop
-    polls with :func:`concurrent.futures.wait` so it can, between
-    completions: record when each job actually starts running, expire
-    jobs past their explicit timeout or derived wait bound, and requeue
-    jobs the fleet watchdog has declared stalled.
+    the affected and remaining jobs to the serial path. The pool gets no
+    more jobs than it has free workers, so a job's wait clock starts at
+    submission (``concurrent.futures`` marks a job running once it
+    enters the call queue, before a worker takes it). A worker still
+    running an abandoned job is not free; with none free, the rest run
+    serially. The wait loop polls with :func:`concurrent.futures.wait`
+    so it can, between completions, expire jobs past their explicit
+    timeout or derived wait bound, and requeue jobs the fleet watchdog
+    has declared stalled.
     """
     try:
         # An unshippable worker fails every job: find out here, before a
@@ -424,40 +428,45 @@ def _run_pool(batch: _Batch, pending: Sequence[str], max_workers: int,
         return
 
     pool_broken = False
-    abandoned = False  # a running worker's result was given up on
+    unsubmitted = collections.deque(pending)
     waiting: dict[str, concurrent.futures.Future] = {}
     submitted_at: dict[str, float] = {}
-    started_at: dict[str, float] = {}
+    held: list[concurrent.futures.Future] = []  # abandoned, still running
 
     def give_up(key: str) -> None:
-        nonlocal abandoned
-        if not waiting.pop(key).cancel():
-            abandoned = True
+        future = waiting.pop(key)
+        if not future.cancel():
+            held.append(future)
 
-    try:
-        try:
-            for key in pending:
+    def submit_to_free_workers() -> None:
+        nonlocal pool_broken
+        free = max_workers - sum(not future.done() for future in held)
+        while unsubmitted and len(waiting) < free:
+            key = unsubmitted.popleft()
+            try:
                 waiting[key] = executor.submit(
                     _run_job, batch.worker, batch.first_job[key], key,
                     batch.spans)
-                submitted_at[key] = time.monotonic()
-        except _POOL_FAILURES as exc:
-            logger.warning("pool submission failed (%s); running %d jobs "
-                           "serially", _describe(exc), len(pending))
-            pool_broken = True
+            except _POOL_FAILURES as exc:
+                logger.warning("pool submission failed (%s); running the "
+                               "remaining jobs serially", _describe(exc))
+                pool_broken = True
+                return
+            submitted_at[key] = time.monotonic()
 
+    try:
         wait_floor = _wait_floor_s()
         max_wall = 0.0
-        last_done = time.monotonic()
-
-        while waiting and not pool_broken:
+        while not pool_broken:
+            submit_to_free_workers()
+            if not waiting:
+                break  # all settled, or every worker held by an abandoned job
             done, _ = concurrent.futures.wait(
                 list(waiting.values()), timeout=_POLL_S,
                 return_when=concurrent.futures.FIRST_COMPLETED)
             now = time.monotonic()
             for key in [k for k, f in waiting.items() if f in done]:
                 future = waiting.pop(key)
-                last_done = now
                 try:
                     ran = future.result()
                 except _POOL_FAILURES as exc:
@@ -476,54 +485,44 @@ def _run_pool(batch: _Batch, pending: Sequence[str], max_workers: int,
             if pool_broken:
                 break
 
-            for key, future in waiting.items():
-                if key not in started_at and future.running():
-                    started_at[key] = now
-
             if fleet is not None:
                 for key in fleet.take_stalled():
                     if key in waiting:  # else completed while flagged
                         give_up(key)
                         batch.run_serially(key, requeued=True)
 
-            # A queued job's wait clock starts when the pool last made
-            # progress — it could not have started any earlier.
-            def wait_ref(key: str) -> float:
-                return started_at.get(
-                    key, max(submitted_at[key], last_done))
-
-            if timeout_s is not None:
-                for key in list(waiting):
-                    if now - wait_ref(key) <= timeout_s:
-                        continue
+            bound = (timeout_s if timeout_s is not None
+                     else max(wait_floor, _WAIT_WALL_FACTOR * max_wall))
+            for key in [k for k in waiting if now - submitted_at[k] > bound]:
+                give_up(key)
+                if timeout_s is not None:
                     logger.warning("job %s timed out after %gs", key[:12],
                                    timeout_s)
-                    give_up(key)
                     batch.settle(key, error=f"timed out after "
                                  f"{timeout_s:g}s (result abandoned)")
-            else:
-                bound = max(wait_floor, _WAIT_WALL_FACTOR * max_wall)
-                for key in list(waiting):
-                    if now - wait_ref(key) <= bound:
-                        continue
+                else:
                     logger.warning(
                         "job %s exceeded the %.0fs pool wait bound; "
                         "retrying it serially", key[:12], bound)
-                    give_up(key)
                     batch.run_serially(key, requeued=True)
 
-        if pool_broken:
-            for future in waiting.values():
-                future.cancel()
-            waiting.clear()
-            for key in pending:
-                if key not in batch.done:
-                    batch.run_serially(key)
+        for future in waiting.values():
+            future.cancel()
+        for key in pending:
+            if key not in batch.done:
+                batch.run_serially(key)
     finally:
-        # Abandoned workers may be wedged mid-job: don't block shutdown
-        # on them (their processes are reaped at interpreter exit). A
-        # broken pool has already cancelled its queued futures above;
-        # cancel_futures=True would also swap the pool's pending-item map
-        # for a copy, and a payload that then fails to pickle is removed
-        # from the original only, so shutdown would wait on it forever.
-        executor.shutdown(wait=not abandoned, cancel_futures=abandoned)
+        # Interpreter exit joins the pool's management thread and, through
+        # it, a worker still running an abandoned job. Every key is settled,
+        # so terminate the workers instead. Python 3.11 has no public API
+        # for this: ``_processes`` is the executor's private pid -> Process
+        # map, which shutdown() clears. No cancel_futures: a broken pool
+        # has cancelled its queued futures above, and that flag would swap
+        # the pending-item map for a copy from which a payload that fails
+        # to pickle is never removed, so shutdown would wait on it forever.
+        wedged = any(not future.done() for future in held)
+        workers = list((executor._processes or {}).values()) if wedged \
+            else []
+        executor.shutdown(wait=not wedged)
+        for process in workers:
+            process.terminate()

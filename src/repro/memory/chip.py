@@ -85,10 +85,6 @@ class FluidChip:
         self.energy = EnergyBreakdown()
         self.time = TimeBreakdown()
         self.wake_count = 0
-        #: When set (by the engine) to a list, busy intervals are recorded
-        #: as ``(start, end, serving_fraction)`` tuples for timeline
-        #: rendering; idle periods are implicit gaps.
-        self.timeline: list[tuple[float, float, float]] | None = None
         #: Set by the engine when tracing: power-state residency spans
         #: are emitted on the chip's track. ``None`` = no tracing; every
         #: instrumentation site is a single ``is not None`` check.
@@ -208,8 +204,6 @@ class FluidChip:
         seconds = delta / self.model.frequency_hz
         rates = self.rates
         busy = min(1.0, rates.busy_fraction)
-        if self.timeline is not None and delta > 0:
-            self.timeline.append((self._time, self._time + delta, busy))
         idle_fraction = max(0.0, 1.0 - busy)
         if self.tracer is not None and delta > 0:
             idle_bucket = ("idle_dma" if self._has_dma_stream

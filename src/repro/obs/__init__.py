@@ -5,10 +5,11 @@ The observability layer of the simulator:
 * **events + tracers** (:mod:`repro.obs.events`,
   :mod:`repro.obs.tracer`) — a structured trace-event protocol with a
   null sink (zero overhead when disabled), an in-memory ring, and a
-  JSONL stream. Pass a tracer to :func:`repro.simulate` and the engines
-  emit per-chip power-state residency spans, DMA-TA gather/release
-  batches, slack-account charges, PL page-migration batches, and
-  per-epoch progress counters.
+  JSONL stream. Pass a tracer to :func:`repro.simulate` (or to
+  :meth:`SimJob.run <repro.exec.jobs.SimJob.run>`, which every run verb
+  of the CLI uses) and the engines emit per-chip power-state residency
+  spans, DMA-TA gather/release batches, slack-account charges, PL
+  page-migration batches, and per-epoch progress counters.
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
   histograms snapshotted into the :class:`MetricsReport` attached to
   every :class:`~repro.sim.results.SimulationResult`.
@@ -32,7 +33,8 @@ The observability layer of the simulator:
 * **diff** (:mod:`repro.obs.diff`) — differential observability:
   per-epoch rolling state-digest chains (``simulate(..., digests=...)``,
   bit-identity preserving like telemetry), first-divergence bisection
-  between two runs with field-level attribution and window causes
+  between two :class:`~repro.exec.jobs.SimJob` runs (or a job and a
+  saved trail) with field-level attribution and window causes
   (``repro diff``), and the machinery behind ``repro bench explain``.
 * **fleet** (:mod:`repro.obs.fleet`) — cross-process observability for
   :func:`repro.exec.run_many` fan-outs: pool workers stream
@@ -96,9 +98,7 @@ from repro.obs.diff import (
     DigestStore,
     DigestTrail,
     DivergenceReport,
-    SimRunSpec,
     diff_runs,
-    diff_specs,
     first_divergent_bracket,
     read_trail,
     render_result_delta,
@@ -172,7 +172,7 @@ __all__ = [
     "RESIDENCY_BUCKETS",
     # diff (differential observability)
     "DigestConfig", "DigestRecorder", "DigestStore", "DigestTrail",
-    "DivergenceReport", "SimRunSpec", "diff_runs", "diff_specs",
+    "DivergenceReport", "diff_runs",
     "first_divergent_bracket", "read_trail", "write_trail",
     "result_delta", "render_result_delta",
     # telemetry (repro.obs.serve/.dashboard stay lazy: they pull in the

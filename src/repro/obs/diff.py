@@ -20,16 +20,15 @@ two runs disagree but not *where*. This module answers the "where":
   also keeps its rows in: O(capacity) memory regardless of trace
   length, and the retained ticks stay an evenly spaced subsample, so
   chain comparison still brackets the divergence after compaction.
-* :func:`diff_runs` — compares two runs' chains, binary-searches the
-  retained ticks for the first mismatch (chains have the prefix
-  property: once diverged, forever diverged), re-runs both sides with
-  full per-epoch state capture across the bracket, and reports the
-  first divergent **field** (chip bucket / slack / bus / degradation),
-  the two values, and the trace-event causes active in that window.
-* :class:`SimRunSpec` — a declarative run description whose
-  :meth:`~SimRunSpec.runner` drives :func:`repro.sim.run.simulate` with
-  digests attached; the ``repro diff`` CLI and the exactness tests both
-  build on it.
+* :func:`diff_runs` — runs two :class:`~repro.exec.jobs.SimJob` sides
+  (or takes one side as a saved trail), compares their chains,
+  binary-searches the retained ticks for the first mismatch (chains
+  have the prefix property: once diverged, forever diverged), re-runs
+  both jobs with full per-epoch state capture across the bracket, and
+  reports the first divergent **field** (chip bucket / slack / bus /
+  degradation), the two values, and the trace-event causes active in
+  that window. The ``repro diff`` CLI, ``repro bench explain`` and the
+  exactness tests all build on it.
 * :func:`result_delta` — field-by-field first differences of two
   :class:`~repro.sim.results.SimulationResult` objects, for failure
   messages that name the disagreeing quantity instead of dumping two
@@ -44,9 +43,13 @@ disabled one (gated by ``tests/integration/test_digest_equivalence.py``).
 
 Fault injection: ``DigestConfig(inject_skew_epoch=N)`` adds phantom
 cycles to the *observed* degradation at digest epoch ``N`` only (the
-simulation is untouched, like telemetry's ``inject_spike``) — tests and
-the CI divergence drill use it to prove the bisection localises a
-perturbation to exactly the injected epoch.
+simulation is untouched, like telemetry's ``inject_spike``) — passed as
+one side's config to :func:`diff_runs`, it lets tests and the CI
+divergence drill prove the bisection localises a perturbation to
+exactly the injected epoch.
+
+This module takes jobs but does not import :mod:`repro.exec`, which
+imports the simulator; a job is only ever asked to ``run``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.errors import ConfigurationError, DiffError
@@ -66,6 +69,9 @@ from repro.obs.probe import (
     probe_period,
     snapshot_fields,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - repro.exec imports the simulator
+    from repro.exec.jobs import SimJob
 
 #: Bump when the trail serialisation layout changes incompatibly.
 TRAIL_VERSION = 1
@@ -412,6 +418,9 @@ class DivergenceReport:
     chain_tip: str = ""
     causes_a: dict[str, int] = field(default_factory=dict)
     causes_b: dict[str, int] = field(default_factory=dict)
+    #: The two trails compared (``repro diff --save`` writes run A's).
+    trail_a: DigestTrail | None = field(default=None, repr=False)
+    trail_b: DigestTrail | None = field(default=None, repr=False)
 
     @property
     def epoch(self) -> int | None:
@@ -549,59 +558,79 @@ def _window_causes(tracer, lo_ts: float, hi_ts: float) -> dict[str, int]:
 # The diff driver
 # ---------------------------------------------------------------------------
 
-#: A runner takes a DigestConfig (and an optional tracer) and produces
-#: the run's DigestTrail. See :meth:`SimRunSpec.runner`.
-Runner = Callable[..., DigestTrail]
+def _run_label(job: "SimJob", digests: DigestConfig) -> str:
+    """How a diff report names a job: ``engine/technique [cp=|mu=]
+    seed=N``, plus ``+skew@E`` when its digests carry an injected skew."""
+    knob = ""
+    if job.cp_limit is not None:
+        knob = f" cp={job.cp_limit:g}"
+    elif job.mu is not None:
+        knob = f" mu={job.mu:g}"
+    skew = ""
+    if digests.inject_skew_epoch is not None:
+        skew = f" +skew@{digests.inject_skew_epoch}"
+    return f"{job.engine}/{job.technique}{knob} seed={job.seed}{skew}"
 
 
-def diff_runs(run_a: Runner | None,
-              run_b: Runner | None = None,
+def _trail(side: "SimJob | DigestTrail", config: DigestConfig,
+           tracer=None) -> DigestTrail:
+    """A side's trail: a saved one as it is, a job's by running it with
+    a fresh recorder."""
+    if isinstance(side, DigestTrail):
+        return side
+    return side.run(tracer=tracer, digests=DigestRecorder(config)).digests
+
+
+def diff_runs(run_a: "SimJob | DigestTrail",
+              run_b: "SimJob | DigestTrail",
               *,
-              label_a: str = "run A",
-              label_b: str = "run B",
-              epoch_cycles: float | None = None,
-              capacity: int = 4096,
-              trail_a: DigestTrail | None = None,
-              trail_b: DigestTrail | None = None,
+              label_a: str | None = None,
+              label_b: str | None = None,
+              digests: DigestConfig | None = None,
+              digests_b: DigestConfig | None = None,
               collect_causes: bool = True,
               tracer_a=None,
               tracer_b=None) -> DivergenceReport:
     """Compare two runs' digest chains and localise the divergence.
 
-    Either side may be supplied as an already-computed ``trail``
-    (``repro diff --against``); sides without a runner can only be
-    compared at chain level (no field attribution without re-running).
+    Each side is a :class:`~repro.exec.jobs.SimJob`, run here with a
+    fresh :class:`DigestRecorder`, or a saved :class:`DigestTrail`
+    (``repro diff --against``). A saved trail cannot be re-run, so a
+    diff against one stops at chain level (no field attribution).
 
     Args:
-        run_a / run_b: runner callables (``run(config, tracer=None) ->
-            DigestTrail``), or ``None`` when the matching ``trail_*`` is
-            given.
-        epoch_cycles / capacity: forwarded into the
-            :class:`DigestConfig` of every run.
+        run_a / run_b: the two sides.
+        label_a / label_b: report names; by default a job's
+            ``engine/technique [cp=|mu=] seed=N`` (``+skew@E`` with an
+            injected skew), ``run A`` / ``run B`` for a trail.
+        digests: the recorder config of run A, and of run B unless
+            ``digests_b`` is given (an injected skew rides run B's).
         collect_causes: trace the capture re-runs with a
             :class:`~repro.obs.tracer.RingTracer` and count the event
             names inside the divergence window.
         tracer_a / tracer_b: optional tracers attached to the *initial*
             runs (the CLI uses this for the aligned Perfetto export).
     """
-    base = DigestConfig(epoch_cycles=epoch_cycles, capacity=capacity)
-    if trail_a is None:
-        if run_a is None:
-            raise DiffError("diff_runs needs run_a or trail_a")
-        trail_a = run_a(base, tracer=tracer_a)
-    if trail_b is None:
-        if run_b is None:
-            raise DiffError("diff_runs needs run_b or trail_b")
-        trail_b = run_b(base, tracer=tracer_b)
+    config_a = digests or DigestConfig()
+    config_b = digests_b or config_a
+    trail_a = _trail(run_a, config_a, tracer_a)
+    trail_b = _trail(run_b, config_b, tracer_b)
+    if label_a is None:
+        label_a = ("run A" if isinstance(run_a, DigestTrail)
+                   else _run_label(run_a, config_a))
+    if label_b is None:
+        label_b = ("run B" if isinstance(run_b, DigestTrail)
+                   else _run_label(run_b, config_b))
 
     common = dict(label_a=label_a, label_b=label_b,
                   ticks_a=trail_a.ticks, ticks_b=trail_b.ticks,
-                  epoch_cycles=trail_a.epoch_cycles)
+                  epoch_cycles=trail_a.epoch_cycles,
+                  trail_a=trail_a, trail_b=trail_b)
     bracket = first_divergent_bracket(trail_a, trail_b)
     if bracket is None:
         return DivergenceReport(identical=True, mode="identical",
                                 chain_tip=trail_a.chain_tip, **common)
-    if run_a is None or run_b is None:
+    if isinstance(run_a, DigestTrail) or isinstance(run_b, DigestTrail):
         return DivergenceReport(identical=False, mode="chain",
                                 bracket=bracket, **common)
 
@@ -609,14 +638,16 @@ def diff_runs(run_a: Runner | None,
     # (one epoch earlier as the known-good anchor) and attribute the
     # first divergent field.
     lo, hi = bracket
-    capture_config = replace(base, capture_range=(max(0, lo - 1), hi))
+    capture = (max(0, lo - 1), hi)
     ring_a = ring_b = None
     if collect_causes:
         from repro.obs.tracer import RingTracer
 
         ring_a, ring_b = RingTracer(), RingTracer()
-    capture_a = run_a(capture_config, tracer=ring_a)
-    capture_b = run_b(capture_config, tracer=ring_b)
+    capture_a = _trail(run_a, replace(config_a, capture_range=capture),
+                       ring_a)
+    capture_b = _trail(run_b, replace(config_b, capture_range=capture),
+                       ring_b)
     divergence = _first_capture_divergence(
         capture_a.captures, capture_b.captures, capture_a.fields)
     if divergence is None:
@@ -635,67 +666,6 @@ def diff_runs(run_a: Runner | None,
         causes_a=_window_causes(ring_a, window_lo, window_hi),
         causes_b=_window_causes(ring_b, window_lo, window_hi),
         **common)
-
-
-# ---------------------------------------------------------------------------
-# Simulation run specs (CLI + test harness glue)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimRunSpec:
-    """A declarative simulation run for :func:`diff_runs`.
-
-    ``runner()`` closes over the spec and drives
-    :func:`repro.sim.run.simulate` with a fresh
-    :class:`DigestRecorder` per invocation — ``diff_runs`` calls it
-    twice (trail pass, then capture pass). The skew-injection fields
-    live on the spec (not the shared :class:`DigestConfig`) so a fault
-    can be injected into one side only.
-    """
-
-    trace: Any
-    config: Any = None
-    technique: str = "baseline"
-    engine: str = "fluid"
-    mu: float | None = None
-    cp_limit: float | None = None
-    seed: int = 0
-    inject_skew_epoch: int | None = None
-    inject_skew_cycles: float = 1.0
-
-    @property
-    def label(self) -> str:
-        knob = ""
-        if self.cp_limit is not None:
-            knob = f" cp={self.cp_limit:g}"
-        elif self.mu is not None:
-            knob = f" mu={self.mu:g}"
-        skew = (f" +skew@{self.inject_skew_epoch}"
-                if self.inject_skew_epoch is not None else "")
-        return f"{self.engine}/{self.technique}{knob} seed={self.seed}{skew}"
-
-    def runner(self) -> Runner:
-        def run(config: DigestConfig, tracer=None) -> DigestTrail:
-            from repro.sim.run import simulate
-
-            recorder = DigestRecorder(replace(
-                config,
-                inject_skew_epoch=self.inject_skew_epoch,
-                inject_skew_cycles=self.inject_skew_cycles))
-            simulate(self.trace, config=self.config,
-                     technique=self.technique, engine=self.engine,
-                     mu=self.mu, cp_limit=self.cp_limit, seed=self.seed,
-                     tracer=tracer, digests=recorder)
-            return recorder.trail()
-        return run
-
-
-def diff_specs(spec_a: SimRunSpec, spec_b: SimRunSpec,
-               **kwargs) -> DivergenceReport:
-    """Diff two declarative runs (labels derived from the specs)."""
-    kwargs.setdefault("label_a", spec_a.label)
-    kwargs.setdefault("label_b", spec_b.label)
-    return diff_runs(spec_a.runner(), spec_b.runner(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +728,6 @@ __all__ = [
     "DigestConfig", "DigestStore", "DigestRecorder",
     "DigestTrail", "EpochCapture", "write_trail", "read_trail",
     "first_divergent_bracket", "FieldDivergence", "DivergenceReport",
-    "diff_runs", "SimRunSpec", "diff_specs",
+    "diff_runs",
     "result_delta", "render_result_delta",
 ]

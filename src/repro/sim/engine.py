@@ -263,9 +263,9 @@ class EngineCore:
         self.table_flushes += migration.table_flushes
         return migration
 
-    def _finish(self, end: float, **extra) -> SimulationResult:
+    def _finish(self, end: float) -> SimulationResult:
         """End the run at ``end``: take the probes' last sample, then
-        build the result and its metrics (``extra`` goes to the result).
+        build the result and its metrics.
 
         Drops the DMA-TA controller's request counter, a method of this
         engine, as :meth:`ProbeSet.finish` drops the probe set's (the
@@ -329,7 +329,6 @@ class EngineCore:
             wakes=wakes,
             controller_stats=self.controller.stats(),
             chip_energy=[chip.energy.total for chip in self.chips],
-            **extra,
         )
 
         # The paper's soft guarantee (Section 4): the average extra

@@ -60,14 +60,9 @@ class FluidEngine(EngineCore):
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str = "baseline", seed: int = 0,
-                 record_timeline: bool = False,
                  tracer=None, telemetry=None, digests=None) -> None:
         super().__init__(trace, config, technique, seed, tracer)
-        self._record_timeline = record_timeline
         self.memory = MemorySystem(config.memory, self.policy, self.layout)
-        if record_timeline:
-            for chip in self.memory.chips:
-                chip.timeline = []
 
         model = config.memory.power_model
         self.buses = [
@@ -140,9 +135,7 @@ class FluidEngine(EngineCore):
 
         end = max(self._last_progress, self.trace.duration_cycles)
         self.memory.advance_all(end)
-        return self._finish(end, timeline=(
-            {chip.chip_id: chip.timeline for chip in self.chips}
-            if self._record_timeline else None))
+        return self._finish(end)
 
     def _work_remaining(self) -> bool:
         return (not self._records_done or self._has_live_streams()

@@ -59,9 +59,6 @@ class SimulationResult:
     wakes: int = 0
     controller_stats: dict[str, float] = field(default_factory=dict)
     guarantee_violated: bool = False
-    #: ``chip_id -> [(start, end, serving_fraction), ...]`` busy intervals,
-    #: populated when the run was started with ``record_timeline=True``.
-    timeline: dict[int, list[tuple[float, float, float]]] | None = None
     #: Per-chip total energy (joules), index = chip id.
     chip_energy: list[float] = field(default_factory=list)
     #: The run's metrics snapshot (counters, histograms, per-chip state

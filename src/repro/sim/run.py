@@ -24,13 +24,16 @@ def validate_simulation_args(
     engine: str = "fluid",
     mu: float | None = None,
     cp_limit: float | None = None,
+    config: SimulationConfig | None = None,
 ) -> None:
     """Check simulation arguments without running anything.
 
-    :func:`simulate` calls this itself; :mod:`repro.exec` calls it before
-    dispatching jobs to worker processes so that a bad job spec fails in
-    the submitting process (with a clean :class:`ConfigurationError`)
-    rather than deep inside a pool worker.
+    :func:`simulate` calls this itself; :meth:`repro.exec.SimJob.validate`
+    calls it before dispatching jobs to worker processes so that a bad
+    job spec fails in the submitting process (with a clean
+    :class:`ConfigurationError`) rather than deep inside a pool worker.
+    The precise engines model neither fair bus sharing nor opportunistic
+    page copies, so ``config`` may not ask them for either.
     """
     if technique not in TECHNIQUES:
         raise ConfigurationError(
@@ -44,20 +47,30 @@ def validate_simulation_args(
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ConfigurationError(
                 f"{name} must be finite and non-negative, got {value!r}")
+    if engine != "fluid" and config is not None:
+        for option, fluid_only in (
+                ("buses.sharing='fair'", config.buses.sharing == "fair"),
+                ("layout.opportunistic_copies=True",
+                 config.layout.opportunistic_copies)):
+            if fluid_only:
+                raise ConfigurationError(
+                    f"{option} is modelled by the fluid engine only, "
+                    f"not by {engine!r}")
 
 
 def build_engine(trace: Trace, config: SimulationConfig | None = None,
                  technique: str = "baseline", engine: str = "fluid",
                  mu: float | None = None, cp_limit: float | None = None,
-                 seed: int = 0, record_timeline: bool = False, tracer=None,
-                 telemetry=None, digests=None) -> EngineCore:
+                 seed: int = 0, tracer=None, telemetry=None,
+                 digests=None) -> EngineCore:
     """The engine :func:`simulate` runs, built but not run.
 
     Takes :func:`simulate`'s arguments but ``profile``: checks them,
     calibrates ``mu`` from ``cp_limit`` when given, and builds the
     engine. ``repro audit`` uses it to reach the slack account.
     """
-    validate_simulation_args(technique, engine, mu=mu, cp_limit=cp_limit)
+    validate_simulation_args(technique, engine, mu=mu, cp_limit=cp_limit,
+                             config=config)
 
     config = config or SimulationConfig()
     if cp_limit is not None:
@@ -67,11 +80,8 @@ def build_engine(trace: Trace, config: SimulationConfig | None = None,
 
     if engine == "fluid":
         return FluidEngine(trace, config, technique=technique, seed=seed,
-                           record_timeline=record_timeline, tracer=tracer,
-                           telemetry=telemetry, digests=digests)
-    if record_timeline:
-        raise ConfigurationError(
-            "record_timeline is only supported by the fluid engine")
+                           tracer=tracer, telemetry=telemetry,
+                           digests=digests)
     return PreciseEngine(trace, config, technique=technique, seed=seed,
                          tracer=tracer, vectorize=engine != "precise-scalar",
                          telemetry=telemetry, digests=digests)
@@ -85,7 +95,6 @@ def simulate(
     mu: float | None = None,
     cp_limit: float | None = None,
     seed: int = 0,
-    record_timeline: bool = False,
     tracer=None,
     profile: bool | None = None,
     telemetry=None,
@@ -109,9 +118,6 @@ def simulate(
             given, ``mu`` is calibrated from the trace (Section 5.1) —
             mutually exclusive with ``mu``.
         seed: seed for the baseline random page layout.
-        record_timeline: record per-chip busy intervals on the result
-            (fluid engine only) for
-            :func:`repro.analysis.timeline.render_heatmap`.
         tracer: optional :class:`~repro.obs.tracer.Tracer` receiving the
             run's structured events (power-state spans, TA decisions,
             slack charges, migrations); ``None`` or a disabled tracer
@@ -139,8 +145,8 @@ def simulate(
     """
     engine_run = build_engine(
         trace, config, technique=technique, engine=engine, mu=mu,
-        cp_limit=cp_limit, seed=seed, record_timeline=record_timeline,
-        tracer=tracer, telemetry=telemetry, digests=digests).run
+        cp_limit=cp_limit, seed=seed, tracer=tracer, telemetry=telemetry,
+        digests=digests).run
 
     from repro.obs.perf import profiling_enabled, run_profiled
 

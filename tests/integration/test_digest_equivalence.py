@@ -20,11 +20,11 @@ from pathlib import Path
 import pytest
 
 from repro import simulate
+from repro.exec import SimJob
 from repro.obs.diff import (
     DigestConfig,
     DigestRecorder,
-    SimRunSpec,
-    diff_specs,
+    diff_runs,
 )
 from repro.traces.synthetic import synthetic_storage_trace
 
@@ -76,18 +76,20 @@ class TestBitExactness:
 
 class TestChainDeterminism:
     def test_same_run_same_chain(self, trace):
-        spec = SimRunSpec(trace=trace, technique="dma-ta", mu=2.0)
+        job = SimJob(trace, technique="dma-ta", mu=2.0)
         config = DigestConfig(epoch_cycles=EPOCH_CYCLES)
-        tip_1 = spec.runner()(config).chain_tip
-        tip_2 = spec.runner()(config).chain_tip
+        tip_1 = job.run(digests=DigestRecorder(config)).digests.chain_tip
+        tip_2 = job.run(digests=DigestRecorder(config)).digests.chain_tip
         assert tip_1 == tip_2
 
     def test_precise_matches_precise_scalar(self, trace):
         config = DigestConfig(epoch_cycles=EPOCH_CYCLES)
-        vec = SimRunSpec(trace=trace, technique="dma-ta-pl", mu=2.0,
-                         engine="precise").runner()(config)
-        scalar = SimRunSpec(trace=trace, technique="dma-ta-pl", mu=2.0,
-                            engine="precise-scalar").runner()(config)
+        vec = SimJob(trace, technique="dma-ta-pl", mu=2.0,
+                     engine="precise").run(
+            digests=DigestRecorder(config)).digests
+        scalar = SimJob(trace, technique="dma-ta-pl", mu=2.0,
+                        engine="precise-scalar").run(
+            digests=DigestRecorder(config)).digests
         assert vec.ticks == scalar.ticks
         assert vec.chain_tip == scalar.chain_tip
         assert vec.rows == scalar.rows
@@ -98,12 +100,14 @@ class TestChainDeterminism:
         contamination)."""
         script = (
             "import json, sys\n"
-            "from repro.obs.diff import DigestConfig, SimRunSpec\n"
+            "from repro.exec import SimJob\n"
+            "from repro.obs.diff import DigestConfig, DigestRecorder\n"
             "from repro.traces.synthetic import synthetic_storage_trace\n"
             "trace = synthetic_storage_trace(duration_ms=0.5,\n"
             "                                transfers_per_ms=80, seed=9)\n"
-            "spec = SimRunSpec(trace=trace, technique='dma-ta', mu=2.0)\n"
-            "trail = spec.runner()(DigestConfig(epoch_cycles=2000.0))\n"
+            "job = SimJob(trace, technique='dma-ta', mu=2.0)\n"
+            "trail = job.run(digests=DigestRecorder(\n"
+            "    DigestConfig(epoch_cycles=2000.0))).digests\n"
             "print(json.dumps({'tip': trail.chain_tip,\n"
             "                  'ticks': trail.ticks}))\n")
         src = str(Path(__file__).resolve().parents[2] / "src")
@@ -116,9 +120,9 @@ class TestChainDeterminism:
 
         local_trace = synthetic_storage_trace(duration_ms=0.5,
                                               transfers_per_ms=80, seed=9)
-        local = SimRunSpec(trace=local_trace, technique="dma-ta",
-                           mu=2.0).runner()(
-            DigestConfig(epoch_cycles=2000.0))
+        local = SimJob(local_trace, technique="dma-ta", mu=2.0).run(
+            digests=DigestRecorder(
+                DigestConfig(epoch_cycles=2000.0))).digests
         assert remote["ticks"] == local.ticks
         assert remote["tip"] == local.chain_tip
 
@@ -127,20 +131,22 @@ class TestSkewLocalisation:
     @pytest.mark.parametrize("epoch", [0, 7, 100])
     def test_injected_skew_diverges_at_exactly_that_epoch(self, trace,
                                                           epoch):
-        spec_a = SimRunSpec(trace=trace, technique="dma-ta", mu=2.0)
-        spec_b = SimRunSpec(trace=trace, technique="dma-ta", mu=2.0,
-                            inject_skew_epoch=epoch)
-        report = diff_specs(spec_a, spec_b, epoch_cycles=EPOCH_CYCLES,
-                            collect_causes=False)
+        job = SimJob(trace, technique="dma-ta", mu=2.0)
+        report = diff_runs(
+            job, job, digests=DigestConfig(epoch_cycles=EPOCH_CYCLES),
+            digests_b=DigestConfig(epoch_cycles=EPOCH_CYCLES,
+                                   inject_skew_epoch=epoch),
+            collect_causes=False)
         assert not report.identical
         assert report.epoch == epoch
         assert report.divergence is not None
         assert report.divergence.name == "degradation_cycles"
 
     def test_no_skew_is_identical(self, trace):
-        spec = SimRunSpec(trace=trace, technique="dma-ta", mu=2.0)
-        report = diff_specs(spec, spec, epoch_cycles=EPOCH_CYCLES,
-                            collect_causes=False)
+        job = SimJob(trace, technique="dma-ta", mu=2.0)
+        report = diff_runs(job, job,
+                           digests=DigestConfig(epoch_cycles=EPOCH_CYCLES),
+                           collect_causes=False)
         assert report.identical
         assert report.summary_line().startswith("diff.identical:")
 

@@ -13,7 +13,6 @@ import time
 
 from repro.config import BusConfig, MemoryConfig, SimulationConfig
 from repro.exec import SimJob, run_many
-from repro.exec.runner import _execute
 from repro.obs.fleet import FleetCollector, FleetConfig
 from repro.traces.records import DMATransfer
 from repro.traces.trace import Trace
@@ -40,7 +39,7 @@ def slow_in_pool(job: SimJob):
     """Overruns any short timeout in a pool worker, for one tag only."""
     if job.tag == "slow" and multiprocessing.parent_process() is not None:
         time.sleep(2.0)
-    return _execute(job)
+    return job.run()
 
 
 def late_finish(collector: FleetCollector, key: str) -> dict:

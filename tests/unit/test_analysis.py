@@ -1,11 +1,7 @@
-"""Units for the analysis helpers (metrics, sweep, tables)."""
+"""Units for the analysis helpers (sweep, tables)."""
 
-import pytest
-
-from repro.analysis.metrics import breakdown_fractions, energy_savings
 from repro.analysis.tables import format_breakdown, format_series, format_table
-from repro.analysis.sweep import run_pair, sweep_cp_limit
-from repro.errors import ConfigurationError
+from repro.analysis.sweep import sweep_cp_limit
 from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
 from repro.sim.results import SimulationResult
 from repro.traces.records import ClientRequest, DMATransfer
@@ -22,18 +18,6 @@ def result(total_scale=1.0):
                                idle_dma=2.0 * total_scale),
         time=TimeBreakdown(serving_dma=4.0, idle_dma=8.0),
     )
-
-
-class TestMetrics:
-    def test_energy_savings(self):
-        assert energy_savings(result(1.0), result(0.5)) == pytest.approx(0.5)
-
-    def test_negative_savings(self):
-        assert energy_savings(result(1.0), result(2.0)) == pytest.approx(-1.0)
-
-    def test_breakdown_fractions(self):
-        fractions = breakdown_fractions(result())
-        assert fractions["idle_dma"] == pytest.approx(2 / 3)
 
 
 class TestTables:
@@ -73,19 +57,6 @@ def tiny_config():
 
 
 class TestSweep:
-    def test_run_pair(self):
-        technique, baseline = run_pair(tiny_trace(), tiny_config(),
-                                       "dma-ta", mu=10.0)
-        assert technique.technique == "dma-ta"
-        assert baseline.technique == "baseline"
-
-    def test_run_pair_reuses_baseline(self):
-        baseline = run_pair(tiny_trace(), tiny_config(), "dma-ta",
-                            mu=1.0)[1]
-        technique, same = run_pair(tiny_trace(), tiny_config(), "dma-ta",
-                                   mu=1.0, baseline=baseline)
-        assert same is baseline
-
     def test_sweep_shares_baseline(self):
         points = sweep_cp_limit(tiny_trace(), [0.05, 0.10], ["dma-ta"],
                                 config=tiny_config())
@@ -93,22 +64,3 @@ class TestSweep:
         assert points[0].baseline is points[1].baseline
         assert points[0].x == 0.05
         assert all(p.ok and p.error is None for p in points)
-
-    def test_run_pair_rejects_cp_limit_and_mu_eagerly(self, monkeypatch):
-        """Regression: the contradiction used to surface only inside the
-        technique run, after a wasted baseline simulation (and, under
-        pool execution, inside a worker process)."""
-        import repro.analysis.sweep as sweep_module
-
-        calls = []
-
-        def counting_simulate(*args, **kwargs):
-            calls.append(kwargs.get("technique"))
-            raise AssertionError("simulate must not run for a bad spec")
-
-        monkeypatch.setattr(sweep_module, "simulate", counting_simulate)
-        with pytest.raises(ConfigurationError,
-                           match="either mu or cp_limit"):
-            run_pair(tiny_trace(), tiny_config(), "dma-ta",
-                     cp_limit=0.10, mu=2.0)
-        assert calls == [], "no simulation may start before validation"

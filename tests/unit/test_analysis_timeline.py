@@ -1,4 +1,4 @@
-"""Units for the timeline recorder and heatmap renderer."""
+"""Units for the busy-interval builder and heatmap renderer."""
 
 import pytest
 
@@ -7,11 +7,13 @@ from repro.analysis.timeline import (
     SHADES,
     activity_share,
     bucketize,
+    busy_intervals,
     render_heatmap,
     render_row,
 )
 from repro.config import BusConfig, MemoryConfig, SimulationConfig
 from repro.errors import ConfigurationError
+from repro.obs.tracer import RingTracer
 from repro.traces.records import DMATransfer
 from repro.traces.trace import Trace
 
@@ -117,23 +119,29 @@ class TestRecording:
         trace = Trace(name="t", records=[
             DMATransfer(time=1000.0, page=0, size_bytes=8192)],
             duration_cycles=100_000.0)
-        result = simulate(trace, config=config, record_timeline=True)
-        assert result.timeline is not None
-        busy_chips = [cid for cid, iv in result.timeline.items() if iv]
+        spans = RingTracer()
+        simulate(trace, config=config, tracer=spans)
+        timeline = busy_intervals(spans.events)
+        assert sorted(timeline) == [0, 1, 2, 3]
+        busy_chips = [cid for cid, iv in timeline.items() if iv]
         assert len(busy_chips) == 1
-        intervals = result.timeline[busy_chips[0]]
+        intervals = timeline[busy_chips[0]]
         total = sum(t1 - t0 for t0, t1, _ in intervals)
         assert total == pytest.approx(1024 * 12.0, rel=0.05)
+        assert all(0.0 < busy <= 1.0 for _, _, busy in intervals)
 
-    def test_off_by_default(self, config):
+    def test_precise_engine_records(self, config):
+        """A precise chip's ``serve`` spans are its busy intervals: one
+        per request, at full rate."""
         trace = Trace(name="t", records=[
-            DMATransfer(time=0.0, page=0, size_bytes=8192)],
-            duration_cycles=50_000.0)
-        result = simulate(trace, config=config)
-        assert result.timeline is None
-
-    def test_precise_engine_rejects(self, config):
-        trace = Trace(name="t", records=[], duration_cycles=10.0)
-        with pytest.raises(ConfigurationError):
-            simulate(trace, config=config, engine="precise",
-                     record_timeline=True)
+            DMATransfer(time=1000.0, page=0, size_bytes=8192)],
+            duration_cycles=100_000.0)
+        spans = RingTracer()
+        result = simulate(trace, config=config, engine="precise",
+                          tracer=spans)
+        timeline = busy_intervals(spans.events)
+        (chip,) = [cid for cid, iv in timeline.items() if iv]
+        assert len(timeline[chip]) == result.requests
+        assert all(busy == 1.0 for _, _, busy in timeline[chip])
+        assert sum(t1 - t0 for t0, t1, _ in timeline[chip]) == \
+            pytest.approx(result.time.serving_dma)

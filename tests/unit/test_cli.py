@@ -160,15 +160,15 @@ class TestTraceVerb:
 
     def test_eventless_run_warns_and_skips_export(
             self, trace_file, tmp_path, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.exec.jobs as jobs
 
-        real = cli.simulate
+        real = jobs.simulate
 
         def muted(trace, **kwargs):
             kwargs.pop("tracer", None)
             return real(trace, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate", muted)
+        monkeypatch.setattr(jobs, "simulate", muted)
         out_path = tmp_path / "trace.json"
         assert main(["trace", str(trace_file),
                      "--out", str(out_path)]) == 0

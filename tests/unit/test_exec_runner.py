@@ -1,17 +1,28 @@
 """Units for the parallel executor: fault containment, timeouts,
 fallback, deduplication, and eager validation."""
 
+import dataclasses
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro import simulate
 from repro.analysis.sweep import sweep_cp_limit, sweep_errors
-from repro.config import BusConfig, MemoryConfig, SimulationConfig
+from repro.config import (
+    BusConfig,
+    MemoryConfig,
+    PopularityLayoutConfig,
+    SimulationConfig,
+)
 from repro.errors import ConfigurationError
 from repro.exec import SimJob, run_many
 from repro.exec import runner as runner_module
-from repro.exec.runner import _execute
 from repro.traces.records import ClientRequest, DMATransfer
 from repro.traces.trace import Trace
 
@@ -33,24 +44,35 @@ def tiny_config() -> SimulationConfig:
         buses=BusConfig(count=3))
 
 
+#: The default job body, kept unpatched for the bodies that wrap it.
+run_job = SimJob.run
+
+
 # Module-level worker bodies: they must be picklable by reference so the
 # process pool can ship them to forked/spawned workers.
 
 def explode_on_dma_ta(job: SimJob):
     if job.technique == "dma-ta":
         raise RuntimeError("injected worker fault")
-    return _execute(job)
+    return run_job(job)
 
 
 def explode_on_cp_10(job: SimJob):
     if job.cp_limit == 0.10:
         raise RuntimeError("injected sweep fault")
-    return _execute(job)
+    return run_job(job)
 
 
 def sleepy(job: SimJob):
     time.sleep(1.0)
-    return _execute(job)
+    return run_job(job)
+
+
+def slow_only_if_tagged(job: SimJob):
+    """Holds its worker for 5 s on the job tagged ``slow``, 0.5 s on
+    every other."""
+    time.sleep(5.0 if job.tag == "slow" else 0.5)
+    return run_job(job)
 
 
 def sleeps_only_in_pool_children(job: SimJob):
@@ -60,7 +82,7 @@ def sleeps_only_in_pool_children(job: SimJob):
 
     if multiprocessing.parent_process() is not None:
         time.sleep(4.0)
-    return _execute(job)
+    return run_job(job)
 
 
 class TestFaultContainment:
@@ -82,7 +104,7 @@ class TestFaultContainment:
     def test_sweep_completes_with_partial_results(self, workers,
                                                   monkeypatch):
         """A worker that raises mid-sweep fails only its own point."""
-        monkeypatch.setattr(runner_module, "_execute", explode_on_cp_10)
+        monkeypatch.setattr(SimJob, "run", explode_on_cp_10)
         points = sweep_cp_limit(tiny_trace(), [0.05, 0.10, 0.20],
                                 ["dma-ta"], config=tiny_config(),
                                 max_workers=workers)
@@ -109,12 +131,71 @@ class TestFaultContainment:
         assert elapsed < 10.0, "no hang"
 
 
+class TestPoolWaitClock:
+    def test_jobs_behind_an_abandoned_worker_get_their_own_clock(self):
+        """A job's timeout clock starts when a worker takes it. The pool
+        reports a job running as soon as it enters the pool's call
+        queue, so the fast jobs queued behind the worker an abandoned
+        slow job still holds used to time out without running."""
+        jobs = [SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
+                       mu=1.0, tag="slow")]
+        jobs += [SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
+                        mu=2.0 + i, tag=f"fast{i}") for i in range(8)]
+        outcomes = run_many(jobs, max_workers=2, timeout_s=1.6,
+                            worker=slow_only_if_tagged)
+        assert outcomes[0].error == "timed out after 1.6s (result abandoned)"
+        assert [o.error for o in outcomes[1:]] == [None] * 8
+
+
+class TestAbandonedWorkers:
+    def test_exit_does_not_wait_for_an_abandoned_worker(self, tmp_path):
+        """Interpreter exit joins a pool's workers; a worker still
+        running an abandoned job would keep the process alive until that
+        job ends (here 60 s)."""
+        (tmp_path / "wedge.py").write_text(
+            "import multiprocessing, time\n"
+            "def wedged_in_pool(job):\n"
+            "    if job.tag == 'wedged' and \\\n"
+            "            multiprocessing.parent_process() is not None:\n"
+            "        time.sleep(60.0)\n"
+            "    return job.run()\n")
+        script = (
+            "from repro.exec import SimJob, run_many\n"
+            "from repro.traces.synthetic import synthetic_storage_trace\n"
+            "from wedge import wedged_in_pool\n"
+            "trace = synthetic_storage_trace(duration_ms=0.5, seed=7)\n"
+            "jobs = [SimJob(trace, 'dma-ta', mu=2.0, tag='wedged'),\n"
+            "        SimJob(trace, 'baseline')]\n"
+            "outcomes = run_many(jobs, max_workers=2, timeout_s=0.5,\n"
+            "                    worker=wedged_in_pool)\n"
+            "print([o.ok for o in outcomes], flush=True)\n")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {key: value for key, value in os.environ.items()
+               if key != runner_module.START_METHOD_ENV}
+        env["PYTHONPATH"] = os.pathsep.join([src, str(tmp_path)])
+        start = time.monotonic()
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            out, err = process.communicate(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the process outlived its sweep by the abandoned "
+                        "worker's whole job")
+        assert process.returncode == 0, err
+        assert out.strip() == "[False, True]"
+        assert time.monotonic() - start < 30.0
+
+
 class TestGracefulFallback:
     def test_unpicklable_worker_falls_back_to_serial(self):
         jobs = [SimJob(tiny_trace(), "baseline", config=tiny_config()),
                 SimJob(tiny_trace(), "pl", config=tiny_config())]
         outcomes = run_many(jobs, max_workers=2,
-                            worker=lambda job: _execute(job))
+                            worker=lambda job: job.run())
         assert all(o.ok for o in outcomes)
         assert outcomes[0].result.technique == "baseline"
 
@@ -138,7 +219,7 @@ class TestDeduplicationAndOrdering:
 
         def counting(job):
             calls.append(job.technique)
-            return _execute(job)
+            return run_job(job)
 
         jobs = [SimJob(tiny_trace(), "baseline", config=tiny_config()),
                 SimJob(tiny_trace(), "dma-ta", config=tiny_config(), mu=2.0),
@@ -192,7 +273,7 @@ class TestEagerValidation:
 
         def counting(job):
             calls.append(job)
-            return _execute(job)
+            return run_job(job)
 
         jobs = [SimJob(tiny_trace(), "baseline", config=tiny_config()),
                 SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
@@ -208,6 +289,34 @@ class TestEagerValidation:
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigurationError):
             run_many([SimJob(tiny_trace(), "dma-ta", mu=-1.0)])
+
+    @pytest.mark.parametrize("engine", ["precise", "precise-scalar"])
+    @pytest.mark.parametrize("option, changes", [
+        ("buses.sharing", {"buses": BusConfig(count=3, sharing="fair")}),
+        ("layout.opportunistic_copies",
+         {"layout": PopularityLayoutConfig(opportunistic_copies=True)}),
+    ])
+    def test_precise_engines_reject_fluid_only_options(self, engine,
+                                                       option, changes):
+        """The precise engines model FIFO buses and plain page copies;
+        they used to ignore these options silently."""
+        calls = []
+
+        def counting(job):
+            calls.append(job)
+            return run_job(job)
+
+        config = dataclasses.replace(tiny_config(), **changes)
+        job = SimJob(tiny_trace(), "pl", config=config, engine=engine)
+        with pytest.raises(ConfigurationError, match=option):
+            run_many([job], max_workers=2, worker=counting)
+        assert calls == [], "validation must precede all dispatch"
+        with pytest.raises(ConfigurationError, match=option):
+            simulate(tiny_trace(), config=config, technique="pl",
+                     engine=engine)
+        fluid = dataclasses.replace(job, engine="fluid")
+        fluid.validate()
+        assert fluid.run().engine == "fluid"
 
 
 class TestDerivedWaitBound:

@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.exec import run_many
 from repro.exec import runner as runner_module
 from repro.exec.jobs import SimJob
-from repro.exec.runner import JobOutcome, _execute, _observe_worker, _run_job
+from repro.exec.runner import JobOutcome, _observe_worker, _run_job
 from repro.obs.export import validate_chrome_trace
 from repro.obs.fleet import (
     HEARTBEAT_S,
@@ -122,7 +122,7 @@ class TestWorkerWrapper:
         messages = []
         job = SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
                      mu=1.0, tag="mu=1:dma-ta")
-        result, wall, seen = _run_job(_execute, job, job.key(), True,
+        result, wall, seen = _run_job(SimJob.run, job, job.key(), True,
                                       messages.append)
         assert result.technique == "dma-ta"
         assert wall > 0
@@ -140,9 +140,9 @@ class TestWorkerWrapper:
     def test_observed_body_matches_plain_run_exactly(self):
         job = SimJob(tiny_trace(), "dma-ta", config=tiny_config(),
                      mu=1.0)
-        result, _, _ = _run_job(_execute, job, job.key(), True,
+        result, _, _ = _run_job(SimJob.run, job, job.key(), True,
                                 [].append)
-        plain = _execute(job)
+        plain = job.run()
         assert dataclasses.asdict(result) == dataclasses.asdict(plain)
 
     def test_custom_worker_body_skips_span_capture(self):
@@ -150,7 +150,7 @@ class TestWorkerWrapper:
 
         def custom(job):
             calls.append(job.technique)
-            return _execute(job)
+            return job.run()
 
         job = tiny_job()
         _, _, seen = _run_job(custom, job, job.key(), False, [].append)
@@ -181,7 +181,7 @@ class TestWorkerWrapper:
     def test_heartbeats_flow_during_long_jobs(self, pool_worker):
         def slow(job):
             time.sleep(2.4 * HEARTBEAT_S)
-            return _execute(job)
+            return job.run()
 
         job = tiny_job()
         _run_job(slow, job, job.key())
@@ -195,10 +195,10 @@ class TestWorkerWrapper:
         try:
             _observe_worker(fleet_queue, "frozen", 0.3)
             start = time.monotonic()
-            _run_job(_execute, job, job.key())
+            _run_job(SimJob.run, job, job.key())
             assert time.monotonic() - start >= 0.3
             start = time.monotonic()  # the serial path never freezes
-            _run_job(_execute, job, job.key(), post=[].append)
+            _run_job(SimJob.run, job, job.key(), post=[].append)
             assert time.monotonic() - start < 0.3
         finally:
             runner_module._POOL_FLEET = None
@@ -209,7 +209,7 @@ class TestWorkerWrapper:
         def plain(job, **kwargs):
             assert not kwargs, "no tracer without a fleet"
             assert threading.active_count() == threads, "no thread"
-            return _execute(job)
+            return job.run()
 
         job = tiny_job()
         result, wall, seen = _run_job(plain, job, job.key(), True)
@@ -227,7 +227,7 @@ class TestCollectorStateMachine:
         clock = FakeClock()
         collector = self.make(clock)
         job = tiny_job("dma-ta", tag="point-a")
-        result = _execute(job)
+        result = job.run()
         # A per-chip total that disagrees with the breakdown.
         result.chip_energy = [2 * e for e in result.chip_energy]
         collector.expect(2)
@@ -238,7 +238,7 @@ class TestCollectorStateMachine:
                          observed(4242, clock() - 0.5, clock()))
         cached = tiny_job("pl", tag="point-b")
         collector.note_submitted(cached.key(), cached)
-        collector.settle(outcome(cached, _execute(cached), from_cache=True))
+        collector.settle(outcome(cached, cached.run(), from_cache=True))
         collector.quiesce()
         report = collector.report()
         assert report.total == 2
@@ -284,7 +284,7 @@ class TestCollectorStateMachine:
         for job in jobs:
             collector.handle(started(job, 7000, clock()))
             clock.advance(2.0)
-            collector.settle(outcome(job, _execute(job), wall_s=2.0),
+            collector.settle(outcome(job, job.run(), wall_s=2.0),
                              observed(7000, clock() - 2.0, clock()))
         snapshot = collector.snapshot()
         assert snapshot["done"] == 2
@@ -375,9 +375,9 @@ class TestOneOutcomePath:
         for _ in range(10):
             clock.advance(1.0)
             assert collector.check_stalls() == []
-        collector.settle(outcome(done, _execute(done), wall_s=0.5),
+        collector.settle(outcome(done, done.run(), wall_s=0.5),
                          observed(51, 1000.0, 1000.5))
-        collector.settle(outcome(stuck, _execute(stuck), wall_s=10.0),
+        collector.settle(outcome(stuck, stuck.run(), wall_s=10.0),
                          observed(os.getpid(), 1001.5, clock()),
                          requeued=True)
         report = collector.report()
@@ -432,7 +432,7 @@ class TestWatchdog:
         assert collector.stall_bound() == STALL_FLOOR_S  # cold: the floor
         job = tiny_job()
         collector.note_submitted(job.key(), job)
-        collector.settle(outcome(job, _execute(job), wall_s=2.0))
+        collector.settle(outcome(job, job.run(), wall_s=2.0))
         assert collector.stall_bound() == pytest.approx(16.0)
 
     def test_stall_publishes_sse_event(self):
@@ -469,7 +469,7 @@ class TestFleetTrace:
         clock.advance(0.4)
         span = {"ts": 0.0, "name": "active", "track": "chip:0",
                 "ph": "X", "dur": 50_000.0}  # half of the 100k-cycle run
-        collector.settle(outcome(good, _execute(good), wall_s=0.4),
+        collector.settle(outcome(good, good.run(), wall_s=0.4),
                          observed(10, clock() - 0.4, clock(), [span]))
         clock.advance(2.0)
         collector.check_stalls()
@@ -499,10 +499,10 @@ class TestFleetTrace:
         hit = tiny_job("pl", tag="warm")
         requeued = tiny_job("dma-ta", tag="bounced")
         collector.note_submitted(hit.key(), hit)
-        collector.settle(outcome(hit, _execute(hit), from_cache=True))
+        collector.settle(outcome(hit, hit.run(), from_cache=True))
         collector.note_submitted(requeued.key(), requeued)
         clock.advance(0.3)
-        collector.settle(outcome(requeued, _execute(requeued), wall_s=0.3),
+        collector.settle(outcome(requeued, requeued.run(), wall_s=0.3),
                          observed(os.getpid(), clock() - 0.3, clock()),
                          requeued=True)
         names = {e["name"] for e in collector.chrome_trace()["traceEvents"]}
@@ -522,7 +522,7 @@ class TestQueueRoundTrip:
         def worker_side():
             _observe_worker(collector.queue, "", 0.0)
             try:
-                ran.append(_run_job(_execute, job, key, True))
+                ran.append(_run_job(SimJob.run, job, key, True))
             finally:
                 runner_module._POOL_FLEET = None
 

@@ -15,7 +15,8 @@ from collections import Counter
 import pytest
 
 from repro.config import SimulationConfig
-from repro.obs.diff import DigestConfig, SimRunSpec, render_result_delta
+from repro.exec import SimJob
+from repro.obs.diff import DigestConfig, DigestRecorder, render_result_delta
 from repro.obs.events import PH_SPAN
 from repro.obs.tracer import RingTracer
 from repro.sim.precise import PreciseEngine
@@ -149,10 +150,11 @@ class TestBitExactness:
     def test_digest_chain_matches_on_bursts(self, db_trace):
         """Every per-epoch digest of a processor-heavy run agrees."""
         config = DigestConfig(epoch_cycles=2000.0)
-        vec = SimRunSpec(trace=db_trace, technique="dma-ta-pl", mu=2.0,
-                         engine="precise").runner()(config)
-        scalar = SimRunSpec(trace=db_trace, technique="dma-ta-pl", mu=2.0,
-                            engine="precise-scalar").runner()(config)
+        vec = SimJob(db_trace, "dma-ta-pl", mu=2.0, engine="precise").run(
+            digests=DigestRecorder(config)).digests
+        scalar = SimJob(db_trace, "dma-ta-pl", mu=2.0,
+                        engine="precise-scalar").run(
+            digests=DigestRecorder(config)).digests
         assert vec.ticks == scalar.ticks > 100
         assert vec.chain_tip == scalar.chain_tip
         assert vec.rows == scalar.rows
