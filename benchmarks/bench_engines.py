@@ -46,9 +46,11 @@ def test_engine_agreement_and_speed(benchmark):
     simulate(trace, technique="baseline", engine="fluid")
     fluid_s = time.perf_counter() - start
 
-    # Live telemetry: the enabled path must keep the physics bit-exact
-    # and its wall-clock cost is published as telemetry/overhead_frac
-    # (per-epoch sampling, detectors on, no HTTP exporters).
+    # Live telemetry and state digests: each enabled path must keep the
+    # physics bit-exact, and its wall-clock cost is published as
+    # telemetry/overhead_frac (per-epoch sampling, detectors on, no HTTP
+    # exporters) and digests/overhead_frac (per-epoch chain).
+    from repro.obs.diff import DigestRecorder
     from repro.obs.telemetry import TelemetrySampler
 
     with watch.phase("fluid-telemetry"):
@@ -57,6 +59,13 @@ def test_engine_agreement_and_speed(benchmark):
         telemetered = simulate(trace, technique="baseline",
                                engine="fluid", telemetry=sampler)
         telemetry_s = time.perf_counter() - start
+
+    with watch.phase("fluid-digests"):
+        start = time.perf_counter()
+        recorder = DigestRecorder()
+        digested = simulate(trace, technique="baseline", engine="fluid",
+                            digests=recorder)
+        digests_s = time.perf_counter() - start
 
     rows = [
         ["fluid", f"{fluid_s * 1e3:.1f} ms",
@@ -103,6 +112,10 @@ def test_engine_agreement_and_speed(benchmark):
                unit="fraction"),
         metric("telemetry/samples", float(sampler.samples_captured),
                unit="count"),
+        metric("digests/overhead_frac",
+               max(0.0, digests_s / max(fluid_s, 1e-9) - 1.0),
+               unit="fraction"),
+        metric("digests/ticks", float(recorder.store.ticks), unit="count"),
     ]
 
     # Fleet observability: a traced 2-worker sweep (workers stream
@@ -143,6 +156,9 @@ def test_engine_agreement_and_speed(benchmark):
     assert not fleet_report.stalls
     assert telemetered.energy.as_dict() == fluid.energy.as_dict()
     assert sampler.samples_captured > 0
+    assert digested.energy.as_dict() == fluid.energy.as_dict()
+    assert digested.time.as_dict() == fluid.time.as_dict()
+    assert recorder.store.ticks > 0
     assert scalar.energy.as_dict() == precise.energy.as_dict()
     assert abs(1 - fluid.energy_joules / precise.energy_joules) < 0.03
     assert precise_s > fluid_s

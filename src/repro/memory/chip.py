@@ -26,11 +26,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
+from repro.energy.accounting import (BUCKETS, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
 from repro.energy.policies import PowerPolicy
 from repro.energy.states import PowerModel, PowerState
 from repro.obs.events import chip_track
+from repro.obs.probe import CHIP_FIELDS
 
 if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
@@ -41,6 +42,10 @@ _INF = math.inf
 _SEG_ACTIVE_IDLE = "idle_threshold"
 _SEG_TRANSITION = "transition"
 _SEG_LOW_POWER = "low_power"
+
+#: Position of each residency bucket in an :meth:`FluidChip.observe`
+#: block.
+_SLOT = {name: CHIP_FIELDS.index(name) for name in BUCKETS}
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,13 @@ class FluidChip:
             self._idle_since = -self._profile[-1].start
         else:
             self._idle_since = 0.0
+
+        # What observe() may reuse until the chip's accrual state next
+        # changes (advance, wake, set_busy, set_idle drop both): the
+        # energy total, and the idle walk up to the segment last
+        # observed (see _walk_to).
+        self._total: float | None = None
+        self._walk: tuple | None = None
 
     # ------------------------------------------------------------------
     # Idle descent profile
@@ -194,6 +206,7 @@ class FluidChip:
         else:
             self._accrue_idle(self._time, now)
         self._time = now
+        self._total = self._walk = None
 
     def _count_transition(self, source: PowerState, target: PowerState) -> None:
         edge = f"{source.value}->{target.value}"
@@ -276,9 +289,10 @@ class FluidChip:
             if segment.end >= offset_end:
                 break
 
-    def observe(self, now: float) -> tuple[list[float], float]:
-        """Residency-to-date (in :data:`~repro.energy.accounting.BUCKETS`
-        order) and instantaneous power at ``now``.
+    def observe(self, now: float) -> list[float]:
+        """The chip's snapshot block at ``now``, in
+        :data:`~repro.obs.probe.CHIP_FIELDS` order: energy-to-date,
+        instantaneous power, then residency-to-date per bucket.
 
         Strictly read-only: the pending ``now - _time`` span is
         classified exactly as :meth:`advance` will classify it, but
@@ -287,39 +301,79 @@ class FluidChip:
         bit-identical in energy. Used by the per-tick probe snapshot
         that telemetry and digests share
         (:class:`~repro.obs.probe.ProbeSet`).
+
+        Between change-points a tick costs O(1): the energy total and
+        the idle walk's bucket prefix (:meth:`_walk_to`) are computed
+        once and reused while ``now`` stays in the same profile
+        segment. The prefix is the full walk's float additions in the
+        same order, so the block is bit-identical to a fresh walk.
         """
-        buckets = list(bucket_values(self.time))
+        if self._total is None:
+            self._total = self.energy.total
         if now <= self._time:
             # Inside a wake window (or exactly at the chip's clock): the
             # whole transition was charged up front by wake(), so
             # nothing is pending. Report the serving-side power the
             # chip is heading for.
             if self._busy or now < self._time:
-                return buckets, self.model.active_power
-            return buckets, self._segment_at(
-                now - self._idle_since).power_watts
-        delta = now - self._time
+                power = self.model.active_power
+            else:
+                power = self._segment_at(now - self._idle_since).power_watts
+            return [self._total, power, *bucket_values(self.time)]
         if self._busy:
+            delta = now - self._time
+            block = [self._total, self.model.active_power,
+                     *bucket_values(self.time)]
             rates = self.rates
             idle_fraction = max(0.0, 1.0 - min(1.0, rates.busy_fraction))
-            buckets[BUCKET_INDEX["serving_dma"]] += delta * rates.dma
-            buckets[BUCKET_INDEX["serving_proc"]] += delta * rates.proc
-            buckets[BUCKET_INDEX["migration"]] += delta * rates.migration
+            block[_SLOT["serving_dma"]] += delta * rates.dma
+            block[_SLOT["serving_proc"]] += delta * rates.proc
+            block[_SLOT["migration"]] += delta * rates.migration
             idle_bucket = ("idle_dma" if self._has_dma_stream
                            else "idle_threshold")
-            buckets[BUCKET_INDEX[idle_bucket]] += delta * idle_fraction
-            return buckets, self.model.active_power
-        offset_start = self._time - self._idle_since
+            block[_SLOT[idle_bucket]] += delta * idle_fraction
+            return block
         offset_end = now - self._idle_since
+        walk = self._walk
+        if walk is None or not walk[0] < offset_end <= walk[1]:
+            walk = self._walk = self._walk_to(offset_end)
+            if walk is None:
+                return [self._total,
+                        self._segment_at(offset_end).power_watts,
+                        *bucket_values(self.time)]
+        lo, end, slot, block = walk
+        block = block.copy()
+        block[slot] += offset_end - lo
+        if offset_end == end:
+            # The power of the segment that starts here.
+            block[1] = self._segment_at(offset_end).power_watts
+        return block
+
+    def _walk_to(self, offset_end: float) -> tuple | None:
+        """Walk the idle profile from the last accrual towards profile
+        offset ``offset_end``, as :meth:`_accrue_idle` would.
+
+        Returns ``(lo, end, slot, block)`` for the segment the walk
+        stops in: its pending span starts at offset ``lo``, it ends at
+        ``end`` and its bucket sits at ``slot`` of ``block``, the
+        :meth:`observe` block with every earlier segment's span added
+        and this segment's power. The entry holds for every
+        ``offset_end`` in ``(lo, end]``. ``None`` when no segment
+        overlaps the span.
+        """
+        offset_start = self._time - self._idle_since
+        block = [self._total, 0.0, *bucket_values(self.time)]
         for segment in self._profile:
             lo = max(segment.start, offset_start)
             hi = min(segment.end, offset_end)
             if hi <= lo:
                 continue
-            buckets[BUCKET_INDEX[segment.bucket]] += hi - lo
+            slot = _SLOT[segment.bucket]
             if segment.end >= offset_end:
-                break
-        return buckets, self._segment_at(offset_end).power_watts
+                block[1] = segment.power_watts
+                return lo, segment.end, slot, block
+            block[slot] += hi - lo
+        return None
 
     # ------------------------------------------------------------------
     # Busy/idle transitions
@@ -376,6 +430,7 @@ class FluidChip:
         # an active chip instead of re-reading the stale descent position
         # and charging a second, phantom resynchronisation.
         self._idle_since = ready
+        self._total = self._walk = None
         return ready
 
     def wake_latency(self, now: float) -> float:
@@ -403,6 +458,7 @@ class FluidChip:
         self._busy = True
         self._has_dma_stream = has_dma_stream
         self.rates = rates
+        self._total = self._walk = None
 
     def set_idle(self, now: float) -> None:
         """Mark the chip idle from ``now``; restarts the descent profile."""
@@ -410,3 +466,4 @@ class FluidChip:
         self._has_dma_stream = False
         self.rates = ChipRates()
         self._idle_since = max(now, self._time)
+        self._total = self._walk = None

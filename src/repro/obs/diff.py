@@ -11,10 +11,13 @@ two runs disagree but not *where*. This module answers the "where":
   :mod:`repro.obs.probe`) that folds the shared snapshot of the run's
   observable state — per-chip residency buckets,
   energy-to-date and instantaneous power, the slack account, bus
-  queues, degradation-to-date — into a rolling **blake2b chain**. Two
-  runs evolve identical chains for exactly as long as their observable
-  state is identical, so the first chain mismatch brackets the first
-  divergent epoch.
+  queues, degradation-to-date — into a rolling **blake2b chain**. Each
+  snapshot is hashed as its values packed as little-endian IEEE-754
+  doubles, so the payload is the bit pattern itself: one ULP (or the
+  sign of a zero) in any field changes the chain. Two runs evolve
+  identical chains for exactly as long as their observable state is
+  identical, so the first chain mismatch brackets the first divergent
+  epoch.
 * :class:`DigestStore` — a bounded ring of ``(tick, ts, chain)`` rows,
   the :class:`~repro.obs.probe.DownsamplingRing` that ``TelemetryStore``
   also keeps its rows in: O(capacity) memory regardless of trace
@@ -57,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -73,8 +77,10 @@ from repro.obs.probe import (
 if TYPE_CHECKING:  # pragma: no cover - repro.exec imports the simulator
     from repro.exec.jobs import SimJob
 
-#: Bump when the trail serialisation layout changes incompatibly.
-TRAIL_VERSION = 1
+#: Bump when the trail serialisation layout or the chain payload
+#: changes incompatibly. Version 2 hashes packed doubles where version
+#: 1 hashed ``repr`` text, so version-1 chains cannot match.
+TRAIL_VERSION = 2
 
 #: Run-wide scalar fields, in digest order (per-chip and per-bus blocks
 #: follow them; see :func:`repro.obs.probe.snapshot_fields`).
@@ -274,6 +280,7 @@ class DigestRecorder:
         self.sample_cycles = 0.0
         self._chain = b""
         self._chain_hex = ""
+        self._pack: struct.Struct | None = None
 
     # --- binding ----------------------------------------------------------
 
@@ -285,6 +292,7 @@ class DigestRecorder:
         self.label = engine.name
         self.sample_cycles = probe_period(engine, self.config.epoch_cycles)
         self.fields = snapshot_fields(engine.config)
+        self._pack = struct.Struct(f"<{len(self.fields)}d")
         self.store = DigestStore(capacity=self.config.capacity)
 
     # --- sampling ---------------------------------------------------------
@@ -304,10 +312,9 @@ class DigestRecorder:
             values[SCALAR_FIELDS.index("degradation_cycles")] += (
                 self.config.inject_skew_cycles)
 
-        # repr() of a float is shortest-round-trip exact, so the payload
-        # encodes the bit pattern: any ULP of state difference flips the
-        # chain from this epoch onward.
-        payload = "|".join(map(repr, values)).encode("ascii")
+        # The payload is the values' bit patterns: any ULP of state
+        # difference flips the chain from this epoch onward.
+        payload = self._pack.pack(*values)
         digest = hashlib.blake2b(self._chain + payload, digest_size=16)
         self._chain = digest.digest()
         self._chain_hex = digest.hexdigest()

@@ -70,7 +70,7 @@ class ProbeSet:
     Args:
         engine: the engine. Its ``queue`` receives the PROBE events;
             each snapshot reads its ``chips`` (each with
-            ``observe(now)`` and ``energy``), ``_arrived_requests()``
+            ``observe(now)``), ``_arrived_requests()``
             (the run's arrived DMA-memory requests) and
             ``_bus_states()`` (``(busy, queue_depth)`` per bus).
         kind: the engine's PROBE event kind.
@@ -128,8 +128,8 @@ class ProbeSet:
 
     def snapshot(self, now: float) -> tuple[float, ...]:
         """The run's observable state at ``now``, laid out as
-        :func:`snapshot_fields`. Reads only; every chip is observed
-        once."""
+        :func:`snapshot_fields`. Reads only: one ``observe(now)`` call
+        per chip returns that chip's whole :data:`CHIP_FIELDS` block."""
         engine = self._engine
         requests = engine._arrived_requests()
         values = [
@@ -142,10 +142,7 @@ class ProbeSet:
             float(engine.migrations),
         ]
         for chip in engine.chips:
-            buckets, power = chip.observe(now)
-            values.append(float(chip.energy.total))
-            values.append(float(power))
-            values.extend(buckets)
+            values.extend(chip.observe(now))
         for busy, depth in engine._bus_states():
             values.append(busy)
             values.append(depth)

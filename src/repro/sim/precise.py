@@ -224,9 +224,10 @@ class _PChip:
 
     _transit_power = 0.0
 
-    def observe(self, now: float) -> tuple[list[float], float]:
-        """Residency-to-date (in :data:`~repro.energy.accounting.BUCKETS`
-        order) and instantaneous power at ``now``.
+    def observe(self, now: float) -> list[float]:
+        """The chip's snapshot block at ``now``, in
+        :data:`~repro.obs.probe.CHIP_FIELDS` order: energy-to-date,
+        instantaneous power, then residency-to-date per bucket.
 
         Strictly read-only: the pending ``now - _last`` span is
         classified exactly as :meth:`touch` will classify it, but
@@ -256,7 +257,7 @@ class _PChip:
         delta = now - self._last
         if delta > 0:
             buckets[BUCKET_INDEX[bucket]] += delta
-        return buckets, power
+        return [self.energy.total, power, *buckets]
 
     def _count_transition(self, source: PowerState,
                           target: PowerState) -> None:

@@ -3,12 +3,15 @@ validation, the digest ring, trail (de)serialisation, chain bisection,
 result deltas, and the DiffServer."""
 
 import json
+import math
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError, DiffError
 from repro.obs.diff import (
+    TRAIL_VERSION,
     DigestConfig,
     DigestRecorder,
     DigestStore,
@@ -21,6 +24,7 @@ from repro.obs.diff import (
     result_delta,
     write_trail,
 )
+from repro.obs.probe import snapshot_fields
 
 
 def make_trail(ticks, chains=None, label="t", stride=1, captures=()):
@@ -118,6 +122,34 @@ class TestRecorderMisuse:
             recorder.bind(FakeFluid())
 
 
+class TestDigestPayload:
+    """The chain hashes each snapshot's bit pattern."""
+
+    ENGINE = SimpleNamespace(
+        name="fluid",
+        controller=SimpleNamespace(epoch_cycles=lambda: 1000.0),
+        config=SimpleNamespace(memory=SimpleNamespace(num_chips=1),
+                               buses=SimpleNamespace(count=0)))
+
+    def chain_tip(self, snapshot):
+        recorder = DigestRecorder()
+        recorder.bind(self.ENGINE)
+        recorder.sample(tuple(snapshot))
+        return recorder.trail().chain_tip
+
+    @pytest.mark.parametrize("a, b", [
+        (0.25, math.nextafter(0.25, 1.0)),
+        (0.0, -0.0),
+    ], ids=("one-ulp", "signed-zero"))
+    def test_chip_bucket_bits_change_the_tip(self, a, b):
+        fields = snapshot_fields(self.ENGINE.config)
+        slot = fields.index("chip0.idle_dma")
+        snapshot = [1.0] * len(fields)
+        other = list(snapshot)
+        snapshot[slot], other[slot] = a, b
+        assert self.chain_tip(snapshot) != self.chain_tip(other)
+
+
 class TestTrailRoundTrip:
     def test_json_round_trip(self, tmp_path):
         trail = make_trail(5, label="fluid/dma-ta", stride=2)
@@ -134,14 +166,18 @@ class TestTrailRoundTrip:
         lambda obj: obj["rows"].append([1, 2]),        # not a triple
         lambda obj: obj["rows"].append(["x", 0.0, 3]),  # bad types
         lambda obj: obj.pop("epoch_cycles"),
+        lambda obj: obj.update(version=1),  # repr-payload chains
     ])
     def test_malformed_trail_raises_differror(self, tmp_path, mutate):
         obj = make_trail(3).as_dict()
         mutate(obj)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(DiffError):
+        with pytest.raises(DiffError) as refused:
             read_trail(path)
+        if obj["version"] != TRAIL_VERSION:
+            assert f"version {obj['version']} " in str(refused.value)
+            assert f"version {TRAIL_VERSION}" in str(refused.value)
 
     def test_not_json_raises_differror(self, tmp_path):
         path = tmp_path / "garbage.json"
