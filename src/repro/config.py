@@ -31,6 +31,21 @@ from repro.energy.states import PowerModel
 MB = 1 << 20
 
 
+def check_period(name: str, cycles: float) -> None:
+    """Reject a period (in memory cycles) that cannot advance the clock.
+
+    A period must be finite and at least one cycle. A shorter one is
+    below the resolution of any event (a request takes T = 4 cycles).
+    NaN and infinity never schedule a sane next tick. At one cycle or
+    more, ``now + period > now`` for every horizon below 2**52 cycles,
+    so every periodic event moves time forward.
+    """
+    if not (math.isfinite(cycles) and cycles >= 1.0):
+        raise ConfigurationError(
+            f"{name} must be a finite period of at least one memory "
+            f"cycle, got {cycles!r}")
+
+
 @dataclass(frozen=True)
 class MemoryConfig:
     """Memory subsystem geometry and device model.
@@ -136,6 +151,7 @@ class TemporalAlignmentConfig:
             :mod:`repro.core.cp_limit`.
         epoch_cycles: epoch length for the pessimistic slack charging.
             Results are insensitive to this as long as it is not too large.
+            Finite and at least one cycle (:func:`check_period`).
         slack_release_fraction: release gathered requests when the projected
             queueing delay ``n*U/2`` reaches this fraction of the available
             slack ("close to the current Slack" in the paper).
@@ -157,8 +173,7 @@ class TemporalAlignmentConfig:
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ConfigurationError(
                 f"mu must be finite and non-negative, got {self.mu!r}")
-        if self.epoch_cycles <= 0:
-            raise ConfigurationError("epoch_cycles must be positive")
+        check_period("epoch_cycles", self.epoch_cycles)
         if not 0 < self.slack_release_fraction <= 1:
             raise ConfigurationError(
                 "slack_release_fraction must be in (0, 1]")
@@ -175,7 +190,8 @@ class PopularityLayoutConfig:
             1, 2, 4, ... chips plus one cold group). 2 is the paper's best.
         hot_access_fraction: the tunable ``p`` — the hot chips together
             should absorb this fraction of DMA-memory requests.
-        interval_cycles: page-migration interval (multiple epochs).
+        interval_cycles: page-migration interval (multiple epochs);
+            finite and at least one cycle (:func:`check_period`).
         counter_bits: width of the per-page DMA reference counters.
         aging_shift: right-shift applied to every counter at each interval
             boundary (0 resets counters instead).
@@ -215,8 +231,7 @@ class PopularityLayoutConfig:
             raise ConfigurationError("PL needs at least 2 groups (hot+cold)")
         if not 0 < self.hot_access_fraction < 1:
             raise ConfigurationError("hot_access_fraction must be in (0,1)")
-        if self.interval_cycles <= 0:
-            raise ConfigurationError("interval_cycles must be positive")
+        check_period("interval_cycles", self.interval_cycles)
         if self.counter_bits <= 0 or self.counter_bits > 32:
             raise ConfigurationError("counter_bits must be in [1, 32]")
         if self.aging_shift < 0:

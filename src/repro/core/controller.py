@@ -12,6 +12,7 @@ TemporalAlignmentController` overrides admission to gather requests.
 from __future__ import annotations
 
 import abc
+import math
 
 from repro.io.dma import FluidStream
 from repro.memory.chip import FluidChip
@@ -34,9 +35,23 @@ class MemoryController(abc.ABC):
         """Epoch length for periodic accounting, or None for no epochs."""
         return None
 
+    def settle_epochs(self, now: float, stop: float = -math.inf,
+                      at_stop: bool = False
+                      ) -> tuple[float, int, dict[int, list[FluidStream]]]:
+        """Run periodic bookkeeping ticks from ``now``, one epoch apart.
+
+        Runs the tick at ``now``, then each next tick that would still
+        pop before the engine's next queued event at ``stop`` (at
+        ``stop`` itself when ``at_stop``), and ends after the first tick
+        that releases anything. Returns the last tick run, the number of
+        ticks run and that tick's ``chip_id -> streams`` to release.
+        """
+        return now, 1, {}
+
     def on_epoch(self, now: float) -> dict[int, list[FluidStream]]:
-        """Periodic bookkeeping; returns ``chip_id -> streams`` to release."""
-        return {}
+        """One bookkeeping tick; returns ``chip_id -> streams`` to
+        release."""
+        return self.settle_epochs(now)[2]
 
     def on_wake(self, chip_id: int, wake_latency: float, now: float,
                 pending_requests: int = 1) -> None:
@@ -45,12 +60,6 @@ class MemoryController(abc.ABC):
     def on_proc_access(self, chip_id: int, work_cycles: float,
                        dma_streams_at_chip: int, now: float) -> None:
         """Processor accesses of ``work_cycles`` hit ``chip_id``."""
-
-    def on_chip_active(self, chip: FluidChip,
-                       now: float) -> list[FluidStream]:
-        """The chip became active for another reason (e.g. a processor
-        access); returns buffered streams that should ride along."""
-        return []
 
     def drain(self, now: float) -> dict[int, list[FluidStream]]:
         """Trace ended: release everything still buffered."""

@@ -71,8 +71,9 @@ class SlackAccount:
         if not 0 <= self.undercharge_fraction < 1:
             raise ConfigurationError(
                 "undercharge_fraction must be in [0, 1)")
-        self._charges = 0.0
-        self._extra_credits = 0.0
+        #: Cycles charged so far. The DMA-TA controller's epoch loop adds
+        #: each tick's :meth:`epoch_charge` to it in place.
+        self.total_charges = 0.0
         self._violations = 0
 
     @property
@@ -93,30 +94,45 @@ class SlackAccount:
         pessimistic epoch charging is designed to release chips before
         that happens.
         """
-        credits = arrived_requests * self.credit_per_request()
-        return credits + self._extra_credits - self._charges
+        return (arrived_requests * self.credit_per_request()
+                - self.total_charges)
 
     # --- charges ----------------------------------------------------------
 
+    def epoch_charge(self, epoch_cycles: float,
+                     pending_requests: int) -> float:
+        """Cycles one epoch tick charges: all pending wait the epoch out."""
+        return (epoch_cycles * pending_requests
+                * (1.0 - self.undercharge_fraction))
+
     def charge_epoch(self, epoch_cycles: float, pending_requests: int,
                      now: float = 0.0) -> None:
-        """Pessimistic epoch-start charge: all pending wait the epoch out."""
-        charged = (epoch_cycles * pending_requests
-                   * (1.0 - self.undercharge_fraction))
-        self._charges += charged
+        """Pessimistic epoch-start charge for one tick, with its event.
+
+        The DMA-TA controller's ``settle_epochs`` adds the same
+        :meth:`epoch_charge` and emits the same event for each tick of a
+        run of ticks.
+        """
+        charged = self.epoch_charge(epoch_cycles, pending_requests)
+        self.total_charges += charged
         if self.tracer is not None and pending_requests:
-            # The event reports the cycles ACTUALLY charged (post any
-            # injected fault) plus the epoch length, so the auditor can
-            # independently recompute epoch * pending and flag the gap.
-            self.tracer.instant(now, "slack.charge_epoch", TRACK_CONTROLLER,
-                                {"cycles": charged,
-                                 "pending": pending_requests,
-                                 "epoch": epoch_cycles})
+            self.emit_epoch_charge(now, charged, pending_requests,
+                                   epoch_cycles)
+
+    def emit_epoch_charge(self, now: float, charged: float, pending: int,
+                          epoch_cycles: float) -> None:
+        """The ``slack.charge_epoch`` event of one tick (tracer set)."""
+        # The event reports the cycles ACTUALLY charged (post any injected
+        # fault) plus the epoch length, so the auditor can independently
+        # recompute epoch * pending and flag the gap.
+        self.tracer.instant(now, "slack.charge_epoch", TRACK_CONTROLLER,
+                            {"cycles": charged, "pending": pending,
+                             "epoch": epoch_cycles})
 
     def charge_wake(self, wake_latency: float, pending_requests: int,
                     now: float = 0.0) -> None:
         """Charge a chip activation against the requests it delays."""
-        self._charges += wake_latency * pending_requests
+        self.total_charges += wake_latency * pending_requests
         if self.tracer is not None:
             self.tracer.instant(now, "slack.charge_wake", TRACK_CONTROLLER,
                                 {"cycles": wake_latency * pending_requests,
@@ -125,24 +141,12 @@ class SlackAccount:
     def charge_processor(self, work_cycles: float, pending_requests: int,
                          now: float = 0.0) -> None:
         """Charge processor service time against delayed DMA requests."""
-        self._charges += work_cycles * pending_requests
+        self.total_charges += work_cycles * pending_requests
         if self.tracer is not None:
             self.tracer.instant(now, "slack.charge_processor",
                                 TRACK_CONTROLLER,
                                 {"cycles": work_cycles * pending_requests,
                                  "pending": pending_requests})
-
-    def refund(self, cycles: float, now: float = 0.0) -> None:
-        """Return over-charged pessimistic cycles (e.g. when a request is
-        released mid-epoch after being charged for the full epoch)."""
-        self._extra_credits += cycles
-        if self.tracer is not None and cycles:
-            self.tracer.instant(now, "slack.refund", TRACK_CONTROLLER,
-                                {"cycles": cycles})
-
-    @property
-    def total_charges(self) -> float:
-        return self._charges
 
     # --- release test -------------------------------------------------------
 

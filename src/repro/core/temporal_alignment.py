@@ -35,7 +35,7 @@ from repro.core.controller import MemoryController
 from repro.core.slack import SlackAccount
 from repro.io.dma import FluidStream
 from repro.memory.chip import FluidChip
-from repro.obs.events import TRACK_CONTROLLER
+from repro.obs.events import TRACK_CONTROLLER, TRACK_SIM
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -49,11 +49,11 @@ class TemporalAlignmentController(MemoryController):
         config: simulation configuration (``config.alignment.mu`` is the
             per-request degradation allowance).
         arrived_requests: callable returning the number of DMA-memory
-            requests that have arrived at the memory system so far,
-            *excluding* buffered head requests (the controller adds its
-            own pending count). The engine supplies this from its served
-            work integral, and drops it (the attribute of the same name)
-            when its run ends.
+            requests that have arrived at the memory system by the time
+            it is given, *excluding* buffered head requests (the
+            controller adds its own pending count). The engine supplies
+            this from its served work integral, and drops it (the
+            attribute of the same name) when its run ends.
         tracer: optional event tracer; head buffering and batch releases
             (with their trigger) are emitted on the controller track.
         registry: optional metrics registry; release batch sizes (the
@@ -62,7 +62,7 @@ class TemporalAlignmentController(MemoryController):
     """
 
     def __init__(self, config: SimulationConfig,
-                 arrived_requests: Callable[[], float],
+                 arrived_requests: Callable[[float], float],
                  tracer: "Tracer | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
         self._config = config
@@ -81,8 +81,14 @@ class TemporalAlignmentController(MemoryController):
         self._pending: dict[int, list[FluidStream]] = defaultdict(list)
         self._pending_total = 0
         self._pending_requests = 0  # committed requests of buffered heads
-        # Bounds over the buffered heads for on_epoch's quiet test,
-        # refreshed whenever the buffered set changes.
+        # Per chip with buffered heads, kept as heads are buffered and
+        # dropped on release: its bus -> head count, its oldest arrival
+        # and its projected delay n*U/2 (infinite for heads from k
+        # buses, which the gather trigger releases).
+        self._by_bus: dict[int, dict[int, int]] = {}
+        self._chip_oldest: dict[int, float] = {}
+        self._chip_projected: dict[int, float] = {}
+        # Their min and max: the bounds of settle_epochs' quiet test.
         self._oldest_arrival = math.inf
         self._max_projected = 0.0
 
@@ -97,7 +103,7 @@ class TemporalAlignmentController(MemoryController):
 
     # ------------------------------------------------------------------
 
-    def _arrived(self) -> float:
+    def _arrived(self, now: float) -> float:
         """Request count backing the slack credits.
 
         Served requests plus the *committed* requests of buffered
@@ -108,13 +114,27 @@ class TemporalAlignmentController(MemoryController):
         anticipation a cold-start gather could never wait longer than
         the few credits already banked.
         """
-        return self.arrived_requests() + self._pending_requests
+        return self.arrived_requests(now) + self._pending_requests
 
     def _pending_by_bus(self, chip_id: int) -> dict[int, int]:
-        counts: dict[int, int] = defaultdict(int)
-        for stream in self._pending.get(chip_id, ()):
-            counts[stream.bus_id if stream.bus_id is not None else -1] += 1
-        return dict(counts)
+        """The chip's buffered heads per bus (read only: the controller
+        keeps it)."""
+        return self._by_bus.get(chip_id, {})
+
+    def _buffer(self, chip_id: int, stream: FluidStream) -> None:
+        """Buffer a head and update its chip's bounds."""
+        self._pending[chip_id].append(stream)
+        self._pending_total += 1
+        self._pending_requests += getattr(stream, "num_requests", 0) or 1
+        by_bus = self._by_bus.setdefault(chip_id, {})
+        bus_id = stream.bus_id if stream.bus_id is not None else -1
+        by_bus[bus_id] = by_bus.get(bus_id, 0) + 1
+        self._chip_oldest[chip_id] = min(
+            self._chip_oldest.get(chip_id, math.inf), stream.arrival_time)
+        self._chip_projected[chip_id] = (
+            math.inf if len(by_bus) >= self.slack.saturating_buses
+            else self.slack.projected_delay(by_bus))
+        self._refresh_bounds()
 
     def _pop_pending(self, chip_id: int) -> list[FluidStream]:
         streams = self._pending.pop(chip_id, [])
@@ -123,24 +143,21 @@ class TemporalAlignmentController(MemoryController):
             self._pending_requests -= sum(
                 getattr(s, "num_requests", 0) or 1 for s in streams)
             self.max_gathered = max(self.max_gathered, len(streams))
+            del self._by_bus[chip_id]
+            del self._chip_oldest[chip_id]
+            del self._chip_projected[chip_id]
             self._refresh_bounds()
         return streams
 
     def _refresh_bounds(self) -> None:
-        """Recompute the oldest buffered arrival and the largest per-chip
-        projected delay ``n * U / 2`` (infinite for a chip holding heads
-        from ``k`` buses, which the gather trigger releases)."""
-        self._oldest_arrival = min(
-            (s.arrival_time for streams in self._pending.values()
-             for s in streams), default=math.inf)
-        projected = 0.0
-        for chip_id in self._pending:
-            by_bus = self._pending_by_bus(chip_id)
-            if len(by_bus) >= self.slack.saturating_buses:
-                projected = math.inf
-                break
-            projected = max(projected, self.slack.projected_delay(by_bus))
-        self._max_projected = projected
+        """The oldest buffered arrival and the largest per-chip projected
+        delay, over the chips' kept values. The head counts are integers
+        and ``projected_delay`` reads only their sum and maximum, so both
+        bounds equal a fresh scan of the buffered heads."""
+        self._oldest_arrival = min(self._chip_oldest.values(),
+                                   default=math.inf)
+        self._max_projected = max(self._chip_projected.values(),
+                                  default=0.0)
 
     def _record_release(self, chip_id: int, streams: list[FluidStream],
                         reason: str, now: float) -> None:
@@ -178,7 +195,8 @@ class TemporalAlignmentController(MemoryController):
         fraction = self._config.alignment.deadline_fraction
         requests = getattr(stream, "num_requests", 0) or 1
         own = self.slack.credit_per_request() * requests
-        shared = self.slack.slack(self._arrived()) / (self._pending_total + 1)
+        shared = (self.slack.slack(self._arrived(now))
+                  / (self._pending_total + 1))
         return fraction * max(own, shared)
 
     def _deadline_due(self, chip_id: int, now: float) -> bool:
@@ -215,11 +233,8 @@ class TemporalAlignmentController(MemoryController):
             self.transfers_passed_through += 1
             return [stream]
 
-        self._pending[chip_id].append(stream)
-        self._pending_total += 1
-        self._pending_requests += getattr(stream, "num_requests", 0) or 1
+        self._buffer(chip_id, stream)
         self.transfers_buffered += 1
-        self._refresh_bounds()
         if self._tracer is not None:
             self._tracer.instant(now, "ta.buffer", TRACK_CONTROLLER,
                                  {"chip": chip_id,
@@ -235,7 +250,7 @@ class TemporalAlignmentController(MemoryController):
             batch = self._pop_pending(chip_id)
             self._record_release(chip_id, batch, "gather", now)
             return batch
-        if self.slack.should_release(by_bus, self._arrived(), now):
+        if self.slack.should_release(by_bus, self._arrived(now), now):
             self.releases_by_slack += 1
             batch = self._pop_pending(chip_id)
             self._record_release(chip_id, batch, "slack", now)
@@ -245,11 +260,82 @@ class TemporalAlignmentController(MemoryController):
     def epoch_cycles(self) -> float | None:
         return self._config.alignment.epoch_cycles
 
-    def on_epoch(self, now: float) -> dict[int, list[FluidStream]]:
-        self.slack.charge_epoch(
-            self._config.alignment.epoch_cycles, self._pending_total, now)
-        if self._pending and self._quiet(now):
-            return {}
+    def settle_epochs(self, now: float, stop: float = -math.inf,
+                      at_stop: bool = False
+                      ) -> tuple[float, int, dict[int, list[FluidStream]]]:
+        """Run the epoch ticks ``now``, ``now + epoch``, ... in one call.
+
+        Each tick adds ``slack.epoch_charge(epoch, pending)`` to the
+        slack account's charges, with ``charge_epoch``'s event, and
+        releases what is due. With a tracer, each tick first emits the
+        ``pending_heads`` and ``served_requests`` counters on the sim
+        track, which the auditor's slack replay reads. A tick is quiet when one slack
+        balance and the two bounds of :meth:`_refresh_bounds` prove that
+        it can release nothing and count no violation. The test is
+        exact: every allowance is ``deadline_fraction * max(own,
+        shared)`` with this same ``shared`` float (:meth:`_allowance`),
+        so no deadline is due while the oldest head has waited less than
+        ``deadline_fraction * shared``; and while ``release_fraction *
+        balance`` exceeds every chip's projected delay,
+        ``should_release`` is false for every chip and the balance is
+        positive. The ``slack`` counter each of those calls would have
+        emitted is emitted here. Any other tick runs the per-chip
+        deadline and slack checks.
+
+        A quiet tick changes nothing but the charges, so a run of them
+        costs a few float operations each. After the tick at ``now``,
+        the call runs each next tick that would still pop before the
+        engine's next queued event, at ``stop``: one before ``stop``,
+        or at ``stop`` when ``at_stop`` (that event sorts after an epoch
+        tick). It ends after the first tick that releases anything. The
+        defaults run one tick.
+
+        Returns the last tick run, the number of ticks run and that
+        tick's releases (``chip_id -> streams``).
+        """
+        slack = self.slack
+        tracer = self._tracer
+        epoch = self._config.alignment.epoch_cycles
+        pending = self._pending_total
+        charged = slack.epoch_charge(epoch, pending)
+        credit = slack.credit_per_request()
+        requests = self._pending_requests
+        deadline_fraction = self._config.alignment.deadline_fraction
+        release_fraction = slack.release_fraction
+        oldest, projected = self._oldest_arrival, self._max_projected
+        arrived = self.arrived_requests
+        ticks = 0
+        while True:
+            ticks += 1
+            if tracer is not None:
+                tracer.counter(now, "pending_heads", TRACK_SIM,
+                               float(pending))
+                tracer.counter(now, "served_requests", TRACK_SIM,
+                               arrived(now))
+            slack.total_charges += charged
+            if pending:
+                if tracer is not None:
+                    slack.emit_epoch_charge(now, charged, pending, epoch)
+                balance = ((arrived(now) + requests) * credit
+                           - slack.total_charges)
+                if (now - oldest
+                        < deadline_fraction * (balance / (pending + 1))
+                        and release_fraction * balance > projected):
+                    if tracer is not None:
+                        for _ in self._pending:
+                            tracer.counter(now, "slack", TRACK_CONTROLLER,
+                                           balance)
+                else:
+                    releases = self._release_due(now)
+                    if releases:
+                        return now, ticks, releases
+            following = now + epoch
+            if not (following < stop or at_stop and following == stop):
+                return now, ticks, {}
+            now = following
+
+    def _release_due(self, now: float) -> dict[int, list[FluidStream]]:
+        """One tick's per-chip deadline and slack checks."""
         releases: dict[int, list[FluidStream]] = {}
         for chip_id in list(self._pending):
             if self._deadline_due(chip_id, now):
@@ -259,37 +345,12 @@ class TemporalAlignmentController(MemoryController):
                                      "deadline", now)
                 continue
             by_bus = self._pending_by_bus(chip_id)
-            if self.slack.should_release(by_bus, self._arrived(), now):
+            if self.slack.should_release(by_bus, self._arrived(now), now):
                 self.releases_by_slack += 1
                 releases[chip_id] = self._pop_pending(chip_id)
                 self._record_release(chip_id, releases[chip_id],
                                      "slack", now)
         return releases
-
-    def _quiet(self, now: float) -> bool:
-        """True if this tick can release nothing and count no violation.
-
-        Decided in O(1) from one slack balance and the two bounds of
-        :meth:`_refresh_bounds`, and exact: every allowance is
-        ``deadline_fraction * max(own, shared)`` with this same
-        ``shared`` float (:meth:`_allowance`), so no deadline is due
-        while the oldest head has waited less than ``deadline_fraction
-        * shared``; and while ``release_fraction * balance`` exceeds
-        every chip's projected delay, ``should_release`` is false for
-        every chip and the balance is positive. The ``slack`` counter
-        each of those calls would have emitted is emitted here.
-        """
-        balance = self.slack.slack(self._arrived())
-        shared = balance / (self._pending_total + 1)
-        if not (now - self._oldest_arrival
-                < self._config.alignment.deadline_fraction * shared
-                and self.slack.release_fraction * balance
-                > self._max_projected):
-            return False
-        if self._tracer is not None:
-            for _ in self._pending:
-                self._tracer.counter(now, "slack", TRACK_CONTROLLER, balance)
-        return True
 
     def on_wake(self, chip_id: int, wake_latency: float, now: float,
                 pending_requests: int = 1) -> None:
@@ -303,12 +364,6 @@ class TemporalAlignmentController(MemoryController):
         pending = len(self._pending.get(chip_id, ())) + dma_streams_at_chip
         if pending:
             self.slack.charge_processor(work_cycles, pending, now)
-
-    def on_chip_active(self, chip: FluidChip,
-                       now: float) -> list[FluidStream]:
-        batch = self._pop_pending(chip.chip_id)
-        self._record_release(chip.chip_id, batch, "chip-active", now)
-        return batch
 
     def drain(self, now: float) -> dict[int, list[FluidStream]]:
         releases = {}

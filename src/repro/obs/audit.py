@@ -161,7 +161,6 @@ class AuditReport:
         #: Slack replay summary.
         self.epochs_charged = 0
         self.charges_replayed = 0.0
-        self.refunds_replayed = 0.0
         self.min_slack_replayed = math.inf
         self.guarantee_bound = 0.0
         self.avg_extra_cycles = 0.0
@@ -191,7 +190,6 @@ class AuditReport:
             "slack": {
                 "epochs_charged": self.epochs_charged,
                 "charges_replayed": self.charges_replayed,
-                "refunds_replayed": self.refunds_replayed,
                 "min_slack_replayed": (
                     None if math.isinf(self.min_slack_replayed)
                     else self.min_slack_replayed),
@@ -308,7 +306,6 @@ class Auditor(Tracer):
         self._pending_transfers = 0
         self._pending_requests = 0
         self._charges = 0.0
-        self._refunds = 0.0
         self._served = 0.0                    # last served_requests sample
         self._extra_total = 0.0               # completed waited + extra
 
@@ -568,17 +565,13 @@ class Auditor(Tracer):
         if self._mu > 0 and self._service_cycles > 0:
             credits = ((self._served + self._pending_requests)
                        * self._mu * self._service_cycles)
-            slack = credits + self._refunds - self._charges
+            slack = credits - self._charges
             self.report.min_slack_replayed = min(
                 self.report.min_slack_replayed, slack)
 
     def _on_charge(self, event: Event) -> None:
         args = event.args or {}
         self._charges += float(args.get("cycles", 0.0))
-
-    def _on_refund(self, event: Event) -> None:
-        args = event.args or {}
-        self._refunds += float(args.get("cycles", 0.0))
 
     def _on_migration(self, event: Event) -> None:
         args = event.args or {}
@@ -594,7 +587,6 @@ class Auditor(Tracer):
         "slack.charge_epoch": _on_charge_epoch,
         "slack.charge_wake": _on_charge,
         "slack.charge_processor": _on_charge,
-        "slack.refund": _on_refund,
         "pl.migration": _on_migration,
     }
 
@@ -610,7 +602,6 @@ class Auditor(Tracer):
         report.slowest = [entry for _, _, entry in self._slow_heap]
         report.ledger = self._ledger
         report.charges_replayed = self._charges
-        report.refunds_replayed = self._refunds
         if report.requests_completed:
             report.avg_extra_cycles = (
                 self._extra_total / report.requests_completed)

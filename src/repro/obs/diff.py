@@ -65,6 +65,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from repro.config import check_period
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.errors import ConfigurationError, DiffError
 from repro.obs.probe import (
@@ -100,7 +101,8 @@ class DigestConfig:
             default) uses the run's DMA-TA epoch length when the
             controller has one, else ``config.alignment.epoch_cycles``
             — so "per-epoch" is literal under DMA-TA and
-            epoch-equivalent otherwise.
+            epoch-equivalent otherwise. A given period must be finite
+            and at least one cycle.
         capacity: ring rows kept; on overflow every other row is
             dropped and the acceptance stride doubles (the
             ``TelemetryStore`` discipline).
@@ -123,8 +125,8 @@ class DigestConfig:
     inject_skew_cycles: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.epoch_cycles is not None and self.epoch_cycles <= 0:
-            raise ConfigurationError("epoch_cycles must be positive")
+        if self.epoch_cycles is not None:
+            check_period("epoch_cycles", self.epoch_cycles)
         if self.capacity < 8 or self.capacity % 2:
             raise ConfigurationError("capacity must be an even number >= 8")
         if self.capture_range is not None:

@@ -70,8 +70,9 @@ class ProbeSet:
     Args:
         engine: the engine. Its ``queue`` receives the PROBE events;
             each snapshot reads its ``chips`` (each with
-            ``observe(now)``), ``_arrived_requests()``
-            (the run's arrived DMA-memory requests) and
+            ``observe(now)``), ``_arrived_requests(now)``
+            (the run's arrived DMA-memory requests, read at the queue's
+            clock) and
             ``_bus_states()`` (``(busy, queue_depth)`` per bus).
         kind: the engine's PROBE event kind.
         probes: the attached probes (``None`` entries are skipped).
@@ -131,7 +132,7 @@ class ProbeSet:
         :func:`snapshot_fields`. Reads only: one ``observe(now)`` call
         per chip returns that chip's whole :data:`CHIP_FIELDS` block."""
         engine = self._engine
-        requests = engine._arrived_requests()
+        requests = engine._arrived_requests(engine.queue.now)
         values = [
             now,
             float(requests),

@@ -49,6 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.config import check_period
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
 from repro.errors import ConfigurationError, TelemetryError
 from repro.obs.events import TRACK_SIM
@@ -96,6 +97,7 @@ class TelemetryConfig:
         sample_cycles: sampling period in memory cycles. ``None`` (the
             default) uses the run's DMA-TA epoch length when the
             controller has one, else ``config.alignment.epoch_cycles``.
+            A given period must be finite and at least one cycle.
         capacity: ring rows kept in memory; on overflow every other row
             is dropped and the acceptance stride doubles (deterministic
             2:1 downsampling, O(capacity) memory forever).
@@ -113,9 +115,8 @@ class TelemetryConfig:
     inject_spike_at_frac: float = 0.5
 
     def __post_init__(self) -> None:
-        # NaN fails too: it would leave only the end-of-run sample.
-        if self.sample_cycles is not None and not self.sample_cycles > 0:
-            raise ConfigurationError("sample_cycles must be positive")
+        if self.sample_cycles is not None:
+            check_period("sample_cycles", self.sample_cycles)
         if self.capacity < 8 or self.capacity % 2:
             raise ConfigurationError("capacity must be an even number >= 8")
         if not 0.0 <= self.inject_spike_at_frac <= 1.0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from typing import Any, Iterable
 
 from repro.config import SimulationConfig
@@ -79,6 +80,10 @@ class EventQueue:
         self._now = max(self._now, time)
         return time, kind, payload
 
+    def head_time(self) -> float:
+        """Timestamp of the next event to pop (``inf`` when empty)."""
+        return self._heap[0][0] if self._heap else math.inf
+
     def precedes(self, time: float, kind: Any) -> bool:
         """True if an event pushed now at ``(time, kind)`` would pop
         before every event already queued."""
@@ -108,7 +113,7 @@ class EngineCore:
     interval and builds the result. An engine owns its chips, buses and
     event loop. It builds the core, then its chips, then calls
     :meth:`_attach`; its ``run`` calls :meth:`_start`, runs the loop
-    and returns :meth:`_finish`. It provides ``_arrived_requests()`` and
+    and returns :meth:`_finish`. It provides ``_arrived_requests(now)`` and
     ``_bus_states()`` for the controller and the probes. The core
     pushes its events with the kinds ``_ARRIVAL``, ``_EPOCH``,
     ``_INTERVAL`` and ``_PROBE``; the precise engine, which has its own

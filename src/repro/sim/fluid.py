@@ -100,9 +100,10 @@ class FluidEngine(EngineCore):
         return self._dma_work_base + self._dma_work_rate * (
             now - self._dma_work_time)
 
-    def _arrived_requests(self) -> float:
-        """Arrived (~served) DMA-memory requests, excluding buffered heads."""
-        return self._served_dma_work(self.queue.now) / self._serve_cycles
+    def _arrived_requests(self, now: float) -> float:
+        """Arrived (~served) DMA-memory requests by ``now``, excluding
+        buffered heads."""
+        return self._served_dma_work(now) / self._serve_cycles
 
     # ------------------------------------------------------------------
     # Run loop
@@ -256,29 +257,26 @@ class FluidEngine(EngineCore):
                            [granted], now, notify=True)
 
     def _on_epoch(self, now: float) -> None:
-        """Run DMA-TA epoch ticks from ``now``.
+        """Run DMA-TA epoch ticks from ``now`` in one controller call.
 
         A tick that releases nothing changes no state the run loop's
-        post-event checks read, so while the next tick would pop before
-        every queued event it runs here, without a push and a pop.
+        post-event checks (or :meth:`_work_remaining`) read, so the
+        controller settles every tick that would pop before the next
+        queued event, ending early at a tick that releases.
         """
-        epoch = self.controller.epoch_cycles()
-        while self._work_remaining():
-            self.registry.counter("sim.epochs").inc()
-            if self.tracer is not None:
-                self.tracer.counter(now, "pending_heads", TRACK_SIM,
-                                    float(self.controller.pending_count()))
-                self.tracer.counter(now, "served_requests", TRACK_SIM,
-                                    self._arrived_requests())
-            releases = self.controller.on_epoch(now)
-            for chip_id, streams in releases.items():
-                self._release(self.memory.chips[chip_id], streams, now,
-                              notify=True)
-            now += epoch
-            if releases or not self.queue.precedes(now, EventKind.EPOCH):
-                self.queue.push(now, EventKind.EPOCH, None)
-                return
-            self.queue.advance(now)
+        if not self._work_remaining():
+            return
+        controller = self.controller
+        stop = self.queue.head_time()
+        now, ticks, releases = controller.settle_epochs(
+            now, stop, self.queue.precedes(stop, EventKind.EPOCH))
+        self.registry.counter("sim.epochs").inc(ticks)
+        self.queue.advance(now)
+        for chip_id, streams in releases.items():
+            self._release(self.memory.chips[chip_id], streams, now,
+                          notify=True)
+        self.queue.push(now + controller.epoch_cycles(), EventKind.EPOCH,
+                        None)
 
     def _on_interval(self, now: float) -> None:
         if self._records_done and not self._active:

@@ -424,7 +424,8 @@ class PreciseEngine(EngineCore):
         else:
             self._kernel = None
 
-    def _arrived_requests(self) -> float:
+    def _arrived_requests(self, now: float) -> float:
+        # Counted as requests reach their chip: ``now`` adds nothing.
         return float(self.arrived_requests)
 
     def _bus_states(self) -> list[tuple[float, float]]:
@@ -740,11 +741,6 @@ class PreciseEngine(EngineCore):
             self._next_epoch_time = math.inf
             return
         self.registry.counter("sim.epochs").inc()
-        if self.tracer is not None:
-            self.tracer.counter(now, "pending_heads", TRACK_SIM,
-                                float(self.controller.pending_count()))
-            self.tracer.counter(now, "served_requests", TRACK_SIM,
-                                float(self.arrived_requests))
         for chip_id, transfers in self.controller.on_epoch(now).items():
             self._do_release(chip_id, transfers, now, notify=True)
         epoch = self.controller.epoch_cycles()

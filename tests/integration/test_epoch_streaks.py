@@ -1,16 +1,19 @@
 """Fluid DMA-TA epoch streaks: ticks run inline give the same run.
 
-A fluid epoch tick that releases nothing runs the next tick in the same
-handler call while that tick would pop before every queued event. A
-``DigestRecorder`` at the epoch cadence queues a probe at every tick, so
-an observed run pops each tick as its own event; the two runs must agree
-exactly.
+A fluid epoch tick that releases nothing lets the controller run the
+next tick in the same call while that tick would pop before every queued
+event. A ``DigestRecorder`` at the epoch cadence queues a probe at every
+tick, so an observed run pops each tick as its own event, and a traced
+run settles the same runs of ticks while tracing every one; each must
+agree exactly with the plain run.
 """
 
 import pytest
 
 from repro import simulate
+from repro.core.temporal_alignment import TemporalAlignmentController
 from repro.obs.diff import DigestRecorder
+from repro.obs.tracer import RingTracer
 from repro.sim.engine import EventKind, EventQueue
 from repro.traces.oltp import oltp_storage_trace
 
@@ -55,6 +58,28 @@ def test_streaks_match_one_event_per_tick(trace, epoch_pops, technique):
     assert streak_pops < ticks / 2  # most ticks ran inline
     assert epoch_pops[0] == ticks  # every tick its own event
     assert outputs(streaked) == outputs(observed)
+
+
+def test_traced_run_settles_like_plain_run(trace, monkeypatch):
+    calls = [0]
+    settle = TemporalAlignmentController.settle_epochs
+
+    def counting_settle(self, *args):
+        calls[0] += 1
+        return settle(self, *args)
+
+    monkeypatch.setattr(TemporalAlignmentController, "settle_epochs",
+                        counting_settle)
+    plain = simulate(trace, technique="dma-ta-pl", mu=50.0)
+    plain_calls, calls[0] = calls[0], 0
+    tracer = RingTracer()
+    traced = simulate(trace, technique="dma-ta-pl", mu=50.0, tracer=tracer)
+    ticks = plain.metrics.counters["sim.epochs"]
+    assert ticks >= 4 * plain_calls  # about 6 on this trace
+    assert calls[0] == plain_calls
+    assert sum(event.name == "pending_heads"
+               for event in tracer.events) == ticks  # every tick traced
+    assert outputs(plain) == outputs(traced)
 
 
 def test_baseline_runs_no_epochs(trace):

@@ -1,5 +1,7 @@
 """Units for the configuration objects and their derived geometry."""
 
+import math
+
 import pytest
 
 from repro import units
@@ -108,6 +110,29 @@ class TestAlignmentConfig:
             TemporalAlignmentConfig(deadline_fraction=0.0)
         with pytest.raises(ConfigurationError):
             TemporalAlignmentConfig(deadline_fraction=1.5)
+
+
+class TestPeriods:
+    """Every period must advance the clock: finite, at least one cycle.
+    A shorter one would tick without end, NaN would run past the trace
+    and infinity would never tick."""
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: TemporalAlignmentConfig(epoch_cycles=v), "epoch_cycles"),
+        (lambda v: PopularityLayoutConfig(interval_cycles=v),
+         "interval_cycles"),
+    ], ids=["epoch", "interval"])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, 1e-12, 0.5, 0.0, -5.0])
+    def test_rejected_with_field_and_value(self, make, name, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            make(value)
+        assert name in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+
+    def test_one_cycle_accepted(self):
+        assert TemporalAlignmentConfig(epoch_cycles=1.0).epoch_cycles == 1.0
+        assert PopularityLayoutConfig(interval_cycles=1).interval_cycles == 1
 
 
 class TestLayoutConfig:

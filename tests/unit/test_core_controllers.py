@@ -29,7 +29,7 @@ def make_stream(bus=0, arrival=0.0, n_req=1024):
                        arrival_time=arrival, num_requests=n_req)
 
 
-def make_ta(mu=10.0, arrived=lambda: 0.0):
+def make_ta(mu=10.0, arrived=lambda now: 0.0):
     config = SimulationConfig().with_mu(mu)
     return TemporalAlignmentController(config, arrived)
 
@@ -97,7 +97,7 @@ class TestTemporalAlignment:
 
     def test_epoch_deadline_release(self):
         arrived = {"count": 0.0}
-        controller = make_ta(mu=10.0, arrived=lambda: arrived["count"])
+        controller = make_ta(mu=10.0, arrived=lambda now: arrived["count"])
         chip = make_chip()
         stream = make_stream(arrival=0.0, n_req=1024)
         assert controller.admit(stream, chip, 0.0) == []
@@ -116,7 +116,7 @@ class TestTemporalAlignment:
         assert controller.pending_count() == 0
 
     def test_epoch_keeps_fresh_streams(self):
-        controller = make_ta(mu=1e6, arrived=lambda: 1e6)
+        controller = make_ta(mu=1e6, arrived=lambda now: 1e6)
         chip = make_chip()
         controller.admit(make_stream(arrival=0.0), chip, 0.0)
         releases = controller.on_epoch(10.0)

@@ -32,11 +32,6 @@ class TestCredits:
         account.charge_processor(work_cycles=32.0, pending_requests=3)
         assert account.total_charges == pytest.approx(96.0)
 
-    def test_refund(self, account):
-        account.charge_epoch(100.0, 1)
-        account.refund(40.0)
-        assert account.slack(0) == pytest.approx(-60.0)
-
     def test_negative_slack_possible(self, account):
         account.charge_epoch(1000.0, 10)
         assert account.slack(0) < 0

@@ -56,6 +56,26 @@ class TestDigestConfig:
         with pytest.raises(ConfigurationError):
             DigestConfig(**kwargs)
 
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf, 1e-12, 0.5])
+    def test_rejects_periods_that_cannot_advance_the_clock(self, cycles):
+        with pytest.raises(ConfigurationError, match="epoch_cycles"):
+            DigestConfig(epoch_cycles=cycles)
+
+    @pytest.mark.parametrize("cycles", ["nan", "inf", "1e-12"])
+    def test_cli_names_the_bad_period(self, tmp_path, capsys, cycles):
+        """A bad period fails before any run, naming the field: NaN
+        would otherwise diff a single epoch and exit 0, and 1e-12 would
+        never finish."""
+        from repro.cli import main
+
+        path = tmp_path / "t.jsonl"
+        assert main(["generate", "synthetic-st", "-o", str(path),
+                     "--duration-ms", "1", "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(path), "--technique", "dma-ta",
+                     "--epoch-cycles", cycles]) != 0
+        assert "epoch_cycles" in capsys.readouterr().err
+
 
 class TestDigestStore:
     def test_retains_everything_below_capacity(self):

@@ -43,6 +43,11 @@ class TestTelemetryConfig:
         with pytest.raises(ConfigurationError):
             TelemetryConfig(**kwargs)
 
+    @pytest.mark.parametrize("cycles", [math.inf, 1e-12, 0.5])
+    def test_rejects_periods_that_cannot_advance_the_clock(self, cycles):
+        with pytest.raises(ConfigurationError, match="sample_cycles"):
+            TelemetryConfig(sample_cycles=cycles)
+
 
 class TestTelemetryStore:
     def _row(self, tick):
