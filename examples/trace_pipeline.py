@@ -14,6 +14,7 @@ from pathlib import Path
 
 from repro import (
     characterize,
+    merge_traces,
     read_trace,
     simulate,
     synthetic_database_trace,
@@ -38,23 +39,10 @@ def main() -> None:
         print("round trip: OK")
 
     # Clip and merge. Client-request ids collide across independently
-    # generated traces, so a raw-traffic mix strips them (the combined
-    # trace is for energy studies, not CP-Limit calibration).
-    import dataclasses
-
-    from repro.traces.records import DMATransfer
-    from repro.traces.trace import Trace
-
-    def strip_clients(records):
-        return [dataclasses.replace(r, request_id=None)
-                if isinstance(r, DMATransfer) else r for r in records]
-
-    mixed = Trace(
-        name="mixed",
-        records=strip_clients(storage.clipped(4.0e6).records)
-        + strip_clients(database.clipped(4.0e6).records),
-        duration_cycles=4.0e6,
-    )
+    # generated traces, so the merge renumbers them: the mix keeps a
+    # client table and can still calibrate a CP-Limit.
+    mixed = merge_traces([storage.clipped(4.0e6), database.clipped(4.0e6)],
+                         name="mixed")
     rows = []
     for trace in (storage, database, mixed):
         stats = characterize(trace)

@@ -46,7 +46,6 @@ from repro.energy import (
     EnergyBreakdown,
     PowerModel,
     PowerState,
-    SelfTuningPolicy,
     StaticPolicy,
     TimeBreakdown,
     break_even_cycles,
@@ -66,7 +65,6 @@ from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
     MetricsReport,
-    NullTracer,
     RingTracer,
     Tracer,
     chrome_trace,
@@ -82,15 +80,12 @@ from repro.traces import (
     Trace,
     TraceStats,
     characterize,
-    filter_source,
     merge_traces,
     oltp_database_trace,
     oltp_storage_trace,
     popularity_cdf,
     read_trace,
     resize_transfers,
-    scale_intensity,
-    strip_clients,
     synthetic_database_trace,
     synthetic_storage_trace,
     write_trace,
@@ -106,7 +101,7 @@ __all__ = [
     "PowerState", "PowerModel", "EnergyBreakdown", "TimeBreakdown",
     "rdram_1600_model", "ddr_sdram_model", "default_dynamic_policy",
     "DynamicThresholdPolicy", "StaticPolicy", "AlwaysOnPolicy",
-    "SelfTuningPolicy", "break_even_cycles",
+    "break_even_cycles",
     # core techniques
     "MemoryController", "BaselineController", "TemporalAlignmentController",
     "SlackAccount", "PopularityTracker", "PopularityGrouper",
@@ -114,7 +109,7 @@ __all__ = [
     # simulation
     "simulate", "SimulationResult", "FluidEngine", "PreciseEngine",
     # observability
-    "Tracer", "NullTracer", "RingTracer", "JsonlTracer",
+    "Tracer", "RingTracer", "JsonlTracer",
     "MetricsRegistry", "MetricsReport", "render_metrics",
     "chrome_trace", "write_chrome_trace", "validate_chrome_trace",
     # traces
@@ -122,8 +117,7 @@ __all__ = [
     "read_trace", "write_trace", "characterize", "TraceStats",
     "popularity_cdf", "synthetic_storage_trace", "synthetic_database_trace",
     "oltp_storage_trace", "oltp_database_trace",
-    "scale_intensity", "filter_source", "strip_clients", "merge_traces",
-    "resize_transfers",
+    "merge_traces", "resize_transfers",
     # errors
     "ReproError", "ConfigurationError", "TraceError", "SimulationError",
     "GuaranteeViolationError", "LayoutError",

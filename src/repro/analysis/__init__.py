@@ -9,14 +9,13 @@ utilization factor are read off each
 """
 
 from repro.analysis.sweep import SweepPoint, sweep_cp_limit, sweep_errors
-from repro.analysis.tables import format_table, format_series, format_breakdown
-from repro.analysis.charts import bar_chart, line_chart, savings_chart
+from repro.analysis.tables import format_table, format_breakdown
+from repro.analysis.charts import bar_chart, savings_chart
 from repro.analysis.timeline import (activity_share, busy_intervals,
                                      render_heatmap)
 
 __all__ = [
     "bar_chart",
-    "line_chart",
     "savings_chart",
     "render_heatmap",
     "activity_share",
@@ -25,6 +24,5 @@ __all__ = [
     "sweep_cp_limit",
     "sweep_errors",
     "format_table",
-    "format_series",
     "format_breakdown",
 ]

@@ -1,13 +1,12 @@
 """Plain-text charts for terminals and bench reports.
 
-The benches archive their figures as text; these helpers render (x, y)
-series and category bars the way the paper's figures read, with no
-plotting dependency.
+The benches archive their figures as text; these helpers render category
+bars the way the paper's figures read, with no plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 
@@ -30,35 +29,6 @@ def bar_chart(values: Mapping[str, float], width: int = 50,
         sign = "-" if value < 0 else ""
         lines.append(f"{str(label):<{label_width}} | {sign}{bar} "
                      f"{value:.3g}{unit}")
-    return "\n".join(lines)
-
-
-def line_chart(xs: Sequence[float], ys: Sequence[float], height: int = 12,
-               width: int = 60, title: str | None = None,
-               x_label: str = "x", y_label: str = "y") -> str:
-    """A scatter/line rendering of one series on a character grid."""
-    if len(xs) != len(ys):
-        raise ConfigurationError("xs and ys must have the same length")
-    if height <= 1 or width <= 1:
-        raise ConfigurationError("grid must be at least 2x2")
-    lines = [title] if title else []
-    if not xs:
-        return "\n".join(lines + ["(no data)"])
-
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = x_hi - x_lo or 1.0
-    y_span = y_hi - y_lo or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = round((x - x_lo) / x_span * (width - 1))
-        row = round((y - y_lo) / y_span * (height - 1))
-        grid[height - 1 - row][col] = "*"
-
-    lines.append(f"{y_label} [{y_lo:g} .. {y_hi:g}]")
-    lines.extend("|" + "".join(row) for row in grid)
-    lines.append("+" + "-" * width)
-    lines.append(f" {x_label} [{x_lo:g} .. {x_hi:g}]")
     return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""Plain-text renderers for the bench output (tables and series)."""
+"""Plain-text renderers for the bench output (tables and breakdowns)."""
 
 from __future__ import annotations
 
@@ -28,14 +28,6 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def format_series(name: str, xs: Sequence[float],
-                  ys: Sequence[float], x_label: str = "x",
-                  y_label: str = "y") -> str:
-    """Render an (x, y) series the way a figure's data table would look."""
-    rows = [(x, y) for x, y in zip(xs, ys)]
-    return format_table([x_label, y_label], rows, title=name)
 
 
 def format_breakdown(results: Sequence[SimulationResult],

@@ -42,7 +42,6 @@ from repro.bench.record import (
     BenchRecord,
     Metric,
     Phase,
-    metrics_from_pairs,
 )
 from repro.bench.report import merge_current, render_report, write_report
 from repro.bench.trajectory import (
@@ -57,7 +56,6 @@ from repro.bench.trajectory import (
 __all__ = [
     # record
     "SCHEMA_VERSION", "BenchRecord", "Metric", "Phase",
-    "metrics_from_pairs",
     # trajectory
     "trajectory_path", "write_json_atomic", "load_trajectory",
     "append_records", "load_all_trajectories", "load_result_records",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import BenchFormatError
 
@@ -298,14 +298,6 @@ def _parse_phases(raw: Any, where: str) -> list[Phase]:
     return phases
 
 
-def metrics_from_pairs(
-        pairs: Iterable[tuple[str, float]], unit: str = "") -> list[Metric]:
-    """Convenience: untied metrics from ``(name, value)`` pairs."""
-    return [Metric(name=name, value=value, unit=unit)
-            for name, value in pairs]
-
-
 __all__ = [
     "SCHEMA_VERSION", "QUICK_BENCH_MS", "Metric", "Phase", "BenchRecord",
-    "metrics_from_pairs",
 ]

@@ -334,11 +334,6 @@ class SimulationConfig:
         return self.memory.request_bytes / bus_bytes_per_cycle
 
     @property
-    def stream_demand(self) -> float:
-        """Fraction of chip capacity one bus stream consumes (1/3 default)."""
-        return self.serve_cycles / self.request_period_cycles
-
-    @property
     def bandwidth_ratio(self) -> float:
         """Memory bandwidth over per-bus I/O bandwidth (the paper's ~3)."""
         return (self.memory.power_model.bandwidth_bytes_per_s
@@ -388,10 +383,6 @@ class SimulationConfig:
     def with_mu(self, mu: float) -> "SimulationConfig":
         """A copy with the DMA-TA degradation parameter replaced."""
         return replace(self, alignment=replace(self.alignment, mu=mu))
-
-    def with_groups(self, num_groups: int) -> "SimulationConfig":
-        """A copy with the PL group count replaced."""
-        return replace(self, layout=replace(self.layout, num_groups=num_groups))
 
     def with_bus_bandwidth(self, bandwidth_bytes_per_s: float) -> "SimulationConfig":
         """A copy with the per-bus bandwidth replaced (Figure 10 sweeps)."""

@@ -58,10 +58,6 @@ class GroupPlan:
                 hot.update(group.chips)
         return hot
 
-    def target_group(self, page: int) -> int:
-        """Target group index for ``page`` (cold if untracked)."""
-        return self.page_group.get(page, self.groups[-1].index)
-
 
 def hot_group_sizes(n_hot: int, num_hot_groups: int) -> list[int]:
     """Split ``n_hot`` chips into exponentially growing group sizes.

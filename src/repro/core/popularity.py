@@ -55,10 +55,6 @@ class PopularityTracker:
         """Pages and counts, most popular first (ties by page id)."""
         return sorted(self._counts.items(), key=lambda item: (-item[1], item[0]))
 
-    def total_count(self) -> int:
-        """Sum of all current counters."""
-        return sum(self._counts.values())
-
     def histogram(self, bins: int = 10) -> list[tuple[float, float]]:
         """The access-distribution histogram of Section 4.2.1.
 

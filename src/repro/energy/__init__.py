@@ -9,7 +9,7 @@ Figure 2(b) / Figure 6.
 """
 
 from repro.energy.states import PowerState, Transition, PowerModel
-from repro.energy.rdram import rdram_1600_model, ddr_sdram_model, scaled_bus_model
+from repro.energy.rdram import rdram_1600_model, ddr_sdram_model
 from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
 from repro.energy.policies import (
     AlwaysOnPolicy,
@@ -19,17 +19,14 @@ from repro.energy.policies import (
     break_even_cycles,
     default_dynamic_policy,
 )
-from repro.energy.selftuning import SelfTuningPolicy
 
 __all__ = [
     "AlwaysOnPolicy",
-    "SelfTuningPolicy",
     "PowerState",
     "Transition",
     "PowerModel",
     "rdram_1600_model",
     "ddr_sdram_model",
-    "scaled_bus_model",
     "EnergyBreakdown",
     "TimeBreakdown",
     "PowerPolicy",

@@ -3,8 +3,9 @@
 :func:`rdram_1600_model` is a direct transcription of the paper's Table 1
 (512-Mb 1600-MHz RDRAM), the model every experiment in the paper uses.
 :func:`ddr_sdram_model` provides the DDR-SDRAM variant Section 3 mentions
-(same state powers, 2.1 GB/s peak bandwidth) for sensitivity studies, and
-:func:`scaled_bus_model` supports the Figure 10 bandwidth-ratio sweep.
+(same state powers, 2.1 GB/s peak bandwidth) for sensitivity studies. The
+Figure 10 bandwidth-ratio sweep keeps this memory and varies the bus
+(:meth:`repro.config.SimulationConfig.with_bus_bandwidth`).
 """
 
 from __future__ import annotations
@@ -57,24 +58,6 @@ def ddr_sdram_model() -> PowerModel:
     bytes_per_cycle = units.DDR_SDRAM_BANDWIDTH / units.RDRAM_FREQUENCY_HZ
     return make_power_model(
         name="DDR-SDRAM-2100",
-        frequency_hz=units.RDRAM_FREQUENCY_HZ,
-        bytes_per_cycle=bytes_per_cycle,
-        state_power_mw=TABLE1_STATE_POWER_MW,
-        downward_mw_cycles=TABLE1_DOWNWARD_MW_CYCLES,
-        upward_mw_ns=TABLE1_UPWARD_MW_NS,
-    )
-
-
-def scaled_bus_model(memory_bandwidth_bytes_per_s: float) -> PowerModel:
-    """An RDRAM-like model with an arbitrary peak memory bandwidth.
-
-    Used by the Figure 10 sweep, which keeps the memory at 3.2 GB/s and
-    varies the I/O bus; the converse (varying memory) is also occasionally
-    useful, so this constructor is provided.
-    """
-    bytes_per_cycle = memory_bandwidth_bytes_per_s / units.RDRAM_FREQUENCY_HZ
-    return make_power_model(
-        name=f"RDRAM-{memory_bandwidth_bytes_per_s / units.GIGA:.1f}GBps",
         frequency_hz=units.RDRAM_FREQUENCY_HZ,
         bytes_per_cycle=bytes_per_cycle,
         state_power_mw=TABLE1_STATE_POWER_MW,

@@ -4,8 +4,8 @@ An RDRAM chip can be independently set to one of four power states. It must
 be *active* to serve a read or write; entering or leaving a low-power state
 costs both time and energy. :class:`PowerModel` holds the per-state power
 draw and the transition table, and exposes the derived quantities the rest
-of the simulator needs (wake latency, round-trip transition energy,
-break-even idle times).
+of the simulator needs (transition times and energies, the serve time of
+one request).
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ class PowerState(enum.Enum):
     def depth(self) -> int:
         """0 for ACTIVE, increasing with how deep the low-power state is."""
         return _DEPTH[self]
-
-    def next_lower(self) -> "PowerState | None":
-        """The next lower-power state, or None if already in POWERDOWN."""
-        order = list(PowerState)
-        index = order.index(self)
-        if index + 1 < len(order):
-            return order[index + 1]
-        return None
 
 
 _DEPTH = {
@@ -118,12 +110,6 @@ class PowerModel:
 
     # --- transitions ---------------------------------------------------
 
-    def wake_time_cycles(self, state: PowerState) -> float:
-        """Cycles to resynchronise from ``state`` back to ACTIVE."""
-        if state is PowerState.ACTIVE:
-            return 0.0
-        return self.upward[state].time_cycles
-
     def sleep_time_cycles(self, state: PowerState) -> float:
         """Cycles to transition from ACTIVE down into ``state``."""
         if state is PowerState.ACTIVE:
@@ -145,10 +131,6 @@ class PowerModel:
         if state is PowerState.ACTIVE:
             return 0.0
         return self.transition_energy(self.downward[state])
-
-    def round_trip_energy(self, state: PowerState) -> float:
-        """Energy of a full ACTIVE -> state -> ACTIVE excursion."""
-        return self.sleep_energy(state) + self.wake_energy(state)
 
     # --- derived geometry ----------------------------------------------
 

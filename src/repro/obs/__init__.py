@@ -3,9 +3,9 @@
 The observability layer of the simulator:
 
 * **events + tracers** (:mod:`repro.obs.events`,
-  :mod:`repro.obs.tracer`) — a structured trace-event protocol with a
-  null sink (zero overhead when disabled), an in-memory ring, and a
-  JSONL stream. Pass a tracer to :func:`repro.simulate` (or to
+  :mod:`repro.obs.tracer`) — a structured trace-event protocol with an
+  in-memory ring and a JSONL stream (``None`` disables tracing at zero
+  overhead). Pass a tracer to :func:`repro.simulate` (or to
   :meth:`SimJob.run <repro.exec.jobs.SimJob.run>`, which every run verb
   of the CLI uses) and the engines emit per-chip power-state residency
   spans, DMA-TA gather/release batches, slack-account charges, PL
@@ -56,7 +56,6 @@ from repro.obs.audit import (
     AuditReport,
     AuditViolation,
     Auditor,
-    audit_events,
     audit_result,
     audit_summary,
     write_audit_report,
@@ -135,13 +134,9 @@ from repro.obs.telemetry import (
     TelemetryStore,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
     JsonlTracer,
-    NullTracer,
     RingTracer,
     Tracer,
-    active_tracer,
-    events_of,
     read_jsonl_events,
 )
 
@@ -155,14 +150,13 @@ __all__ = [
     # FleetServer stays lazy alongside the telemetry dashboard)
     "FleetCollector", "FleetConfig", "FleetReport", "FleetStall",
     # audit
-    "Auditor", "AuditReport", "AuditViolation", "audit_events",
+    "Auditor", "AuditReport", "AuditViolation",
     "audit_result", "audit_summary", "write_audit_report",
     # perf
     "PROFILE_ENV", "profiling_enabled", "run_profiled", "fold_profile",
     "merge_profiles", "profile_events",
     # tracers
-    "Tracer", "NullTracer", "NULL_TRACER", "RingTracer", "JsonlTracer",
-    "active_tracer", "events_of", "read_jsonl_events",
+    "Tracer", "RingTracer", "JsonlTracer", "read_jsonl_events",
     # metrics
     "Counter", "Gauge", "Histogram", "HistogramSummary",
     "MetricsRegistry", "MetricsReport", "render_metrics",

@@ -1,7 +1,7 @@
 """The online audit layer: waterfalls, conservation, guarantee replay.
 
 An :class:`Auditor` is an event *sink* — it attaches exactly like the
-``Null``/``Ring``/``Jsonl`` tracers (pass it as the ``tracer`` of
+``Ring``/``Jsonl`` tracers (pass it as the ``tracer`` of
 :func:`repro.simulate` or tee it in front of another sink) and costs
 nothing when absent: the engines' instrumentation sites are the same
 single ``is not None`` checks the tracers use. While attached it
@@ -278,8 +278,6 @@ class Auditor(Tracer):
         energy_rel_tol: relative tolerance of the conservation check.
     """
 
-    enabled = True
-
     def __init__(self, strict: bool = False, downstream: Tracer | None = None,
                  slowest: int = 8,
                  energy_rel_tol: float = ENERGY_REL_TOL) -> None:
@@ -340,12 +338,6 @@ class Auditor(Tracer):
     def close(self) -> None:
         if self.downstream is not None:
             self.downstream.close()
-
-    def consume(self, events: Iterable[Event]) -> "Auditor":
-        """Feed a recorded event stream (offline auditing)."""
-        for event in events:
-            self.emit(event)
-        return self
 
     # ------------------------------------------------------------------
     # Violations
@@ -679,15 +671,6 @@ class Auditor(Tracer):
                 details={"avg_extra": avg, "allowance": mu * service})
 
 
-def audit_events(events: Iterable[Event],
-                 result: "SimulationResult | None" = None,
-                 strict: bool = False, slowest: int = 8) -> AuditReport:
-    """Audit a recorded event stream offline; returns the report."""
-    auditor = Auditor(strict=strict, slowest=slowest)
-    auditor.consume(events)
-    return auditor.finalize(result)
-
-
 def audit_result(result: "SimulationResult") -> list[AuditViolation]:
     """Event-free invariant checks on a finished result.
 
@@ -755,5 +738,5 @@ __all__ = [
     "AuditReport", "AuditViolation", "Auditor",
     "KIND_ENERGY", "KIND_GUARANTEE", "KIND_PENDING_DRIFT",
     "KIND_UNDERCHARGE", "WATERFALL_STAGES",
-    "audit_events", "audit_result", "audit_summary", "write_audit_report",
+    "audit_result", "audit_summary", "write_audit_report",
 ]

@@ -185,11 +185,6 @@ class MetricsReport:
             return {k: 0.0 for k in buckets}
         return {k: v / total for k, v in buckets.items()}
 
-    def merge_counters(self, other: dict[str, float]) -> None:
-        """Fold external counters (e.g. cache stats) into this report."""
-        for name, value in other.items():
-            self.counters[name] = self.counters.get(name, 0.0) + value
-
 
 def render_metrics(report: MetricsReport, title: str | None = None) -> str:
     """A human-readable multi-section dump of a report."""

@@ -1,19 +1,15 @@
 """Tracers: where the event stream goes.
 
 A tracer is a sink for :class:`~repro.obs.events.Event` records plus the
-``span``/``instant``/``counter`` convenience constructors. Three sinks:
+``span``/``instant``/``counter`` convenience constructors. Passing
+``None`` to :func:`repro.simulate` records nothing and costs one pointer
+comparison per instrumentation site — the "zero overhead when disabled"
+contract. Two sinks:
 
-* :class:`NullTracer` — drops everything; ``enabled`` is False, so
-  instrumentation sites skip event construction entirely. Passing it (or
-  ``None``) to :func:`repro.simulate` costs one pointer comparison per
-  instrumentation site — the "zero overhead when disabled" contract.
 * :class:`RingTracer` — keeps the last ``capacity`` events in memory
   (unbounded by default). The exporter's usual source.
 * :class:`JsonlTracer` — streams one JSON object per line to a file,
   for runs too big to hold in memory. Context-manager closeable.
-
-Engines normalise their argument with :func:`active_tracer`, so internal
-instrumentation only ever sees a live tracer or ``None``.
 """
 
 from __future__ import annotations
@@ -28,10 +24,6 @@ from repro.obs.events import PH_COUNTER, PH_INSTANT, PH_SPAN, Event
 
 class Tracer:
     """Base tracer: builds events and hands them to :meth:`emit`."""
-
-    #: Whether this tracer records anything. Instrumentation sites (via
-    #: :func:`active_tracer`) skip all work when this is False.
-    enabled: bool = True
 
     def emit(self, event: Event) -> None:
         raise NotImplementedError
@@ -66,28 +58,6 @@ class Tracer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class NullTracer(Tracer):
-    """The do-nothing sink; safe to share (it holds no state)."""
-
-    enabled = False
-
-    def emit(self, event: Event) -> None:
-        pass
-
-    def span(self, *args, **kwargs) -> None:  # avoid Event construction
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-
-#: Shared stateless null sink.
-NULL_TRACER = NullTracer()
 
 
 class RingTracer(Tracer):
@@ -172,25 +142,6 @@ def read_jsonl_events(path: str | Path) -> list[Event]:
     return events
 
 
-def active_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Normalise a tracer argument for instrumentation.
-
-    Returns ``None`` for ``None`` or any disabled tracer, so hot paths
-    can guard with a single ``is not None`` check.
-    """
-    if tracer is None or not getattr(tracer, "enabled", True):
-        return None
-    return tracer
-
-
-def events_of(tracer: Tracer | None) -> list[Event]:
-    """The in-memory events of ``tracer`` ([] for non-ring sinks)."""
-    if isinstance(tracer, RingTracer):
-        return tracer.events
-    return []
-
-
 __all__ = [
-    "Tracer", "NullTracer", "NULL_TRACER", "RingTracer", "JsonlTracer",
-    "active_tracer", "events_of", "read_jsonl_events",
+    "Tracer", "RingTracer", "JsonlTracer", "read_jsonl_events",
 ]

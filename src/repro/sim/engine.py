@@ -23,7 +23,6 @@ from repro.memory.address import MutableLayout, build_base_layout
 from repro.obs.events import TRACK_SIM
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import ProbeSet
-from repro.obs.tracer import active_tracer
 from repro.sim.results import SimulationResult
 from repro.traces.records import DMATransfer
 from repro.traces.trace import Trace
@@ -133,7 +132,7 @@ class EngineCore:
         self.trace = trace
         self.config = config
         self.technique = technique
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self.registry = MetricsRegistry()
 
         memory = config.memory

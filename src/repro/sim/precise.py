@@ -400,9 +400,7 @@ class PreciseEngine(EngineCore):
         #: Stale ``BUS_FREE`` events to swallow per bus (see
         #: :attr:`_PTransfer.skip_arrivals`).
         self._bus_skip = [0] * config.buses.count
-        bus_bytes_per_cycle = (config.buses.bandwidth_bytes_per_s
-                               / config.frequency_hz)
-        self._bus_gap = memory.request_bytes / bus_bytes_per_cycle
+        self._bus_gap = config.request_period_cycles
         self._open_transfers = 0
         self.arrived_requests = 0
 

@@ -76,26 +76,6 @@ class SimulationResult:
     #: :mod:`repro.obs.diff`.
     digests: object | None = None
 
-    def hottest_chips(self, count: int = 3) -> list[tuple[int, float]]:
-        """The ``count`` chips consuming the most energy, descending.
-
-        With PL enabled, these are the designated hot chips — a direct
-        check that the layout actually concentrated the traffic.
-        """
-        ranked = sorted(enumerate(self.chip_energy), key=lambda kv: -kv[1])
-        return ranked[:count]
-
-    def energy_concentration(self, top_fraction: float = 0.1) -> float:
-        """Energy share of the hottest ``top_fraction`` of chips."""
-        if not self.chip_energy:
-            return 0.0
-        total = sum(self.chip_energy)
-        if total <= 0:
-            return 0.0
-        count = max(1, round(top_fraction * len(self.chip_energy)))
-        hottest = sorted(self.chip_energy, reverse=True)[:count]
-        return sum(hottest) / total
-
     # --- derived metrics -----------------------------------------------
 
     @property
@@ -121,13 +101,6 @@ class SimulationResult:
         if self.service_cycles <= 0:
             return 0.0
         return self.avg_extra_service_cycles / self.service_cycles
-
-    @property
-    def mean_client_response_cycles(self) -> float:
-        """Mean measured client-perceived response time."""
-        if not self.client_responses:
-            return 0.0
-        return sum(self.client_responses.values()) / len(self.client_responses)
 
     def energy_savings_vs(self, baseline: "SimulationResult") -> float:
         """Fractional energy saved relative to ``baseline`` (Figure 5)."""

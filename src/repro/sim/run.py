@@ -120,8 +120,7 @@ def simulate(
         seed: seed for the baseline random page layout.
         tracer: optional :class:`~repro.obs.tracer.Tracer` receiving the
             run's structured events (power-state spans, TA decisions,
-            slack charges, migrations); ``None`` or a disabled tracer
-            costs nothing.
+            slack charges, migrations); ``None`` costs nothing.
         profile: wrap the engine run in :mod:`cProfile` and attach the
             folded hot paths to ``result.profile``. ``None`` defers to
             the ``REPRO_PROFILE`` environment variable (see

@@ -80,7 +80,3 @@ class BufferCache:
     def dirty_pages(self) -> list[int]:
         """Dirty resident pages, LRU first (the checkpoint flush order)."""
         return [page for page, dirty in self._frames.items() if dirty]
-
-    def resident_pages(self) -> list[int]:
-        """Pages currently cached, LRU first."""
-        return list(self._frames)

@@ -35,6 +35,3 @@ class StripedArray:
         """Queue a request; returns its completion time in milliseconds."""
         disk_index, physical = self.locate(logical_block)
         return self.disks[disk_index].submit(now_ms, physical, size_bytes)
-
-    def mean_utilization(self, horizon_ms: float) -> float:
-        return sum(d.utilization(horizon_ms) for d in self.disks) / self.num_disks

@@ -31,15 +31,11 @@ from repro.traces.zoo import (
     kv_store_trace,
     ml_inference_trace,
     video_stream_trace,
-    zoo_trace,
 )
 from repro.traces.transform import (
-    filter_source,
     merge_traces,
     renumber_clients,
     resize_transfers,
-    scale_intensity,
-    strip_clients,
 )
 
 __all__ = [
@@ -55,13 +51,9 @@ __all__ = [
     "kv_store_trace",
     "ml_inference_trace",
     "video_stream_trace",
-    "zoo_trace",
-    "filter_source",
     "merge_traces",
     "renumber_clients",
     "resize_transfers",
-    "scale_intensity",
-    "strip_clients",
     "ClientRequest",
     "DMATransfer",
     "ProcessorBurst",

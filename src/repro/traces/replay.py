@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -113,8 +113,7 @@ class ReplayConfig:
         time_compression: trace seconds are divided by this factor
             (1000 ⇒ one traced second replays as one simulated
             millisecond), scaling arrival density without touching
-            request geometry — the replay analogue of
-            :func:`repro.traces.transform.scale_intensity`.
+            request geometry.
         window_start_s / window_s: replay only the I/Os inside
             ``[window_start_s, window_start_s + window_s)``, measured in
             trace seconds *from the first I/O* (real block traces start
@@ -463,20 +462,3 @@ def replay_trace(
     )
     return trace
 
-
-def replay_for_memory(rows: Sequence[BlockIO] | str | Path,
-                      total_pages: int,
-                      config: ReplayConfig | None = None,
-                      **kwargs) -> Trace:
-    """:func:`replay_trace` clamped to a simulated memory's page count.
-
-    Guarantees every emitted page id fits the chip geometry —
-    ``num_pages`` is lowered to ``total_pages`` when the configured
-    space is larger.
-    """
-    config = config or ReplayConfig()
-    if total_pages <= 0:
-        raise ConfigurationError("total_pages must be positive")
-    if config.num_pages > total_pages:
-        config = replace(config, num_pages=total_pages)
-    return replay_trace(rows, config=config, **kwargs)

@@ -66,10 +66,6 @@ class Trace:
         """All logical pages referenced by the trace."""
         return {r.page for r in self.records}
 
-    def max_page(self) -> int:
-        """Largest referenced page id (-1 for an empty trace)."""
-        return max((r.page for r in self.records), default=-1)
-
     # --- transformations ---------------------------------------------------
 
     def clipped(self, duration_cycles: float) -> "Trace":
@@ -88,24 +84,6 @@ class Trace:
             metadata=dict(self.metadata),
         )
 
-    def merged_with(self, other: "Trace", name: str | None = None) -> "Trace":
-        """Merge two traces into one time-sorted trace.
-
-        Client-request ids must not collide; generators namespace them.
-        """
-        overlap = self.clients.keys() & other.clients.keys()
-        if overlap:
-            raise TraceError(f"client request id collision: {sorted(overlap)[:5]}")
-        clients = dict(self.clients)
-        clients.update(other.clients)
-        return Trace(
-            name=name or f"{self.name}+{other.name}",
-            records=list(self.records) + list(other.records),
-            clients=clients,
-            duration_cycles=max(self.duration_cycles, other.duration_cycles),
-            metadata={"merged_from": [self.name, other.name]},
-        )
-
     def fingerprint(self) -> str:
         """A stable hex digest of the full trace content.
 
@@ -117,8 +95,8 @@ class Trace:
 
         Memoised on first use: traces are value objects whose records
         are never mutated after construction (every transformation —
-        ``clipped``, ``merged_with``, :mod:`repro.traces.transform` —
-        returns a new Trace), so the digest cannot go stale.
+        ``clipped`` and :mod:`repro.traces.transform` — returns a new
+        Trace), so the digest cannot go stale.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -135,12 +113,3 @@ class Trace:
             buffer.getvalue().encode("utf-8")).hexdigest()
         self.__dict__["_fingerprint"] = digest
         return digest
-
-    # --- summary -----------------------------------------------------------
-
-    def transfer_rate_per_ms(self, frequency_hz: float) -> float:
-        """Average DMA transfers per millisecond of simulated time."""
-        if self.duration_cycles <= 0:
-            return 0.0
-        duration_ms = self.duration_cycles / frequency_hz * 1e3
-        return len(self.transfers) / duration_ms

@@ -1,10 +1,11 @@
-"""Trace transformations: rescaling, filtering, anonymising, splitting.
+"""Trace transformations: merge and resize.
 
-These are the workload-engineering tools behind sensitivity studies: the
-Figure 8 intensity sweep is a time-compression of one base trace, source
-filters isolate network from disk behaviour, and anonymisation strips
-client context so traces from different generators can be mixed.
-All transforms are pure — they return new :class:`Trace` objects.
+:func:`merge_traces` mixes independently generated traces into one,
+shifting each trace's client-request ids past the previous ones
+(:func:`renumber_clients`) so the mix keeps a collision-free client
+table. :func:`resize_transfers` re-expresses a trace at another transfer
+size for the request-size sensitivity bench. All transforms are pure —
+they return new :class:`Trace` objects.
 """
 
 from __future__ import annotations
@@ -14,81 +15,6 @@ import dataclasses
 from repro.errors import TraceError
 from repro.traces.records import ClientRequest, DMATransfer
 from repro.traces.trace import Trace
-
-
-def scale_intensity(trace: Trace, factor: float,
-                    name: str | None = None) -> Trace:
-    """Compress (factor > 1) or dilate (factor < 1) the trace in time.
-
-    Multiplying the event density by ``factor`` divides every timestamp
-    and the horizon by it; transfer sizes and per-record contents are
-    untouched, so the DMA request geometry is preserved while the
-    arrival rate scales — the paper's Figure 8 axis.
-    """
-    if factor <= 0:
-        raise TraceError("intensity factor must be positive")
-    records = []
-    for record in trace.records:
-        records.append(dataclasses.replace(record, time=record.time / factor))
-    clients = {
-        rid: dataclasses.replace(c, arrival=c.arrival / factor)
-        for rid, c in trace.clients.items()
-    }
-    return Trace(
-        name=name or f"{trace.name}x{factor:g}",
-        records=records,
-        clients=clients,
-        duration_cycles=trace.duration_cycles / factor,
-        metadata={**trace.metadata, "intensity_factor": factor},
-    )
-
-
-def filter_source(trace: Trace, source: str,
-                  keep_processor: bool = False) -> Trace:
-    """Keep only DMA transfers from one source (``network``/``disk``).
-
-    Client requests whose transfers are all dropped are removed too.
-    """
-    records = []
-    for record in trace.records:
-        if isinstance(record, DMATransfer):
-            if record.source == source:
-                records.append(record)
-        elif keep_processor:
-            records.append(record)
-    referenced = {r.request_id for r in records
-                  if isinstance(r, DMATransfer) and r.request_id is not None}
-    clients = {rid: c for rid, c in trace.clients.items()
-               if rid in referenced}
-    return Trace(
-        name=f"{trace.name}:{source}",
-        records=records,
-        clients=clients,
-        duration_cycles=trace.duration_cycles,
-        metadata={**trace.metadata, "source_filter": source},
-    )
-
-
-def strip_clients(trace: Trace, name: str | None = None) -> Trace:
-    """Drop the client table and request-id references.
-
-    The result carries raw memory traffic only — mixable with any other
-    stripped trace without id collisions, at the cost of CP-Limit
-    calibration (pass ``mu`` explicitly for such traces).
-    """
-    records = []
-    for record in trace.records:
-        if isinstance(record, DMATransfer) and record.request_id is not None:
-            records.append(dataclasses.replace(record, request_id=None))
-        else:
-            records.append(record)
-    return Trace(
-        name=name or trace.name,
-        records=records,
-        clients={},
-        duration_cycles=trace.duration_cycles,
-        metadata=dict(trace.metadata),
-    )
 
 
 def renumber_clients(trace: Trace, offset: int) -> Trace:

@@ -486,13 +486,3 @@ ZOO: dict[str, Callable[..., Trace]] = {
     "flash-crowd": flash_crowd_trace,
 }
 
-
-def zoo_trace(family: str, **overrides) -> Trace:
-    """Build a zoo trace by family name (see :data:`ZOO`)."""
-    try:
-        generator = ZOO[family]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown workload family {family!r}; "
-            f"expected one of {sorted(ZOO)}") from None
-    return generator(**overrides)

@@ -3,36 +3,25 @@
 The simulator's time base is **memory cycles** (floats) at the configured
 memory frequency; the canonical default is the 1600-MHz RDRAM of the paper,
 where one cycle is 0.625 ns. Energy is carried in **joules** and power in
-**watts** internally; the constructors below accept the milliwatt values the
-paper's Table 1 uses.
+**watts** internally; :func:`repro.energy.states.make_power_model` converts
+the milliwatt values of the paper's Table 1.
 
-Bandwidths are carried in **bytes per second**; helper constants provide the
-paper's device numbers (PCI-X at 1.064 GB/s, RDRAM at 3.2 GB/s, DDR SDRAM at
-2.1 GB/s).
+Bandwidths are carried in **bytes per second**; constants give the paper's
+PCI-X (1.064 GB/s) and DDR SDRAM (2.1 GB/s) numbers. RDRAM's 3.2 GB/s is
+its power model's 2 bytes per cycle at 1600 MHz.
 """
 
 from __future__ import annotations
 
 # --- SI prefixes -----------------------------------------------------------
 
-KILO = 1e3
 MEGA = 1e6
 GIGA = 1e9
-
-NANO = 1e-9
-MICRO = 1e-6
-MILLI = 1e-3
 
 # --- Bandwidths from the paper (bytes/second) ------------------------------
 
 #: PCI-X: 133 MHz x 8 bytes wide = 1.064 GB/s (Section 3).
 PCIX_BANDWIDTH = 133 * MEGA * 8
-
-#: Plain 64-bit/66-MHz PCI for comparison experiments.
-PCI_BANDWIDTH = 66 * MEGA * 8
-
-#: RDRAM-1600: 1600 MHz x 2 bytes per cycle = 3.2 GB/s (Section 3).
-RDRAM_BANDWIDTH = 1600 * MEGA * 2
 
 #: DDR SDRAM of the era: ~2.1 GB/s (Section 3).
 DDR_SDRAM_BANDWIDTH = 2.1 * GIGA
@@ -48,35 +37,10 @@ def cycles_to_seconds(cycles: float, frequency_hz: float = RDRAM_FREQUENCY_HZ) -
     return cycles / frequency_hz
 
 
-def seconds_to_cycles(seconds: float, frequency_hz: float = RDRAM_FREQUENCY_HZ) -> float:
-    """Convert a duration in seconds to memory cycles."""
-    return seconds * frequency_hz
-
-
-def ns_to_cycles(nanoseconds: float, frequency_hz: float = RDRAM_FREQUENCY_HZ) -> float:
-    """Convert nanoseconds to memory cycles (6 ns -> 9.6 cycles at 1600 MHz)."""
-    return nanoseconds * NANO * frequency_hz
-
-
-def cycles_to_ns(cycles: float, frequency_hz: float = RDRAM_FREQUENCY_HZ) -> float:
-    """Convert memory cycles to nanoseconds."""
-    return cycles / frequency_hz / NANO
-
-
-def mw_to_watts(milliwatts: float) -> float:
-    """Convert the paper's milliwatt figures to watts."""
-    return milliwatts * MILLI
-
-
 def energy_joules(power_watts: float, cycles: float,
                   frequency_hz: float = RDRAM_FREQUENCY_HZ) -> float:
     """Energy in joules consumed at ``power_watts`` for ``cycles`` cycles."""
     return power_watts * cycles_to_seconds(cycles, frequency_hz)
-
-
-def joules_to_mj(joules: float) -> float:
-    """Convert joules to millijoules (the natural scale of trace runs)."""
-    return joules / MILLI
 
 
 def bandwidth_bytes_per_cycle(bandwidth_bytes_per_s: float,

@@ -92,9 +92,6 @@ class TestDegenerateTraces:
         assert len(result.chip_energy) == 4
         assert sum(result.chip_energy) == pytest.approx(
             result.energy_joules, rel=1e-9)
-        hottest = result.hottest_chips(1)[0]
-        assert hottest[1] == max(result.chip_energy)
-        assert 0 < result.energy_concentration(0.25) <= 1.0
 
 
 class TestPlatformEdges:

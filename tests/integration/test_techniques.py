@@ -3,7 +3,7 @@
 import pytest
 
 from repro import simulate
-from repro.config import SimulationConfig
+from repro.config import PopularityLayoutConfig, SimulationConfig
 from repro.traces.synthetic import synthetic_storage_trace
 
 
@@ -90,7 +90,8 @@ class TestPopularityLayout:
         """Section 5.2: excessive grouping migrates itself into a loss."""
         two = simulate(trace, technique="dma-ta-pl", cp_limit=0.10)
         six = simulate(trace,
-                       config=SimulationConfig().with_groups(6),
+                       config=SimulationConfig(
+                           layout=PopularityLayoutConfig(num_groups=6)),
                        technique="dma-ta-pl", cp_limit=0.10)
         assert two.energy_savings_vs(baseline) >= \
                six.energy_savings_vs(baseline) - 0.01

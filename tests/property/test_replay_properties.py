@@ -22,7 +22,6 @@ from repro.traces.replay import (
     BlockIO,
     ReplayConfig,
     read_block_csv,
-    replay_for_memory,
     replay_trace,
     sample_window,
 )
@@ -135,8 +134,8 @@ def test_page_mapping_respects_geometry(rows, num_chips, layout):
     """No emitted page id ever exceeds the configured chip geometry."""
     memory = MemoryConfig(num_chips=num_chips, chip_bytes=1 * MB,
                           page_bytes=8192)
-    trace = replay_for_memory(
-        rows, memory.total_pages,
-        config=ReplayConfig(num_pages=1 << 30, page_layout=layout))
-    assert trace.max_page() < memory.total_pages
+    trace = replay_trace(
+        rows, config=ReplayConfig(num_pages=memory.total_pages,
+                                  page_layout=layout))
+    assert max(r.page for r in trace.records) < memory.total_pages
     assert all(r.page >= 0 for r in trace.records)

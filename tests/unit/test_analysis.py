@@ -1,6 +1,6 @@
 """Units for the analysis helpers (sweep, tables)."""
 
-from repro.analysis.tables import format_breakdown, format_series, format_table
+from repro.analysis.tables import format_breakdown, format_table
 from repro.analysis.sweep import sweep_cp_limit
 from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
 from repro.sim.results import SimulationResult
@@ -27,11 +27,6 @@ class TestTables:
         assert lines[0] == "T"
         assert "2.500" in text
         assert "x" in text
-
-    def test_format_series(self):
-        text = format_series("S", [1.0, 2.0], [0.1, 0.2],
-                             x_label="cp", y_label="savings")
-        assert "cp" in text and "savings" in text
 
     def test_format_breakdown(self):
         text = format_breakdown([result(), result(0.5)],

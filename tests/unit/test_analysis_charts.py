@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import bar_chart, line_chart, savings_chart
+from repro.analysis.charts import bar_chart, savings_chart
 from repro.errors import ConfigurationError
 
 
@@ -32,34 +32,6 @@ class TestBarChart:
     def test_bad_width(self):
         with pytest.raises(ConfigurationError):
             bar_chart({"a": 1.0}, width=0)
-
-
-class TestLineChart:
-    def test_grid_dimensions(self):
-        text = line_chart([0, 1, 2], [0, 1, 4], height=5, width=20)
-        rows = [l for l in text.splitlines() if l.startswith("|")]
-        assert len(rows) == 5
-
-    def test_extremes_plotted(self):
-        text = line_chart([0, 10], [0, 1], height=4, width=10)
-        rows = [l for l in text.splitlines() if l.startswith("|")]
-        assert rows[0][-1] == "*" or "*" in rows[0]  # max at top
-        assert "*" in rows[-1]                        # min at bottom
-
-    def test_labels(self):
-        text = line_chart([1, 2], [3, 4], x_label="cp", y_label="savings")
-        assert "cp" in text and "savings" in text
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ConfigurationError):
-            line_chart([1], [1, 2])
-
-    def test_empty(self):
-        assert "(no data)" in line_chart([], [])
-
-    def test_flat_series(self):
-        text = line_chart([0, 1], [5, 5], height=3, width=8)
-        assert "*" in text
 
 
 class TestSavingsChart:

@@ -61,7 +61,8 @@ class TestDerivedGeometry:
 
     def test_stream_demand_is_one_third(self):
         cfg = SimulationConfig()
-        assert cfg.stream_demand == pytest.approx(1 / 3, abs=0.01)
+        assert cfg.serve_cycles / cfg.request_period_cycles == pytest.approx(
+            1 / 3, abs=0.01)
 
     def test_saturating_buses_is_three(self):
         """The paper's k = ceil(Rm/Rb) = 3 for PCI-X against RDRAM-1600."""
@@ -82,10 +83,6 @@ class TestDerivedGeometry:
     def test_with_mu(self):
         cfg = SimulationConfig().with_mu(7.5)
         assert cfg.alignment.mu == 7.5
-
-    def test_with_groups(self):
-        cfg = SimulationConfig().with_groups(3)
-        assert cfg.layout.num_groups == 3
 
     def test_default_policy_attached(self):
         assert SimulationConfig().policy is not None

@@ -63,9 +63,9 @@ class TestBuildPlan:
         assert hot.chips == (0,)
         assert not hot.is_cold and cold.is_cold
         assert set(hot.pages) == {0, 1}
-        assert plan.target_group(0) == 0
-        assert plan.target_group(4) == 1
-        assert plan.target_group(999) == 1  # untracked -> cold
+        assert plan.page_group.get(0, cold.index) == 0
+        assert plan.page_group.get(4, cold.index) == 1
+        assert plan.page_group.get(999, cold.index) == 1  # untracked -> cold
 
     def test_hot_chips_property(self):
         grouper = PopularityGrouper(4, 8, config())
@@ -101,27 +101,29 @@ class TestHysteresisAndConfirmation:
         first = grouper.build_plan(ranked, previous_hot=set(),
                                    previous_candidates=set())
         # Pages 0 and 1 rank hot but were not candidates before: filtered.
-        assert first.target_group(0) == first.groups[-1].index
+        cold = first.groups[-1].index
+        assert first.page_group.get(0, cold) == cold
         second = grouper.build_plan(ranked, previous_hot=set(),
                                     previous_candidates=first.candidates)
-        assert second.target_group(0) == 0
+        assert second.page_group.get(0, second.groups[-1].index) == 0
 
     def test_retention_zone_keeps_previous_hot(self):
         grouper = PopularityGrouper(4, 8, config(hysteresis_factor=3.0))
         # Page 9 used to be hot; it now ranks just below the boundary.
         ranked = ranking([50, 30, 9, 5])
         plan = grouper.build_plan(ranked, previous_hot={2})
-        assert plan.target_group(2) == 0
+        assert plan.page_group.get(2, plan.groups[-1].index) == 0
 
     def test_far_fallen_page_released(self):
         grouper = PopularityGrouper(4, 8, config(hysteresis_factor=1.5))
         ranked = ranking([50, 30] + [5] * 10)
         plan = grouper.build_plan(ranked, previous_hot={11})
         cold = plan.groups[-1].index
-        assert plan.target_group(11) == cold
+        assert plan.page_group.get(11, cold) == cold
 
     def test_first_interval_without_history(self):
         grouper = PopularityGrouper(4, 8, config())
         plan = grouper.build_plan(ranking([50, 30]), previous_hot=None,
                                   previous_candidates=None)
-        assert plan.target_group(0) == 0  # no confirmation required
+        # No confirmation required.
+        assert plan.page_group.get(0, plan.groups[-1].index) == 0

@@ -61,12 +61,6 @@ class TestRanking:
         tracker.record(2, 5)
         assert tracker.ranked_pages() == [(1, 10), (2, 5), (3, 5)]
 
-    def test_total_count(self):
-        tracker = PopularityTracker()
-        tracker.record(1, 5)
-        tracker.record(2, 7)
-        assert tracker.total_count() == 12
-
 
 class TestHistogram:
     def test_histogram_monotone(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy.rdram import rdram_1600_model, ddr_sdram_model, scaled_bus_model
+from repro.energy.rdram import rdram_1600_model, ddr_sdram_model
 from repro.energy.states import (
     LOW_POWER_STATES,
     PowerModel,
@@ -25,12 +25,6 @@ class TestPowerState:
         assert PowerState.ACTIVE.depth == 0
         assert PowerState.POWERDOWN.depth == 3
 
-    def test_next_lower_chain(self):
-        assert PowerState.ACTIVE.next_lower() is PowerState.STANDBY
-        assert PowerState.STANDBY.next_lower() is PowerState.NAP
-        assert PowerState.NAP.next_lower() is PowerState.POWERDOWN
-        assert PowerState.POWERDOWN.next_lower() is None
-
     def test_low_power_states_excludes_active(self):
         assert PowerState.ACTIVE not in LOW_POWER_STATES
         assert len(LOW_POWER_STATES) == 3
@@ -52,12 +46,13 @@ class TestTable1Numbers:
 
     def test_upward_resync_times(self, model):
         # +6ns, +60ns, +6000ns at 1600 MHz: 9.6, 96, 9600 cycles.
-        assert model.wake_time_cycles(PowerState.STANDBY) == pytest.approx(9.6)
-        assert model.wake_time_cycles(PowerState.NAP) == pytest.approx(96.0)
-        assert model.wake_time_cycles(PowerState.POWERDOWN) == pytest.approx(9600.0)
+        upward = model.upward
+        assert upward[PowerState.STANDBY].time_cycles == pytest.approx(9.6)
+        assert upward[PowerState.NAP].time_cycles == pytest.approx(96.0)
+        assert upward[PowerState.POWERDOWN].time_cycles == pytest.approx(
+            9600.0)
 
     def test_active_needs_no_transition(self, model):
-        assert model.wake_time_cycles(PowerState.ACTIVE) == 0.0
         assert model.sleep_time_cycles(PowerState.ACTIVE) == 0.0
         assert model.wake_energy(PowerState.ACTIVE) == 0.0
         assert model.sleep_energy(PowerState.ACTIVE) == 0.0
@@ -74,8 +69,6 @@ class TestTable1Numbers:
         for state in LOW_POWER_STATES:
             assert model.wake_energy(state) > 0
             assert model.sleep_energy(state) > 0
-            assert model.round_trip_energy(state) == pytest.approx(
-                model.wake_energy(state) + model.sleep_energy(state))
 
     def test_powerdown_wake_energy_largest(self, model):
         # 15 mW for 6000 ns dwarfs the shallower wakes.
@@ -91,14 +84,10 @@ class TestVariants:
         # Same Table 1 powers.
         assert ddr.power(PowerState.NAP) == pytest.approx(0.030)
 
-    def test_scaled_model(self):
-        m = scaled_bus_model(6.4e9)
-        assert m.bandwidth_bytes_per_s == pytest.approx(6.4e9)
-        assert m.serve_cycles(8) == pytest.approx(2.0)
-
     def test_replace(self, model):
         faster = model.replace(bytes_per_cycle=4.0)
         assert faster.bandwidth_bytes_per_s == pytest.approx(6.4e9)
+        assert faster.serve_cycles(8) == pytest.approx(2.0)
         assert model.bytes_per_cycle == 2.0  # original untouched
 
 

@@ -14,7 +14,6 @@ from repro.obs.audit import (
     KIND_UNDERCHARGE,
     AuditViolation,
     Auditor,
-    audit_events,
     audit_result,
     audit_summary,
     write_audit_report,
@@ -39,6 +38,14 @@ def dense_trace():
 
 def _instant(ts, name, args, track=TRACK_SIM):
     return Event(ts=ts, name=name, track=track, ph=PH_INSTANT, args=args)
+
+
+def _audit(events):
+    """Replay a recorded event stream through a fresh Auditor; the report."""
+    auditor = Auditor()
+    for event in events:
+        auditor.emit(event)
+    return auditor.finalize()
 
 
 def _config_event(mu=1.0, service=4.0, epoch=1000.0):
@@ -107,7 +114,7 @@ class TestGuaranteeBreach:
             _instant(6000.0, "dma.done",
                      {"id": 2, "chip": 0, "extra": 0.0, "waited": 6000.0}),
         ]
-        report = audit_events(events)
+        report = _audit(events)
         breaches = [v for v in report.violations
                     if v.kind == KIND_GUARANTEE]
         assert len(breaches) == 1
@@ -125,7 +132,7 @@ class TestGuaranteeBreach:
             _instant(10.0, "dma.done",
                      {"id": 1, "chip": 0, "extra": 2.0, "waited": 8.0}),
         ]
-        report = audit_events(events)
+        report = _audit(events)
         assert report.ok
         assert report.stage_cycles["buffer"] == 8.0
         assert report.stage_cycles["extra"] == 2.0
@@ -159,7 +166,7 @@ class TestWaterfall:
                      {"id": 7, "chip": 2, "extra": 20.0, "waited": 100.0,
                       "mig": 1}),
         ]
-        report = audit_events(events)
+        report = _audit(events)
         assert report.transfers_completed == 1
         assert report.requests_completed == 3
         assert report.stage_cycles == {
@@ -195,7 +202,7 @@ class TestWaterfall:
         assert [e["total"] for e in report.slowest] == [10.0, 9.0]
 
     def test_render_mentions_waterfall_and_violations(self):
-        report = audit_events([
+        report = _audit([
             _config_event(),
             _instant(0.0, "dma.arrive",
                      {"id": 1, "chip": 0, "bus": 0, "requests": 1}),
@@ -242,7 +249,7 @@ class TestAuditResult:
 
 class TestReportSerialisation:
     def test_write_audit_report_round_trips(self, tmp_path):
-        report = audit_events([
+        report = _audit([
             _config_event(),
             _instant(0.0, "dma.arrive",
                      {"id": 1, "chip": 0, "bus": 0, "requests": 1}),
@@ -257,7 +264,7 @@ class TestReportSerialisation:
         assert payload["slack"]["epochs_charged"] == 0
 
     def test_as_dict_min_slack_none_when_unknown(self):
-        report = audit_events([_config_event()])
+        report = _audit([_config_event()])
         assert report.as_dict()["slack"]["min_slack_replayed"] is None
 
 

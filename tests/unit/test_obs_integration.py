@@ -7,7 +7,7 @@ back out of the exported span stream must match the run's
 
 import pytest
 
-from repro.obs import NullTracer, RingTracer
+from repro.obs import RingTracer
 from repro.obs.export import (
     chrome_trace,
     residency_from_events,
@@ -86,8 +86,7 @@ class TestTracingIsInert:
         assert traced.migrations == untraced.migrations
 
     def test_null_tracer_accepted(self, trace):
-        result = simulate(trace, technique="dma-ta", mu=50.0,
-                          tracer=NullTracer())
+        result = simulate(trace, technique="dma-ta", mu=50.0, tracer=None)
         assert result.metrics is not None
 
     def test_bounded_ring_does_not_disturb_run(self, trace):

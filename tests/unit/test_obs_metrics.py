@@ -115,11 +115,6 @@ class TestMetricsReport:
     def test_residency_shares_unknown_chip(self):
         assert MetricsReport().residency_shares(99) == {}
 
-    def test_merge_counters(self):
-        report = MetricsReport(counters={"cache.hits": 2.0})
-        report.merge_counters({"cache.hits": 3.0, "cache.misses": 1.0})
-        assert report.counters == {"cache.hits": 5.0, "cache.misses": 1.0}
-
 
 class TestRenderMetrics:
     def test_empty_report(self):

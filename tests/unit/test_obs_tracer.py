@@ -14,15 +14,12 @@ from repro.obs.events import (
     chip_track,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
     JsonlTracer,
-    NullTracer,
     RingTracer,
     Tracer,
-    active_tracer,
-    events_of,
     read_jsonl_events,
 )
+from repro.sim.fluid import FluidEngine
 
 
 class TestEvent:
@@ -45,22 +42,16 @@ class TestEvent:
 
 
 class TestNullTracer:
-    def test_disabled_and_inert(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        tracer.span(0.0, 1.0, "x", "chip:0")
-        tracer.instant(0.0, "x", "chip:0")
-        tracer.counter(0.0, "x", "sim", 1.0)
-        tracer.close()
+    """``None`` is the disabled sink; a live tracer reaches the engine."""
 
-    def test_shared_instance(self):
-        assert isinstance(NULL_TRACER, NullTracer)
-
-    def test_normalised_away(self):
-        assert active_tracer(None) is None
-        assert active_tracer(NullTracer()) is None
+    def test_normalised_away(self, single_transfer_trace, small_config):
+        engine = FluidEngine(single_transfer_trace, small_config,
+                             technique="dma-ta", tracer=None)
+        assert engine.tracer is None
         live = RingTracer()
-        assert active_tracer(live) is live
+        engine = FluidEngine(single_transfer_trace, small_config,
+                             technique="dma-ta", tracer=live)
+        assert engine.tracer is live
 
 
 class TestRingTracer:
@@ -125,22 +116,9 @@ class TestJsonlTracer:
             assert not handle.closed
 
 
-class TestEventsOf:
-    def test_ring_yields_events(self):
-        tracer = RingTracer()
-        tracer.instant(0.0, "x", "sim")
-        assert [e.name for e in events_of(tracer)] == ["x"]
-
-    def test_non_ring_yields_nothing(self):
-        assert events_of(None) == []
-        assert events_of(NullTracer()) == []
-        assert events_of(Tracer()) == []
-
-
 class TestBaseTracer:
     def test_emit_is_abstract_hookpoint(self):
         tracer = Tracer()
-        assert tracer.enabled is True
         with pytest.raises(NotImplementedError):
             tracer.span(0.0, 1.0, "x", "sim")
         with pytest.raises(NotImplementedError):

@@ -132,10 +132,6 @@ class TestSimulationResult:
     def test_client_degradation_empty(self):
         assert make_result().client_degradation_vs(make_result()) == 0.0
 
-    def test_mean_response(self):
-        r = make_result(client_responses={0: 100.0, 1: 300.0})
-        assert r.mean_client_response_cycles == 200.0
-
     def test_summary_contains_key_lines(self):
         r = make_result(mu=5.0, migrations=3)
         text = r.summary()

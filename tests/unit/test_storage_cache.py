@@ -57,13 +57,6 @@ class TestDirty:
         assert cache.mark_dirty(1)
         assert not cache.mark_dirty(99)
 
-    def test_resident_pages_lru_first(self):
-        cache = BufferCache(3)
-        for page in (1, 2, 3):
-            cache.insert(page)
-        cache.lookup(1)
-        assert cache.resident_pages() == [2, 3, 1]
-
 
 class TestValidation:
     def test_zero_capacity(self):

@@ -85,8 +85,3 @@ class TestArray:
     def test_rejects_zero_disks(self):
         with pytest.raises(ConfigurationError):
             StripedArray(num_disks=0)
-
-    def test_mean_utilization(self):
-        array = StripedArray(num_disks=2, seed=3)
-        array.submit(0.0, 0, 8192)
-        assert 0 < array.mean_utilization(100.0) <= 1.0

@@ -41,16 +41,6 @@ class TestViews:
     def test_pages(self):
         trace = Trace(name="t", records=[dma(1.0, page=3), dma(2.0, page=9)])
         assert trace.pages() == {3, 9}
-        assert trace.max_page() == 9
-
-    def test_max_page_empty(self):
-        assert Trace(name="t").max_page() == -1
-
-    def test_rates(self):
-        freq = 1.6e9
-        records = [dma(i * 1000.0) for i in range(16)]
-        trace = Trace(name="t", records=records, duration_cycles=1.6e6)
-        assert trace.transfer_rate_per_ms(freq) == pytest.approx(16.0)
 
 
 class TestTransforms:
@@ -74,19 +64,3 @@ class TestTransforms:
     def test_clipped_rejects_nonpositive(self):
         with pytest.raises(TraceError):
             Trace(name="t").clipped(0.0)
-
-    def test_merge(self):
-        a = Trace(name="a", records=[dma(10.0)])
-        b = Trace(name="b", records=[dma(5.0)])
-        merged = a.merged_with(b)
-        assert [r.time for r in merged] == [5.0, 10.0]
-        assert merged.name == "a+b"
-
-    def test_merge_rejects_client_collision(self):
-        clients = {0: ClientRequest(request_id=0, arrival=0.0)}
-        a = Trace(name="a", records=[dma(1.0, request_id=0)],
-                  clients=dict(clients))
-        b = Trace(name="b", records=[dma(2.0, request_id=0)],
-                  clients=dict(clients))
-        with pytest.raises(TraceError):
-            a.merged_with(b)

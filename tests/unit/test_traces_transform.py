@@ -6,12 +6,9 @@ from repro.errors import TraceError
 from repro.traces.records import ClientRequest, DMATransfer, ProcessorBurst
 from repro.traces.trace import Trace
 from repro.traces.transform import (
-    filter_source,
     merge_traces,
     renumber_clients,
     resize_transfers,
-    scale_intensity,
-    strip_clients,
 )
 
 
@@ -30,57 +27,6 @@ def trace():
     ]
     return Trace(name="base", records=records, clients=clients,
                  duration_cycles=1000.0, metadata={"seed": 1})
-
-
-class TestScaleIntensity:
-    def test_compresses_time(self, trace):
-        fast = scale_intensity(trace, 2.0)
-        assert fast.duration_cycles == 500.0
-        assert fast.records[0].time == 50.0
-        assert fast.clients[0].arrival == 50.0
-
-    def test_rate_doubles(self, trace):
-        fast = scale_intensity(trace, 2.0)
-        assert fast.transfer_rate_per_ms(1.6e9) == pytest.approx(
-            2 * trace.transfer_rate_per_ms(1.6e9))
-
-    def test_dilates(self, trace):
-        slow = scale_intensity(trace, 0.5)
-        assert slow.duration_cycles == 2000.0
-
-    def test_rejects_nonpositive(self, trace):
-        with pytest.raises(TraceError):
-            scale_intensity(trace, 0.0)
-
-    def test_original_untouched(self, trace):
-        scale_intensity(trace, 2.0)
-        assert trace.records[0].time == 100.0
-
-
-class TestFilterSource:
-    def test_network_only(self, trace):
-        net = filter_source(trace, "network")
-        assert len(net.transfers) == 1
-        assert net.transfers[0].source == "network"
-        assert set(net.clients) == {0}
-        assert net.processor_bursts == []
-
-    def test_keep_processor(self, trace):
-        disk = filter_source(trace, "disk", keep_processor=True)
-        assert len(disk.processor_bursts) == 1
-        assert set(disk.clients) == {1}
-
-
-class TestStripClients:
-    def test_strips_everything(self, trace):
-        raw = strip_clients(trace)
-        assert raw.clients == {}
-        assert all(t.request_id is None for t in raw.transfers)
-
-    def test_preserves_times_and_pages(self, trace):
-        raw = strip_clients(trace)
-        assert [r.time for r in raw.records] == \
-               [r.time for r in trace.records]
 
 
 class TestRenumberAndMerge:
@@ -105,7 +51,10 @@ class TestRenumberAndMerge:
             merge_traces([])
 
     def test_merge_sorted(self, trace):
-        merged = merge_traces([trace, scale_intensity(trace, 4.0)])
+        between = Trace(name="b", records=[
+            DMATransfer(time=150.0, page=3, size_bytes=8192),
+            DMATransfer(time=50.0, page=4, size_bytes=8192)])
+        merged = merge_traces([trace, between])
         times = [r.time for r in merged.records]
         assert times == sorted(times)
 
