@@ -24,8 +24,10 @@ parallel executor. Knobs (see docs/EXECUTION.md):
   (default 1 = serial).
 * ``REPRO_BENCH_CACHE`` — set to 1 to persist results in the on-disk
   cache (``$REPRO_CACHE_DIR`` or ``.repro_cache/``) across sessions.
-* ``REPRO_PROFILE`` — set to 1 to wrap every engine run in cProfile;
-  the merged hot paths land in each bench's JSON record.
+
+Each record also sums the wall-clock ledgers (``result.wall``, see
+:mod:`repro.obs.wall`) of the simulations its bench computed into a
+``wall`` block.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.bench.trajectory import write_json_atomic
 from repro.config import SimulationConfig
 from repro.exec import ResultCache, SimJob, run_many
 from repro.obs.audit import audit_result, audit_summary
-from repro.obs.perf import merge_profiles
 from repro.sim.results import SimulationResult
 from repro.traces.oltp import oltp_database_trace, oltp_storage_trace
 from repro.traces.synthetic import synthetic_database_trace, synthetic_storage_trace
@@ -87,7 +88,7 @@ class _SessionStats:
         self.memo_hits = 0
         self.memo_misses = 0
         self.disk_base: dict[str, int] = self._disk_counts()
-        self.profiles: list[list[dict]] = []
+        self.wall: dict[str, float] = {}
         self.audited = 0
         self.audit_findings: list[str] = []
 
@@ -98,8 +99,12 @@ class _SessionStats:
     def note_outcomes(self, outcomes) -> None:
         for outcome in outcomes:
             self.sim_wall_s += outcome.wall_s
-            if outcome.ok and outcome.result.profile:
-                self.profiles.append(outcome.result.profile)
+            if outcome.ok and outcome.wall_s > 0:
+                # Computed here: neither a cache hit nor a deduplicated
+                # follower (both report wall_s 0).
+                self.wall["runs"] = self.wall.get("runs", 0) + 1
+                for phase, seconds in outcome.result.wall.parts().items():
+                    self.wall[phase] = self.wall.get(phase, 0.0) + seconds
             if outcome.ok:
                 self.audited += 1
                 for finding in audit_summary(audit_result(outcome.result)):
@@ -108,26 +113,26 @@ class _SessionStats:
                     if line not in self.audit_findings:
                         self.audit_findings.append(line)
 
-    def drain(self) -> tuple[float, dict[str, int], list[dict] | None,
+    def drain(self) -> tuple[float, dict[str, int], dict[str, float],
                              dict]:
-        """(simulate wall, cache counters, merged profile, audit block)
+        """(simulate wall, cache counters, wall-ledger sums, audit block)
         accumulated since the previous drain."""
-        wall = self.sim_wall_s
+        sim_wall = self.sim_wall_s
         counts = {"memo_hits": self.memo_hits,
                   "memo_misses": self.memo_misses}
         disk_now = self._disk_counts()
         for key, value in disk_now.items():
             counts[f"disk_{key}"] = value - self.disk_base.get(key, 0)
-        profile = merge_profiles(self.profiles) if self.profiles else None
+        wall = self.wall
         audit = {"checked": self.audited,
                  "findings": list(self.audit_findings)}
         self.sim_wall_s = 0.0
         self.memo_hits = self.memo_misses = 0
         self.disk_base = disk_now
-        self.profiles = []
+        self.wall = {}
         self.audited = 0
         self.audit_findings = []
-        return wall, counts, profile, audit
+        return sim_wall, counts, wall, audit
 
 
 _SESSION = _SessionStats()
@@ -280,12 +285,12 @@ def save_record(name: str, figure: str, metrics: list[Metric],
     phase holding the executor wall-clock accumulated from
     :attr:`repro.exec.runner.JobOutcome.wall_s` since the previous
     record is appended automatically, as are the cache counters and
-    (when ``REPRO_PROFILE=1``) the merged hot paths of the profiled
-    runs. ``fleet`` is an optional
+    the summed wall-clock ledgers of the runs computed since then (kept
+    out of ``phases``). ``fleet`` is an optional
     :meth:`repro.obs.fleet.FleetReport.as_dict` rollup from a
     fleet-observed sweep the bench ran.
     """
-    sim_wall, cache_counts, profile, audit = _SESSION.drain()
+    sim_wall, cache_counts, wall, audit = _SESSION.drain()
     if audit["findings"]:
         print(f"\naudit: {len(audit['findings'])} finding(s) in "
               f"{name}:")
@@ -309,7 +314,7 @@ def save_record(name: str, figure: str, metrics: list[Metric],
         metrics=list(metrics),
         phases=all_phases,
         cache=cache_counts,
-        profile=profile,
+        wall=wall,
         audit=audit,
         fleet=dict(fleet) if fleet else {},
     )

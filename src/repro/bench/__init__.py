@@ -5,7 +5,8 @@ The performance-and-fidelity observatory on top of :mod:`repro.obs`:
 * **record** (:mod:`repro.bench.record`) — the versioned JSON schema one
   bench run emits: regenerated series values next to the paper's
   published numbers (with relative deviation), per-phase wall-clock,
-  cache traffic, run metadata, and optional folded profiles.
+  cache traffic, run metadata, and the summed wall-clock ledgers of the
+  simulations it computed.
 * **trajectory** (:mod:`repro.bench.trajectory`) — the committed
   ``BENCH_<figure>.json`` run histories at the repository root, written
   atomically.

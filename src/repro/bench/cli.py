@@ -55,9 +55,6 @@ def add_bench_parser(commands) -> None:
                           "figure id (repeatable), e.g. --figure fig5")
     run.add_argument("--jobs", type=int, default=None,
                      help="worker processes for prefetched grids")
-    run.add_argument("--profile", action="store_true",
-                     help="profile every engine run (REPRO_PROFILE=1); "
-                          "folded hot paths land in the JSON records")
     run.add_argument("--cache", action="store_true",
                      help="persist results in the on-disk cache "
                           "(REPRO_BENCH_CACHE=1)")
@@ -169,16 +166,13 @@ def _cmd_run(args) -> int:
         env["REPRO_BENCH_MS"] = f"{QUICK_BENCH_MS:g}"
     if args.jobs is not None:
         env["REPRO_BENCH_JOBS"] = str(args.jobs)
-    if args.profile:
-        env["REPRO_PROFILE"] = "1"
     if args.cache:
         env["REPRO_BENCH_CACHE"] = "1"
 
     command = [sys.executable, "-m", "pytest", "--benchmark-only", "-q",
                *map(str, files)]
     print(f"running {len(files)} bench file(s) "
-          f"(REPRO_BENCH_MS={env.get('REPRO_BENCH_MS', 'default')}"
-          f"{', profiled' if args.profile else ''}) ...")
+          f"(REPRO_BENCH_MS={env.get('REPRO_BENCH_MS', 'default')}) ...")
     completed = subprocess.run(command, env=env)
     results_dir = bench_dir / "results"
     if completed.returncode == 0:

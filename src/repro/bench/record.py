@@ -3,10 +3,11 @@
 One bench run of one figure produces one :class:`BenchRecord`: the
 regenerated series values next to the paper's expected numbers (and the
 relative deviation between them), the wall-clock spent per phase, the
-result-cache traffic, run metadata, and — when profiling was on — the
-folded hot paths. Records serialise to JSON (``benchmarks/results/
-<name>.json``) and accumulate into the root-level ``BENCH_<figure>.json``
-trajectory files that :mod:`repro.bench.compare` diffs against.
+result-cache traffic, run metadata, and the summed wall-clock ledgers
+of the simulations it computed. Records serialise to JSON
+(``benchmarks/results/<name>.json``) and accumulate into the root-level
+``BENCH_<figure>.json`` trajectory files that :mod:`repro.bench.compare`
+diffs against.
 
 The schema is versioned (:data:`SCHEMA_VERSION`): loaders reject records
 from a different schema generation with a clear
@@ -107,8 +108,12 @@ class BenchRecord:
         phases: per-phase wall-clock (the simulate phase is derived from
             :attr:`repro.exec.runner.JobOutcome.wall_s`).
         cache: result-cache counters for the run (hits/misses/...).
-        profile: folded cProfile hot paths (see :mod:`repro.obs.perf`),
-            or ``None`` when profiling was off.
+        wall: the :class:`~repro.obs.wall.WallLedger` parts of every
+            simulation the bench computed (cache hits excluded), summed
+            per phase in seconds, with their count under ``runs``.
+            Kept out of :attr:`phases`, whose sum :attr:`wall_s` the
+            compare gate reads. Additive like ``fleet``: empty when the
+            bench computed no simulation.
         audit: result-invariant audit summary —
             ``{"checked": <runs audited>, "findings": [<one-liners>]}``
             from :func:`repro.obs.audit.audit_result` over the session's
@@ -133,7 +138,7 @@ class BenchRecord:
     metrics: list[Metric] = field(default_factory=list)
     phases: list[Phase] = field(default_factory=list)
     cache: dict[str, int] = field(default_factory=dict)
-    profile: list[dict[str, Any]] | None = None
+    wall: dict[str, float] = field(default_factory=dict)
     audit: dict[str, Any] = field(default_factory=dict)
     fleet: dict[str, Any] = field(default_factory=dict)
     explain: dict[str, Any] = field(default_factory=dict)
@@ -189,12 +194,12 @@ class BenchRecord:
             "cache": dict(self.cache),
             "audit": dict(self.audit),
         }
+        if self.wall:
+            out["wall"] = dict(self.wall)
         if self.fleet:
             out["fleet"] = dict(self.fleet)
         if self.explain:
             out["explain"] = dict(self.explain)
-        if self.profile is not None:
-            out["profile"] = list(self.profile)
         return out
 
     @classmethod
@@ -228,9 +233,11 @@ class BenchRecord:
         cache = obj.get("cache", {})
         if not isinstance(cache, Mapping):
             raise BenchFormatError(f"{where}: cache is not an object")
-        profile = obj.get("profile")
-        if profile is not None and not isinstance(profile, list):
-            raise BenchFormatError(f"{where}: profile is not an array")
+        wall = obj.get("wall", {})
+        if not isinstance(wall, Mapping) or not all(
+                isinstance(v, (int, float)) for v in wall.values()):
+            raise BenchFormatError(f"{where}: wall is not an object of "
+                                   "numbers")
         audit = obj.get("audit", {})
         if not isinstance(audit, Mapping):
             raise BenchFormatError(f"{where}: audit is not an object")
@@ -246,7 +253,7 @@ class BenchRecord:
             meta=dict(meta), metrics=metrics, phases=phases,
             cache={str(k): int(v) for k, v in cache.items()
                    if isinstance(v, (int, float))},
-            profile=list(profile) if profile is not None else None,
+            wall={str(k): float(v) for k, v in wall.items()},
             audit=dict(audit),
             fleet=dict(fleet),
             explain=dict(explain),

@@ -5,7 +5,7 @@ with the current ``benchmarks/results/*.json`` run appended as the last
 point — into one dependency-free HTML file: a section per figure with
 the latest record's metrics (value, paper-expected, deviation), the
 wall-clock and fidelity trajectories as inline-SVG sparklines, and the
-top profiled hot paths when the run was profiled.
+summed wall-clock ledger of the simulations the run computed.
 """
 
 from __future__ import annotations
@@ -85,19 +85,21 @@ def _metric_rows(record: BenchRecord) -> str:
     return "\n".join(rows)
 
 
-def _profile_rows(record: BenchRecord, top: int = 8) -> str:
-    if not record.profile:
+def _wall_rows(record: BenchRecord) -> str:
+    parts = {phase: seconds for phase, seconds in record.wall.items()
+             if phase != "runs"}
+    total = sum(parts.values())
+    if not total:
         return ""
-    rows = []
-    for entry in record.profile[:top]:
-        rows.append(
-            f"<tr><td>{html.escape(str(entry.get('func', '?')))}</td>"
-            f"<td>{entry.get('ncalls', 0)}</td>"
-            f"<td>{float(entry.get('tot_s', 0.0)):.3f}</td>"
-            f"<td>{float(entry.get('cum_s', 0.0)):.3f}</td></tr>")
-    return ("<h3>hot paths (cProfile, cumulative)</h3>"
-            "<table><tr><th>function</th><th>calls</th><th>tot s</th>"
-            "<th>cum s</th></tr>" + "\n".join(rows) + "</table>")
+    rows = "\n".join(
+        f"<tr><td>{html.escape(phase)}</td><td>{seconds:.3f}</td>"
+        f"<td>{seconds / total:.1%}</td></tr>"
+        for phase, seconds in parts.items())
+    runs = int(record.wall.get("runs", 0))
+    return (f"<h3>wall-clock ledger ({runs} computed run(s), "
+            f"{total:.3f} s)</h3>"
+            "<table><tr><th>phase</th><th>s</th><th>share</th></tr>"
+            f"{rows}</table>")
 
 
 def _figure_section(figure: str, runs: Sequence[BenchRecord]) -> str:
@@ -148,7 +150,7 @@ def _figure_section(figure: str, runs: Sequence[BenchRecord]) -> str:
                               for k, v in sorted(latest.cache.items()))
             parts.append(f'<p class="meta">cache &mdash; '
                          f"{html.escape(cache)}</p>")
-        parts.append(_profile_rows(latest))
+        parts.append(_wall_rows(latest))
     return "\n".join(parts)
 
 

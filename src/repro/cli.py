@@ -29,8 +29,9 @@ fallbacks, cache corruption warnings, trace-generator diagnostics.
 ``--log-format json`` (or ``REPRO_LOG_FORMAT=json``) switches those
 loggers to one structured JSON object per line for machine ingestion
 (and implies ``--log-level info`` when no level was given).
-``--profile`` on the run verbs (or ``REPRO_PROFILE=1``) wraps engine
-runs in cProfile; see :mod:`repro.obs.perf`.
+Every run carries its wall-clock ledger (:mod:`repro.obs.wall`):
+``repro simulate`` prints it as a ``wall:`` line after the summary and
+``repro trace`` exports it as a ``wall`` track.
 """
 
 from __future__ import annotations
@@ -195,11 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     char.add_argument("--cdf", action="store_true",
                       help="also print the Figure 4 popularity CDF")
 
-    sim = _run_parser(commands, "simulate", "baseline",
-                      help="run one simulation")
-    sim.add_argument("--profile", action="store_true",
-                     help="profile the engine run and print the top "
-                          "hot paths (see also $REPRO_PROFILE)")
+    _run_parser(commands, "simulate", "baseline",
+                help="run one simulation")
 
     compare = commands.add_parser(
         "compare", help="baseline vs DMA-TA vs DMA-TA-PL on one trace")
@@ -257,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--out", required=True,
                            help="output trace file (load it at "
                                 "https://ui.perfetto.dev)")
-    trace_cmd.add_argument("--profile", action="store_true",
-                           help="profile the engine run and attach a "
-                                "'profile' track to the export")
 
     audit = _run_parser(
         commands, "audit", "dma-ta",
@@ -483,20 +478,10 @@ def _cmd_characterize(args) -> int:
     return 0
 
 
-def _print_profile(result, top: int = 10) -> None:
-    if not result.profile:
-        return
-    print("\nhot paths (cProfile, cumulative):")
-    for entry in result.profile[:top]:
-        print(f"  {entry['cum_s']:8.3f}s  {entry['ncalls']:>9}x  "
-              f"{entry['func']}")
-
-
 def _cmd_simulate(args) -> int:
-    result = _job(args, read_trace(args.trace)).run(
-        profile=args.profile or None)
+    result = _job(args, read_trace(args.trace)).run()
     print(result.summary())
-    _print_profile(result)
+    print(result.wall.summary())
     return 0
 
 
@@ -665,15 +650,12 @@ def _report_sweep(args, trace, points, cache, fleet) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import RingTracer, profile_events, write_chrome_trace
+    from repro.obs import RingTracer, write_chrome_trace
 
     trace = read_trace(args.trace)
     tracer = RingTracer()
-    result = _job(args, trace).run(tracer=tracer,
-                                   profile=args.profile or None)
+    result = _job(args, trace).run(tracer=tracer)
     events = list(tracer.events)
-    if result.profile:
-        events.extend(profile_events(result.profile))
     if not events:
         print(result.summary())
         print("warning: run produced no trace events; skipping export "
@@ -683,12 +665,11 @@ def _cmd_trace(args) -> int:
               "use repro watch --telemetry-out)",
               file=sys.stderr)
         return 0
-    path = write_chrome_trace(events, args.out, label=trace.name)
+    path = write_chrome_trace(events + result.wall.events(), args.out,
+                              label=trace.name)
     print(result.summary())
-    extra = (f", {len(result.profile)} profile spans"
-             if result.profile else "")
-    print(f"\nwrote {path}: {len(tracer.events)} events "
-          f"({tracer.dropped} dropped{extra}) — load it at "
+    print(f"\nwrote {path}: {len(events)} events "
+          f"({tracer.dropped} dropped) and the wall track — load it at "
           "https://ui.perfetto.dev")
     return 0
 

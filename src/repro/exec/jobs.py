@@ -26,7 +26,8 @@ from repro.traces.trace import Trace
 #: version changing (result schema tweaks, canonicalisation fixes, ...).
 #: 2: SimulationResult gained the ``metrics`` report field.
 #: 3: SimulationResult gained the ``profile`` hot-paths field.
-CACHE_SCHEMA_VERSION = 3
+#: 4: ``profile`` gave way to the ``wall`` ledger attribute.
+CACHE_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -86,16 +87,15 @@ class SimJob:
         if self.mu is not None:
             config.with_mu(self.mu)  # triggers alignment-config validation
 
-    def run(self, tracer=None, telemetry=None, digests=None,
-            profile: bool | None = None) -> SimulationResult:
+    def run(self, tracer=None, telemetry=None,
+            digests=None) -> SimulationResult:
         """Run the job: :func:`repro.simulate` with these observers.
 
         The keywords are :func:`~repro.sim.run.simulate`'s. This is the
         default job body of :func:`~repro.exec.runner.run_many`.
         """
         return simulate(self.trace, **self._arguments(), tracer=tracer,
-                        telemetry=telemetry, digests=digests,
-                        profile=profile)
+                        telemetry=telemetry, digests=digests)
 
     def build_engine(self, tracer=None, telemetry=None,
                      digests=None) -> EngineCore:

@@ -16,10 +16,11 @@ The observability layer of the simulator:
 * **export** (:mod:`repro.obs.export`) — Chrome-trace/Perfetto JSON
   (``repro trace --out trace.json``; load it at https://ui.perfetto.dev)
   and plain-text summaries (``repro stats``).
-* **perf** (:mod:`repro.obs.perf`) — opt-in cProfile hooks around
-  engine runs (``REPRO_PROFILE=1`` / ``--profile``): folded hot paths on
-  every :class:`~repro.sim.results.SimulationResult` and an extra
-  ``profile`` track in the Perfetto export.
+* **wall** (:mod:`repro.obs.wall`) — the always-on wall-clock ledger:
+  every run times its phases (calibrate, build, loop, probes, PL
+  planning, the precise kernel's windows, result, other) at their
+  boundaries and carries them as ``result.wall``, printed by ``repro
+  simulate`` and exported by ``repro trace`` as a ``wall`` track.
 * **audit** (:mod:`repro.obs.audit`) — an online :class:`Auditor` sink
   that maintains per-transfer latency waterfalls, an
   energy-conservation ledger cross-checked against
@@ -69,8 +70,8 @@ from repro.obs.events import (
     TRACK_CHIP,
     TRACK_CONTROLLER,
     TRACK_FLEET,
-    TRACK_PROFILE,
     TRACK_SIM,
+    TRACK_WALL,
     TRACK_WORKER,
     Event,
     bus_track,
@@ -82,14 +83,6 @@ from repro.obs.fleet import (
     FleetConfig,
     FleetReport,
     FleetStall,
-)
-from repro.obs.perf import (
-    PROFILE_ENV,
-    fold_profile,
-    merge_profiles,
-    profile_events,
-    profiling_enabled,
-    run_profiled,
 )
 from repro.obs.diff import (
     DigestConfig,
@@ -139,12 +132,13 @@ from repro.obs.tracer import (
     Tracer,
     read_jsonl_events,
 )
+from repro.obs.wall import WallLedger
 
 __all__ = [
     # events
     "Event", "PH_SPAN", "PH_INSTANT", "PH_COUNTER",
     "TRACK_CHIP", "TRACK_BUS", "TRACK_CONTROLLER", "TRACK_SIM",
-    "TRACK_PROFILE", "TRACK_AUDIT", "TRACK_FLEET", "TRACK_WORKER",
+    "TRACK_WALL", "TRACK_AUDIT", "TRACK_FLEET", "TRACK_WORKER",
     "chip_track", "bus_track", "worker_track",
     # fleet (cross-process sweep observability; repro.obs.serve's
     # FleetServer stays lazy alongside the telemetry dashboard)
@@ -152,9 +146,8 @@ __all__ = [
     # audit
     "Auditor", "AuditReport", "AuditViolation",
     "audit_result", "audit_summary", "write_audit_report",
-    # perf
-    "PROFILE_ENV", "profiling_enabled", "run_profiled", "fold_profile",
-    "merge_profiles", "profile_events",
+    # wall-clock ledger
+    "WallLedger",
     # tracers
     "Tracer", "RingTracer", "JsonlTracer", "read_jsonl_events",
     # metrics

@@ -36,7 +36,7 @@ TRACK_CHIP = "chip"
 TRACK_BUS = "bus"
 TRACK_CONTROLLER = "controller"
 TRACK_SIM = "sim"
-TRACK_PROFILE = "profile"
+TRACK_WALL = "wall"
 TRACK_AUDIT = "audit"
 #: Fleet (cross-process sweep) tracks: the scheduling lane and one row
 #: per pool worker (slot 0 is the parent's serial fallback path).

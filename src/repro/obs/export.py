@@ -35,7 +35,7 @@ from repro.obs.events import (
     TRACK_BUS,
     TRACK_CHIP,
     TRACK_FLEET,
-    TRACK_PROFILE,
+    TRACK_WALL,
     TRACK_WORKER,
     Event,
 )
@@ -44,7 +44,7 @@ from repro.obs.events import (
 _PID_MEMORY = 1
 _PID_IO = 2
 _PID_POLICY = 3
-_PID_PROFILE = 4
+_PID_WALL = 4
 _PID_AUDIT = 5
 _PID_FLEET = 6
 
@@ -56,8 +56,8 @@ def _track_key(track: str) -> tuple[int, int, str]:
         return (_PID_MEMORY, int(index), f"chip {index}")
     if kind == TRACK_BUS and index.isdigit():
         return (_PID_IO, int(index), f"bus {index}")
-    if kind == TRACK_PROFILE:
-        return (_PID_PROFILE, 0, "hot paths (cProfile)")
+    if kind == TRACK_WALL:
+        return (_PID_WALL, 0, "wall-clock ledger")
     if kind == TRACK_AUDIT:
         rank = int(index) if index.isdigit() else 0
         return (_PID_AUDIT, rank, f"waterfall #{rank}" if index else "audit")
@@ -118,7 +118,7 @@ def chrome_trace(events: Iterable[Event],
         trace_events.append(out)
 
     process_names = {_PID_MEMORY: "memory chips", _PID_IO: "I/O buses",
-                     _PID_POLICY: "policies", _PID_PROFILE: "profiler",
+                     _PID_POLICY: "policies", _PID_WALL: "wall clock",
                      _PID_AUDIT: "audit waterfalls", _PID_FLEET: "fleet"}
     for pid in sorted({pid for pid, _, _ in tracks.values()}):
         trace_events.append({

@@ -14,7 +14,9 @@ through one :class:`ProbeSet`:
   probe due at that tick; each probe keeps its own cadence
   (``sample_cycles``) and its own tick count;
 * once the run ends, every probe whose last sample is older than the
-  end time gets one final snapshot.
+  end time gets one final snapshot;
+* the ticks and the final snapshot are the run's ``probes`` phase in
+  its :class:`~repro.obs.wall.WallLedger`.
 
 A probe is any object with ``sample_cycles``, ``bind(engine)`` (called
 once, at engine construction; sets ``sample_cycles``) and
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
+from time import perf_counter_ns
 from typing import Iterable
 
 from repro.energy.accounting import BUCKETS
@@ -68,7 +71,8 @@ class ProbeSet:
     """Every probe attached to one engine run.
 
     Args:
-        engine: the engine. Its ``queue`` receives the PROBE events;
+        engine: the engine. Its ``queue`` receives the PROBE events,
+            its ``wall`` ledger the time they take;
             each snapshot reads its ``chips`` (each with
             ``observe(now)``), ``_arrived_requests(now)``
             (the run's arrived DMA-memory requests, read at the queue's
@@ -101,6 +105,7 @@ class ProbeSet:
 
         A probe samples again one period later while work remains.
         """
+        start = perf_counter_ns()
         snapshot = self.snapshot(now)
         for i, probe in enumerate(self._probes):
             if self._due[i] <= now:
@@ -110,6 +115,7 @@ class ProbeSet:
                                 else math.inf)
         self.next_time = min(self._due)
         self.schedule()
+        self._engine.wall.charge("probes", perf_counter_ns() - start)
 
     def finish(self, end: float) -> None:
         """Sample, at ``end``, every probe whose last sample is older.
@@ -119,12 +125,15 @@ class ProbeSet:
         (its chips, layout and streams) alive until the next garbage
         collection.
         """
-        due = [probe for probe, last in zip(self._probes, self._last)
-               if end > last]
-        if due:
-            snapshot = self.snapshot(end)
-            for probe in due:
-                probe.sample(snapshot)
+        if self._probes:
+            start = perf_counter_ns()
+            due = [probe for probe, last in zip(self._probes, self._last)
+                   if end > last]
+            if due:
+                snapshot = self.snapshot(end)
+                for probe in due:
+                    probe.sample(snapshot)
+            self._engine.wall.charge("probes", perf_counter_ns() - start)
         self._engine = None
 
     def snapshot(self, now: float) -> tuple[float, ...]:

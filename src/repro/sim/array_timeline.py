@@ -76,6 +76,7 @@ Only numpy APIs present since 1.20 are used (``np.add.accumulate``,
 from __future__ import annotations
 
 import math
+from time import perf_counter_ns
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -145,6 +146,8 @@ class ArrayTimelineKernel:
         self.batched_requests = 0
         self.proc_windows = 0
         self.proc_accesses = 0
+        #: Nanoseconds spent cutting windows: the run's ``kernel`` phase.
+        self.wall_ns = 0
 
     # ------------------------------------------------------------------
 
@@ -204,6 +207,7 @@ class ArrayTimelineKernel:
         horizon = self._observer_horizon()
         if not end < horizon:
             return end
+        start = perf_counter_ns()
         bursts = chip.queue[0]  # processor accesses: priority 0
         queued = sum(burst.count for burst in bursts)
         cycles = self.proc_cycles
@@ -243,6 +247,7 @@ class ArrayTimelineKernel:
             bursts.popleft()
         self.proc_windows += 1
         self.proc_accesses += served
+        self.wall_ns += perf_counter_ns() - start
         return end
 
     # ------------------------------------------------------------------
@@ -287,6 +292,9 @@ class ArrayTimelineKernel:
         horizon = self._horizon(chip.chip_id, own_buses)
         if not now < horizon:
             return False
+        # A window may still fail to reach MIN_BATCH below; only the
+        # calls that cut one are timed.
+        start = perf_counter_ns()
 
         # One event vector per stream: chain[j] is the chip-arrival time
         # of its (j+1)-th upcoming request; the accumulate chain
@@ -428,6 +436,7 @@ class ArrayTimelineKernel:
 
         self.batches += 1
         self.batched_requests += count
+        self.wall_ns += perf_counter_ns() - start
         return True
 
     def _fifo_window(self, last: float, chains: list, horizon: float):

@@ -6,6 +6,7 @@ import enum
 import heapq
 import itertools
 import math
+from time import perf_counter_ns
 from typing import Any, Iterable
 
 from repro.config import SimulationConfig
@@ -23,6 +24,7 @@ from repro.memory.address import MutableLayout, build_base_layout
 from repro.obs.events import TRACK_SIM
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import ProbeSet
+from repro.obs.wall import WallLedger
 from repro.sim.results import SimulationResult
 from repro.traces.records import DMATransfer
 from repro.traces.trace import Trace
@@ -107,8 +109,9 @@ class EngineCore:
     """What the fluid and precise engines share around their loops.
 
     The core decodes the technique once (policy, layout, controller, PL
-    planner), keeps the run counters, emits ``sim.config``, pushes the
-    first events, counts each arriving DMA transfer, plans each PL
+    planner), keeps the run counters and the run's
+    :class:`~repro.obs.wall.WallLedger`, emits ``sim.config``, pushes
+    the first events, counts each arriving DMA transfer, plans each PL
     interval and builds the result. An engine owns its chips, buses and
     event loop. It builds the core, then its chips, then calls
     :meth:`_attach`; its ``run`` calls :meth:`_start`, runs the loop
@@ -126,6 +129,10 @@ class EngineCore:
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str, seed: int, tracer) -> None:
+        #: The run's wall-clock ledger, timing from construction on
+        #: (:func:`~repro.sim.run.build_engine` swaps in the one that
+        #: timed its checks and calibration).
+        self.wall = WallLedger()
         if technique not in TECHNIQUES:
             raise ConfigurationError(
                 f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
@@ -195,8 +202,9 @@ class EngineCore:
         self.probes = ProbeSet(self, self._PROBE, probes)
 
     def _start(self) -> None:
-        """Emit ``sim.config``; push the first arrival, epoch, interval
-        and probe events."""
+        """End the ``build`` phase; emit ``sim.config``; push the first
+        arrival, epoch, interval and probe events."""
+        self.wall.lap("build")
         config = self.config
         if self.tracer is not None:
             # Run parameters up front, so sinks (the auditor especially)
@@ -249,27 +257,32 @@ class EngineCore:
         """Re-plan the PL layout at an interval boundary (Section 4.2).
 
         Returns the applied migration, whose page copies the engine
-        makes, or ``None`` when no page was referenced.
+        makes, or ``None`` when no page was referenced. Timed as the
+        ``pl`` phase.
         """
+        start = perf_counter_ns()
+        migration = None
         ranked = self._tracker.ranked_pages()
-        if not ranked:
-            return None
-        plan = self._grouper.build_plan(
-            ranked, self._previous_hot, self._previous_candidates)
-        cold_index = plan.groups[-1].index
-        self._previous_hot = {
-            page for page, group in plan.page_group.items()
-            if group != cold_index}
-        self._previous_candidates = plan.candidates
-        migration = self._planner.plan_and_apply(plan, self.layout, now)
-        self._tracker.age()
-        self.migrations += migration.num_moves
-        self.table_flushes += migration.table_flushes
+        if ranked:
+            plan = self._grouper.build_plan(
+                ranked, self._previous_hot, self._previous_candidates)
+            cold_index = plan.groups[-1].index
+            self._previous_hot = {
+                page for page, group in plan.page_group.items()
+                if group != cold_index}
+            self._previous_candidates = plan.candidates
+            migration = self._planner.plan_and_apply(plan, self.layout, now)
+            self._tracker.age()
+            self.migrations += migration.num_moves
+            self.table_flushes += migration.table_flushes
+        self.wall.charge("pl", perf_counter_ns() - start)
         return migration
 
     def _finish(self, end: float) -> SimulationResult:
         """End the run at ``end``: take the probes' last sample, then
-        build the result and its metrics.
+        build the result and its metrics. Ends the ``loop`` phase and
+        times the ``result`` phase; the result carries the ledger as
+        ``result.wall``.
 
         Drops the DMA-TA controller's request counter, a method of this
         engine, as :meth:`ProbeSet.finish` drops the probe set's (the
@@ -277,6 +290,7 @@ class EngineCore:
         finished engine is then freed with its last reference, not at
         the next full garbage collection.
         """
+        self.wall.lap("loop")
         self.probes.finish(end)
         if isinstance(self.controller, TemporalAlignmentController):
             self.controller.arrived_requests = None
@@ -334,6 +348,7 @@ class EngineCore:
             controller_stats=self.controller.stats(),
             chip_energy=[chip.energy.total for chip in self.chips],
         )
+        result.wall = self.wall
 
         # The paper's soft guarantee (Section 4): the average extra
         # service per DMA-memory request stays within mu*T.
@@ -345,4 +360,5 @@ class EngineCore:
             raise GuaranteeViolationError(
                 f"average extra service {extra_service:.3f} cycles exceeds "
                 f"mu*T = {bound:.3f}")
+        self.wall.lap("result")
         return result

@@ -41,11 +41,10 @@ class FluidEngine(EngineCore):
             ``dma-ta``, ``pl``, or ``dma-ta-pl``.
         seed: seed of the baseline random page layout.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given
-            (and enabled) the run emits power-state residency spans, TA
+            the run emits power-state residency spans, TA
             buffering/release decisions, slack charges, PL migrations,
-            and per-epoch progress counters. A disabled or ``None``
-            tracer is normalised away so the hot paths pay a single
-            ``is not None`` check.
+            and per-epoch progress counters. ``None`` disables tracing:
+            the hot paths pay a single ``is not None`` check.
         telemetry: optional
             :class:`~repro.obs.telemetry.TelemetrySampler`.
         digests: optional :class:`~repro.obs.diff.DigestRecorder`.

@@ -460,6 +460,7 @@ class PreciseEngine(EngineCore):
         kernel = self._kernel
         if kernel is not None:
             kernel.engine = None  # the run is over; break the cycle
+            self.wall.charge("kernel", kernel.wall_ns)
             for name in ("batches", "batched_requests", "proc_windows",
                          "proc_accesses"):
                 self.registry.counter(f"kernel.{name}").inc(

@@ -64,17 +64,16 @@ class SimulationResult:
     #: The run's metrics snapshot (counters, histograms, per-chip state
     #: residency, transition counts); see :mod:`repro.obs.metrics`.
     metrics: MetricsReport | None = None
-    #: Folded cProfile hot paths of the engine run (dicts with ``func``/
-    #: ``ncalls``/``tot_s``/``cum_s``), populated only when the run was
-    #: profiled (``REPRO_PROFILE=1`` or ``simulate(..., profile=True)``);
-    #: see :mod:`repro.obs.perf`. Results served from the on-disk cache
-    #: keep whatever the *original* computation recorded.
-    profile: list[dict] | None = None
     #: The run's :class:`~repro.obs.diff.DigestTrail` (per-epoch rolling
     #: state-digest chain), populated only when the run was started with
     #: ``simulate(..., digests=DigestRecorder(...))``; see
     #: :mod:`repro.obs.diff`.
     digests: object | None = None
+    #: The run's :class:`~repro.obs.wall.WallLedger`, which the engine
+    #: attaches. A class attribute, not a field: equality, ``asdict``,
+    #: cache keys and digest trails never see it. Results served from
+    #: the on-disk cache keep the ledger of the run that computed them.
+    wall = None
 
     # --- derived metrics -----------------------------------------------
 

@@ -7,6 +7,7 @@ import math
 from repro.config import SimulationConfig
 from repro.core.cp_limit import calibrate_mu
 from repro.errors import ConfigurationError
+from repro.obs.wall import WallLedger
 from repro.sim.engine import TECHNIQUES, EngineCore
 from repro.sim.fluid import FluidEngine
 from repro.sim.precise import PreciseEngine
@@ -65,10 +66,13 @@ def build_engine(trace: Trace, config: SimulationConfig | None = None,
                  digests=None) -> EngineCore:
     """The engine :func:`simulate` runs, built but not run.
 
-    Takes :func:`simulate`'s arguments but ``profile``: checks them,
-    calibrates ``mu`` from ``cp_limit`` when given, and builds the
-    engine. ``repro audit`` uses it to reach the slack account.
+    Takes :func:`simulate`'s arguments: checks them, calibrates ``mu``
+    from ``cp_limit`` when given, and builds the engine, whose
+    :class:`~repro.obs.wall.WallLedger` has timed both as its
+    ``calibrate`` phase. ``repro audit`` uses it to reach the slack
+    account.
     """
+    wall = WallLedger()
     validate_simulation_args(technique, engine, mu=mu, cp_limit=cp_limit,
                              config=config)
 
@@ -77,14 +81,19 @@ def build_engine(trace: Trace, config: SimulationConfig | None = None,
         config = config.with_mu(calibrate_mu(trace, config, cp_limit).mu)
     elif mu is not None:
         config = config.with_mu(mu)
+    wall.lap("calibrate")
 
     if engine == "fluid":
-        return FluidEngine(trace, config, technique=technique, seed=seed,
-                           tracer=tracer, telemetry=telemetry,
-                           digests=digests)
-    return PreciseEngine(trace, config, technique=technique, seed=seed,
-                         tracer=tracer, vectorize=engine != "precise-scalar",
-                         telemetry=telemetry, digests=digests)
+        built: EngineCore = FluidEngine(
+            trace, config, technique=technique, seed=seed, tracer=tracer,
+            telemetry=telemetry, digests=digests)
+    else:
+        built = PreciseEngine(
+            trace, config, technique=technique, seed=seed, tracer=tracer,
+            vectorize=engine != "precise-scalar", telemetry=telemetry,
+            digests=digests)
+    built.wall = wall
+    return built
 
 
 def simulate(
@@ -96,7 +105,6 @@ def simulate(
     cp_limit: float | None = None,
     seed: int = 0,
     tracer=None,
-    profile: bool | None = None,
     telemetry=None,
     digests=None,
 ) -> SimulationResult:
@@ -121,11 +129,6 @@ def simulate(
         tracer: optional :class:`~repro.obs.tracer.Tracer` receiving the
             run's structured events (power-state spans, TA decisions,
             slack charges, migrations); ``None`` costs nothing.
-        profile: wrap the engine run in :mod:`cProfile` and attach the
-            folded hot paths to ``result.profile``. ``None`` defers to
-            the ``REPRO_PROFILE`` environment variable (see
-            :mod:`repro.obs.perf`), which is how the switch reaches
-            executor worker processes.
         telemetry: optional
             :class:`~repro.obs.telemetry.TelemetrySampler` capturing
             live per-epoch time series (residency, power, slack,
@@ -140,20 +143,14 @@ def simulate(
             ("Differential observability").
 
     Returns:
-        The :class:`~repro.sim.results.SimulationResult`.
+        The :class:`~repro.sim.results.SimulationResult`. Its ``wall``
+        attribute is the call's :class:`~repro.obs.wall.WallLedger`.
     """
-    engine_run = build_engine(
+    result = build_engine(
         trace, config, technique=technique, engine=engine, mu=mu,
         cp_limit=cp_limit, seed=seed, tracer=tracer, telemetry=telemetry,
-        digests=digests).run
-
-    from repro.obs.perf import profiling_enabled, run_profiled
-
-    if not profiling_enabled(profile):
-        result = engine_run()
-    else:
-        result, hot_paths = run_profiled(engine_run)
-        result.profile = hot_paths
+        digests=digests).run()
     if digests is not None:
         result.digests = digests.trail()
+    result.wall.lap("other")
     return result

@@ -359,9 +359,10 @@ def replay_trace(
     start_s = rows[0].time_s + config.window_start_s
     rows = sample_window(rows, start_s, config.window_s)
     if not rows:
-        raise TraceError(
-            f"time window [{config.window_start_s:g}, "
-            f"{config.window_start_s:g}+{config.window_s}) selects no rows")
+        end = ("end" if config.window_s is None
+               else f"{config.window_start_s + config.window_s:g} s")
+        raise TraceError(f"time window [{config.window_start_s:g} s, {end}) "
+                         "selects no rows")
 
     namespaces: dict[str, int] = {}
     for row in rows:

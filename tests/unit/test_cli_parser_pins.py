@@ -49,7 +49,6 @@ PARSER_PINS = {
         "cp_limit": (None, None, "float"),
         "mu": (None, None, "float"),
         "seed": (0, None, "int"),
-        "profile": (False, None, None),
     },
     "compare": {
         "trace": (None, None, None),
@@ -84,7 +83,6 @@ PARSER_PINS = {
         "mu": (None, None, "float"),
         "seed": (0, None, "int"),
         "out": (None, None, None),
-        "profile": (False, None, None),
     },
     "audit": {
         "trace": (None, None, None),
@@ -168,7 +166,6 @@ PARSER_PINS = {
         "bench_ms": (None, None, "float"),
         "figure": (None, None, None),
         "jobs": (None, None, "int"),
-        "profile": (False, None, None),
         "cache": (False, None, None),
         "benchmarks_dir": ("benchmarks", None, None),
     },

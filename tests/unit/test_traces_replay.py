@@ -182,7 +182,8 @@ class TestReplayMapping:
 
     def test_window_outside_trace_fails(self):
         rows = rows_at((0.0, 0, 0, 512, False))
-        with pytest.raises(TraceError, match="selects no rows"):
+        message = r"time window \[100 s, end\) selects no rows"
+        with pytest.raises(TraceError, match=message):
             replay_trace(rows, ReplayConfig(num_pages=64,
                                             window_start_s=100.0))
 
