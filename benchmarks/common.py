@@ -84,7 +84,6 @@ class _SessionStats:
     """
 
     def __init__(self) -> None:
-        self.sim_wall_s = 0.0
         self.memo_hits = 0
         self.memo_misses = 0
         self.disk_base: dict[str, int] = self._disk_counts()
@@ -98,7 +97,6 @@ class _SessionStats:
 
     def note_outcomes(self, outcomes) -> None:
         for outcome in outcomes:
-            self.sim_wall_s += outcome.wall_s
             if outcome.ok and outcome.wall_s > 0:
                 # Computed here: neither a cache hit nor a deduplicated
                 # follower (both report wall_s 0).
@@ -113,11 +111,9 @@ class _SessionStats:
                     if line not in self.audit_findings:
                         self.audit_findings.append(line)
 
-    def drain(self) -> tuple[float, dict[str, int], dict[str, float],
-                             dict]:
-        """(simulate wall, cache counters, wall-ledger sums, audit block)
-        accumulated since the previous drain."""
-        sim_wall = self.sim_wall_s
+    def drain(self) -> tuple[dict[str, int], dict[str, float], dict]:
+        """(cache counters, wall-ledger sums, audit block) accumulated
+        since the previous drain."""
         counts = {"memo_hits": self.memo_hits,
                   "memo_misses": self.memo_misses}
         disk_now = self._disk_counts()
@@ -126,13 +122,12 @@ class _SessionStats:
         wall = self.wall
         audit = {"checked": self.audited,
                  "findings": list(self.audit_findings)}
-        self.sim_wall_s = 0.0
         self.memo_hits = self.memo_misses = 0
         self.disk_base = disk_now
         self.wall = {}
         self.audited = 0
         self.audit_findings = []
-        return sim_wall, counts, wall, audit
+        return counts, wall, audit
 
 
 _SESSION = _SessionStats()
@@ -281,16 +276,15 @@ def save_record(name: str, figure: str, metrics: list[Metric],
                 fleet: dict | None = None) -> Path:
     """Archive one bench run as ``results/<name>.json`` (atomically).
 
-    ``phases`` are the bench's own stopwatch phases; a ``simulate``
-    phase holding the executor wall-clock accumulated from
-    :attr:`repro.exec.runner.JobOutcome.wall_s` since the previous
-    record is appended automatically, as are the cache counters and
-    the summed wall-clock ledgers of the runs computed since then (kept
-    out of ``phases``). ``fleet`` is an optional
+    ``phases`` are the bench's own stopwatch phases, which time its
+    simulations with everything else it does; the cache counters and
+    the summed wall-clock ledgers of the runs computed since the
+    previous record are added (the ledgers kept out of ``phases``, so
+    no run is counted twice). ``fleet`` is an optional
     :meth:`repro.obs.fleet.FleetReport.as_dict` rollup from a
     fleet-observed sweep the bench ran.
     """
-    sim_wall, cache_counts, wall, audit = _SESSION.drain()
+    cache_counts, wall, audit = _SESSION.drain()
     if audit["findings"]:
         print(f"\naudit: {len(audit['findings'])} finding(s) in "
               f"{name}:")
@@ -298,8 +292,6 @@ def save_record(name: str, figure: str, metrics: list[Metric],
             print(f"  {line}")
     all_phases = [Phase(name=pname, wall_s=wall)
                   for pname, wall in (phases or [])]
-    if sim_wall > 0:
-        all_phases.append(Phase(name="simulate", wall_s=sim_wall))
     record = BenchRecord(
         name=name, figure=figure,
         created=datetime.datetime.now(datetime.timezone.utc)

@@ -105,8 +105,8 @@ class BenchRecord:
         meta: run metadata — at least ``bench_ms`` (trace duration) and
             ``jobs``; typically also the python and package versions.
         metrics: the regenerated series values.
-        phases: per-phase wall-clock (the simulate phase is derived from
-            :attr:`repro.exec.runner.JobOutcome.wall_s`).
+        phases: the bench's own stopwatch phases, wall-clock seconds
+            each; they time its simulations with the rest of its work.
         cache: result-cache counters for the run (hits/misses/...).
         wall: the :class:`~repro.obs.wall.WallLedger` parts of every
             simulation the bench computed (cache hits excluded), summed

@@ -69,6 +69,10 @@ class MemoryController(abc.ABC):
         """Number of buffered transfers (pending head requests)."""
         return 0
 
+    def holds_heads(self, chip_id: int) -> bool:
+        """True while a head bound for ``chip_id`` is buffered."""
+        return False
+
     def stats(self) -> dict[str, float]:
         """Controller-specific counters for the simulation result."""
         return {}

@@ -376,6 +376,9 @@ class TemporalAlignmentController(MemoryController):
     def pending_count(self) -> int:
         return self._pending_total
 
+    def holds_heads(self, chip_id: int) -> bool:
+        return chip_id in self._by_bus
+
     def stats(self) -> dict[str, float]:
         return {
             "transfers_buffered": float(self.transfers_buffered),

@@ -18,13 +18,16 @@ This module collapses two kinds of window.
 **Processor windows** (:meth:`ArrayTimelineKernel.serve_proc`). When the
 engine starts one access of a processor burst and more accesses are
 queued, the kernel serves every further access whose predecessor
-completes strictly before the next event that can observe shared state
-(trace arrival, DMA-TA epoch, PL migration interval, probe tick). It
-replays the scalar arithmetic access by access and leaves the last
-access in service, so the engine state matches the scalar engine at any
-instant of that serve. Bus hand-offs and DMA requests reaching the chip
-need no cut: neither touches a serving chip (a hand-off only starts a
-stream, a request only queues behind the accesses).
+completes strictly before the chip's horizon: the next event addressed
+to the chip (its next trace record, a DMA-TA epoch while heads bound
+for it are buffered) or seen by every chip (a PL migration interval, a
+probe tick). Other chips' arrivals and epochs need no cut: they touch
+no state of this chip. The kernel replays the scalar arithmetic access
+by access and leaves the last access in service, so the engine state
+matches the scalar engine at any instant of that serve. Bus hand-offs
+and DMA requests reaching the chip need no cut: neither touches a
+serving chip (a hand-off only starts a stream, a request only queues
+behind the accesses).
 
 **DMA windows** (:meth:`ArrayTimelineKernel.try_batch`). When a serve
 completes and the chip goes idle while transfers are still streaming to
@@ -34,9 +37,10 @@ it, the kernel:
    request on the wire, one just acknowledged, owning its bus, unstalled)
    and the chip is ACTIVE with nothing queued and no wake or descent in
    progress;
-2. computes a safe horizon — the next event that can observe shared
-   simulation state, or a bus handoff that would start another stream
-   to this chip;
+2. computes the chip's horizon, as for a processor window, or a bus
+   handoff that would start another stream to this chip, if earlier;
+   it ends the window sooner where a wire event of another bus could
+   come to tie a stream's out of the scalar order (below);
 3. materialises each stream's request schedule as a numpy event vector
    (`np.add.accumulate` over the bus period, so the timestamps are
    bit-identical to the scalar engine's iterative ``end = start + gap``
@@ -61,11 +65,28 @@ Everything outside these windows — wake and descent transitions, DMA-TA
 gather/release decisions, migrations, bus handoffs, transfer heads and
 tails, DMA requests queued behind processor accesses — stays on the
 scalar event path, which is why the kernel is bit-exact rather than
-within a tolerance. (One accumulator is shared by all chips: a DMA
-window adds its extra service to the engine-wide total when it is
-settled, ahead of other chips' serves inside its span. Those additions
-are almost all exact, so the order has not shown; ``docs/ENGINES.md``
-gives the numbers.) The scalar path remains available as the oracle via
+within a tolerance. A DMA window settles three things early that other
+chips' events can see, and each is kept exact:
+
+* **The arrived-request count** that DMA-TA admits and epochs read:
+  the engine keeps each open window's arrival times and counts the
+  requests that have reached their chip by the reading event
+  (``PreciseEngine._arrived_requests``).
+* **The engine-wide extra-service total**: a window adds its requests'
+  extra service when it is settled, ahead of other chips' serves inside
+  its span. A window whose nonzero extra service would fall at or after
+  the next trace arrival or epoch on any chip falls back to ending
+  there, so no nonzero addition is settled ahead of those events. Those additions are almost all exact
+  (``docs/ENGINES.md`` gives the numbers).
+* **The order of tied wire events**: requests of different buses that
+  land at one instant pop in push order, and the window pushes its
+  streams' next events when it settles, not one bus period before they
+  pop. A stream tied with another bus's pending event must already be
+  first among them, and the window ends by the time another bus's
+  re-armed event, or a transfer a trace arrival releases, would tie one
+  of its streams (:meth:`ArrayTimelineKernel._tie_cut`).
+
+The scalar path remains available as the oracle via
 ``engine="precise-scalar"``.
 
 Only numpy APIs present since 1.20 are used (``np.add.accumulate``,
@@ -151,33 +172,43 @@ class ArrayTimelineKernel:
 
     # ------------------------------------------------------------------
 
-    def _observer_horizon(self) -> float:
-        """The next event that can observe shared state.
+    def _chip_horizon(self, chip_id: int) -> float:
+        """The next event addressed to ``chip_id``, or one that sees
+        every chip.
 
-        Trace arrivals, DMA-TA epochs, and PL migration intervals all
-        read or change shared state (slack credits, ``arrived_requests``,
-        chip queues, the page layout); probe ticks (telemetry, digests)
-        must see scalar-consistent state (math.inf — no cut at all —
-        unobserved). A window closes strictly before any of them.
+        That is the chip's next trace record (it queues work on the
+        chip or releases a transfer to it), the next DMA-TA epoch while
+        heads bound for the chip are buffered (an epoch releases only
+        buffered heads, and none can be buffered for the chip before
+        its next record), the next PL interval (it moves pages and
+        queues copies), and the next probe tick (it must see
+        scalar-consistent state; math.inf, no cut at all, when
+        unobserved). A window closes strictly before it. Events
+        addressed to other chips read nothing a window settles early
+        but the arrival count, which the engine keeps exact
+        (``PreciseEngine._arrived_requests``), and the engine-wide
+        extra-service total (see :meth:`try_batch`).
         """
         engine = self.engine
-        return min(engine._next_arrival_time,
-                   engine._next_epoch_time,
-                   engine._next_interval_time,
-                   engine.probes.next_time)
+        horizon = min(engine._chip_next_arrival[chip_id],
+                      engine._next_interval_time,
+                      engine.probes.next_time)
+        if engine.controller.holds_heads(chip_id):
+            horizon = min(horizon, engine._next_epoch_time)
+        return horizon
 
     def _horizon(self, chip_id: int, own_buses: set) -> float:
         """Latest time a DMA window is provably undisturbed.
 
-        Besides the observers, a transfer queued in another bus's FIFO
-        and bound for this chip starts streaming when that bus's current
-        transfer finishes transmitting; a conservative lower bound on
-        that handoff closes the window too. (The window's own buses
-        cannot hand off: every stream keeps at least one request
-        untransmitted.)
+        Besides the chip's own horizon, a transfer queued in another
+        bus's FIFO and bound for this chip starts streaming when that
+        bus's current transfer finishes transmitting; a conservative
+        lower bound on that handoff closes the window too. (The
+        window's own buses cannot hand off: every stream keeps at least
+        one request untransmitted.)
         """
         engine = self.engine
-        horizon = self._observer_horizon()
+        horizon = self._chip_horizon(chip_id)
         for other_bus, fifo in enumerate(engine._bus_fifo):
             if other_bus in own_buses or not fifo:
                 continue
@@ -198,13 +229,13 @@ class ArrayTimelineKernel:
         """Serve the processor accesses queued behind the one ``chip``
         has just started (it completes at ``end``).
 
-        Each access completing strictly before the observer horizon is
+        Each access completing strictly before the chip's horizon is
         settled as the scalar engine's serve-done/kick pair would: accrue
         the serve span, start the next access ``proc_cycles`` later. The
         last access started stays in service; returns its completion
         time, for which the caller pushes the one serve-done event.
         """
-        horizon = self._observer_horizon()
+        horizon = self._chip_horizon(chip.chip_id)
         if not end < horizon:
             return end
         start = perf_counter_ns()
@@ -287,6 +318,18 @@ class ArrayTimelineKernel:
         own_buses = {t.bus_id for t in streams}
         if len(own_buses) != n_streams:
             return False  # two streams on one bus: not steady
+        # Wire events of one instant pop in push order, and the window
+        # pushes its streams' next ones now, ahead of any event the
+        # scalar engine would push before them. A stream whose pending
+        # bus-free event ties another bus's therefore needs to be the
+        # first of them already.
+        free_at, seqs = engine._bus_free_at, engine._bus_seq
+        for t in streams:
+            for bus, current in enumerate(engine._bus_current):
+                if (current is not None and bus not in own_buses
+                        and free_at[bus] == free_at[t.bus_id]
+                        and seqs[bus] < seqs[t.bus_id]):
+                    return False
         if sum(t.total_requests - t.served - 1 for t in streams) < MIN_BATCH:
             return False
         horizon = self._horizon(chip.chip_id, own_buses)
@@ -295,60 +338,25 @@ class ArrayTimelineKernel:
         # A window may still fail to reach MIN_BATCH below; only the
         # calls that cut one are timed.
         start = perf_counter_ns()
-
-        # One event vector per stream: chain[j] is the chip-arrival time
-        # of its (j+1)-th upcoming request; the accumulate chain
-        # reproduces the scalar bus bookkeeping ``end = start + gap``
-        # bit-for-bit. The last element is the first arrival *not*
-        # batchable for that stream (its tail, or past the horizon) and
-        # acts as a window cut in the merge below.
-        chains = []
-        for t in streams:
-            first = engine._bus_free_at[t.bus_id]
-            limit = t.total_requests - t.served - 1
-            if math.isfinite(horizon):
-                by_horizon = int((horizon - self.serve - first)
-                                 / self.gap) + 2
-                if by_horizon < limit:
-                    limit = max(0, by_horizon)
-            chain = np.empty(limit + 1)
-            chain[0] = first
-            chain[1:] = self.gap
-            np.add.accumulate(chain, out=chain)
-            chains.append(chain)
-
-        if n_streams == 1:
-            # One stream never queues: each request is served the
-            # instant it lands (``gap > serve``), so the window is every
-            # request but the cut element whose serve ends before the
-            # horizon, each one followed by an idle boundary.
-            chain = chains[0]
-            count = len(chain) - 1
-            if math.isfinite(horizon):
-                count = min(count, int(np.searchsorted(
-                    chain + self.serve, horizon, side="left")))
-            if count < MIN_BATCH:
+        # The window adds its extra service to the engine-wide total now,
+        # ahead of other chips' serves inside its span. Past the next
+        # trace arrival or epoch on any chip only zero extras (which
+        # leave a sum unchanged) may be settled early; a window with
+        # others there falls back to ending at it.
+        shared = min(horizon, engine._next_arrival_time,
+                     engine._next_epoch_time)
+        for cut in (horizon, shared):
+            if not now < cut:
                 return False
-            arrivals = begins = chain[:count]
-            ends = begins + self.serve
-            stream_of = np.zeros(count, dtype=int)
-            per_stream = [count]
-            next_up = [(float(chain[count]), streams[0])]
-        else:
-            window = self._fifo_window(chip._last, chains, horizon)
+            window = self._window(streams, chip._last, cut)
             if window is None:
                 return False
-            arrivals, begins, ends, stream_of = window
-            count = len(ends)
-            per_stream = np.bincount(stream_of, minlength=n_streams).tolist()
-            next_up = [(float(chains[s][per_stream[s]]), streams[s])
-                       for s in range(n_streams) if per_stream[s]]
-            next_up.sort(key=lambda pair: pair[0])
-            # The re-armed wire events must keep the scalar heap order;
-            # bail on exact timestamp collisions rather than guess.
-            for (t_a, _), (t_b, _) in zip(next_up, next_up[1:]):
-                if t_a == t_b:
-                    return False
+            arrivals, begins, ends, stream_of, per_stream, next_up = window
+            response = ends - arrivals
+            extras = np.maximum(0.0, response - self.serve)
+            if not extras[np.searchsorted(ends, shared):].any():
+                break
+        count = len(ends)
 
         previous = np.empty(count)
         previous[0] = chip._last
@@ -373,8 +381,6 @@ class ArrayTimelineKernel:
         # cycles`` clamped at zero, accumulated sequentially) and the
         # per-request service histogram, including each transfer's
         # amortised head delay.
-        response = ends - arrivals
-        extras = np.maximum(0.0, response - self.serve)
         engine.extra_service_total = _seq_add(engine.extra_service_total,
                                               extras)
         heads = np.array([t.head_delay / t.total_requests for t in streams])
@@ -404,7 +410,8 @@ class ArrayTimelineKernel:
         # Advance the discrete state to the post-window scalar state.
         from repro.sim.precise import _EV_BUS_FREE, _EV_REQUEST_AT_CHIP
 
-        engine.arrived_requests += count
+        engine._fold_windows(now)
+        engine._window_arrivals.append(arrivals)
         for s, t in enumerate(streams):
             if not per_stream[s]:
                 continue
@@ -432,12 +439,123 @@ class ArrayTimelineKernel:
         for time_next, t in next_up:
             engine._bus_free_at[t.bus_id] = time_next
             engine.queue.push(time_next, _EV_REQUEST_AT_CHIP, t)
-            engine.queue.push(time_next, _EV_BUS_FREE, t.bus_id)
+            engine._bus_seq[t.bus_id] = engine.queue.push(
+                time_next, _EV_BUS_FREE, t.bus_id)
 
         self.batches += 1
         self.batched_requests += count
         self.wall_ns += perf_counter_ns() - start
         return True
+
+    def _window(self, streams: list, last: float, horizon: float):
+        """The window of ``streams`` from a chip idle since ``last``,
+        closed before ``horizon``.
+
+        Returns ``(arrivals, begins, ends, stream_of, per_stream,
+        next_up)``: per request its chip arrival, serve start and end
+        and stream; per stream its request count; and each stream's
+        first unbatched arrival, in wire order. None when the window is
+        shorter than :data:`MIN_BATCH` or leaves an exact tie to re-arm.
+        """
+        chains = self._chains(streams, horizon)
+        cut = self._tie_cut(streams, chains)
+        if cut < horizon:
+            horizon = cut
+            chains = self._chains(streams, horizon)
+        if len(streams) == 1:
+            # One stream never queues: each request is served the
+            # instant it lands (``gap > serve``), so the window is every
+            # request but the cut element whose serve ends before the
+            # horizon, each one followed by an idle boundary.
+            chain = chains[0]
+            count = len(chain) - 1
+            if math.isfinite(horizon):
+                count = min(count, int(np.searchsorted(
+                    chain + self.serve, horizon, side="left")))
+            if count < MIN_BATCH:
+                return None
+            arrivals = begins = chain[:count]
+            return (arrivals, begins, begins + self.serve,
+                    np.zeros(count, dtype=int), [count],
+                    [(float(chain[count]), streams[0])])
+        window = self._fifo_window(last, chains, horizon)
+        if window is None:
+            return None
+        arrivals, begins, ends, stream_of = window
+        per_stream = np.bincount(stream_of, minlength=len(streams)).tolist()
+        next_up = [(float(chain[per_stream[s]]), streams[s])
+                   for s, chain in enumerate(chains) if per_stream[s]]
+        next_up.sort(key=lambda pair: pair[0])
+        # The re-armed wire events must keep the scalar heap order;
+        # bail on exact timestamp collisions rather than guess.
+        for (t_a, _), (t_b, _) in zip(next_up, next_up[1:]):
+            if t_a == t_b:
+                return None
+        return arrivals, begins, ends, stream_of, per_stream, next_up
+
+    def _chains(self, streams: list, horizon: float) -> list:
+        """One event vector per stream: chain[j] is the chip-arrival time
+        of its (j+1)-th upcoming request; the accumulate chain
+        reproduces the scalar bus bookkeeping ``end = start + gap``
+        bit-for-bit. The last element is the first arrival *not*
+        batchable for that stream (its tail, or past the horizon) and
+        acts as a window cut in the merge."""
+        engine = self.engine
+        chains = []
+        for t in streams:
+            first = engine._bus_free_at[t.bus_id]
+            limit = t.total_requests - t.served - 1
+            if math.isfinite(horizon):
+                by_horizon = int((horizon - self.serve - first)
+                                 / self.gap) + 2
+                if by_horizon < limit:
+                    limit = max(0, by_horizon)
+            chain = np.empty(limit + 1)
+            chain[0] = first
+            chain[1:] = self.gap
+            np.add.accumulate(chain, out=chain)
+            chains.append(chain)
+        return chains
+
+    def _tie_cut(self, streams: list, chains: list) -> float:
+        """The time by which the window must hand its streams back to
+        the scalar path, so that no tie with another bus's wire event
+        pops out of the scalar order (math.inf when none can).
+
+        Tied wire events pop in push order. The scalar engine pushes
+        each one bus period before it pops; the window pushes its
+        streams' next events when it settles, ahead of every event
+        pushed in between. Two later events could tie a stream's:
+
+        * another bus's event that an earlier window re-armed at a time
+          on the stream's chain: it was pushed first and pops first, so
+          the stream re-arms no later than that time;
+        * the first request of a transfer released at a trace arrival
+          ``B``, landing on the chain at ``B + gap``: the arrival pops
+          before the bus-free events of its instant, so the stream must
+          be back on the scalar path by ``B``.
+        """
+        engine = self.engine
+        gap = self.gap
+        own = {t.bus_id for t in streams}
+        # (a time that may lie on a chain, the time the window ends by)
+        probes = [(free_at, free_at) for bus, (free_at, current)
+                  in enumerate(zip(engine._bus_free_at,
+                                   engine._bus_current))
+                  if current is not None and bus not in own]
+        records = engine._record_times
+        start = engine._next_record
+        stop = int(np.searchsorted(records, max(c[-1] for c in chains)))
+        probes.extend((time + gap, time)
+                      for time in records[start:stop].tolist())
+        cut = math.inf
+        for chain in chains:
+            first, length = chain[0], len(chain)
+            for probe, mark in probes:
+                k = round((probe - first) / gap)
+                if 1 <= k < length and chain[k] == probe:
+                    cut = min(cut, mark)
+        return cut
 
     def _fifo_window(self, last: float, chains: list, horizon: float):
         """First-in first-out service of the merged multi-stream

@@ -67,12 +67,18 @@ class EventQueue:
         """Timestamp of the last popped event."""
         return self._now
 
-    def push(self, time: float, kind: Any, payload: Any = None) -> None:
-        """Schedule an event. ``kind`` must be int-comparable (enum or int)."""
+    def push(self, time: float, kind: Any, payload: Any = None) -> int:
+        """Schedule an event. ``kind`` must be int-comparable (enum or int).
+
+        Returns the event's sequence number: among events of one time and
+        kind, the lower number pops first.
+        """
         if time < self._now - 1e-9:
             raise SimulationError(
                 f"event scheduled in the past ({time} < {self._now})")
-        heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (time, kind, seq, payload))
+        return seq
 
     def pop(self) -> tuple[float, Any, Any]:
         if not self._heap:

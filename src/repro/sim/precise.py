@@ -9,8 +9,8 @@ literally — serve 4 cycles, sit active-idle 8 — and is the ground truth
 the fluid engine is validated against.
 
 With the array-timeline kernel (:mod:`repro.sim.array_timeline`) it
-costs about 2.4 times the fluid engine's time per request on OLTP-Db,
-and the kernel-free ``precise-scalar`` oracle about ten times more
+costs about 1.4 times the fluid engine's time per request on OLTP-Db,
+and the kernel-free ``precise-scalar`` oracle about twenty times more
 (``docs/ENGINES.md``). Use it for cross-validation, small traces,
 tests, and spot checks.
 """
@@ -21,6 +21,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque
+
+import numpy as np
 
 from repro.config import SimulationConfig
 from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
@@ -400,31 +402,104 @@ class PreciseEngine(EngineCore):
         #: Stale ``BUS_FREE`` events to swallow per bus (see
         #: :attr:`_PTransfer.skip_arrivals`).
         self._bus_skip = [0] * config.buses.count
+        #: Sequence number of each bus's pending ``BUS_FREE`` event: tied
+        #: bus-free events pop in this order.
+        self._bus_seq = [0] * config.buses.count
         self._bus_gap = config.request_period_cycles
         self._open_transfers = 0
+        #: DMA-memory requests counted as arrived: at their request-at-chip
+        #: event, or, for a kernel window, once its last request has
+        #: landed (:meth:`_fold_windows`).
         self.arrived_requests = 0
+        #: Chip-arrival times of each kernel window not yet folded into
+        #: ``arrived_requests``.
+        self._window_arrivals: list[np.ndarray] = []
 
         # Next times at which shared state can be observed (trace
         # arrival, DMA-TA epoch, PL interval; probe ticks are
-        # ``self.probes.next_time``); the array-timeline kernel's
-        # batching horizon. Maintained wherever the corresponding events
-        # are (re-)scheduled, starting from the first ones ``run`` pushes.
+        # ``self.probes.next_time``); with the per-chip record times
+        # below, the array-timeline kernel's batching horizons.
+        # Maintained wherever the corresponding events are
+        # (re-)scheduled, starting from the first ones ``run`` pushes.
         self._next_arrival_time = (trace.records[0].time if trace.records
                                    else math.inf)
         self._next_epoch_time = self.controller.epoch_cycles() or math.inf
         self._next_interval_time = (config.layout.interval_cycles
                                     if self._pl_enabled else math.inf)
         self._attach(chips, (telemetry, digests))
+        #: Index of the first trace record not yet arrived.
+        self._next_record = 0
         if vectorize:
             from repro.sim.array_timeline import ArrayTimelineKernel
 
             self._kernel: ArrayTimelineKernel | None = ArrayTimelineKernel(self)
+            records = trace.records
+            self._record_pages = np.fromiter(
+                (record.page for record in records), dtype=np.int64,
+                count=len(records)) % self._total_pages
+            self._record_times = np.fromiter(
+                (record.time for record in records), dtype=float,
+                count=len(records))
+            self._record_chip = np.zeros(len(records), dtype=np.int64)
+            self._next_on_chip = np.full(len(records), math.inf)
+            self._index_records(0)
         else:
             self._kernel = None
 
+    def _index_records(self, start: int) -> None:
+        """Index the trace records from ``start`` on by the chip they are
+        addressed to, for the kernel's per-chip horizon: each chip's next
+        record time (``_chip_next_arrival``) and, per record, the time of
+        the next one addressed to its chip (``_next_on_chip``). One
+        gather over the layout's chip map; redone when a PL interval
+        moves pages."""
+        self._chip_next_arrival = [math.inf] * len(self.chips)
+        if start >= len(self._record_times):
+            return
+        chips = self.layout.chip_map()[self._record_pages[start:]]
+        times = self._record_times[start:]
+        order = np.argsort(chips, kind="stable")
+        grouped = chips[order]
+        same = grouped[1:] == grouped[:-1]
+        following = np.full(len(order), math.inf)
+        following[order[:-1][same]] = times[order[1:][same]]
+        self._record_chip[start:] = chips
+        self._next_on_chip[start:] = following
+        firsts = order[np.flatnonzero(np.append(True, ~same))]
+        for chip_id, time in zip(chips[firsts].tolist(),
+                                 times[firsts].tolist()):
+            self._chip_next_arrival[chip_id] = time
+
     def _arrived_requests(self, now: float) -> float:
-        # Counted as requests reach their chip: ``now`` adds nothing.
-        return float(self.arrived_requests)
+        """DMA-memory requests that have reached their chip by the
+        reading event at ``now``: those counted in ``arrived_requests``
+        plus each open kernel window's requests that land by ``now``,
+        exactly the count the scalar engine holds at that event.
+
+        A request landing at ``now`` itself has arrived for an EPOCH,
+        which pops after the request-at-chip events of its instant. It
+        would not have for an ARRIVAL, which pops before them, but no
+        windowed request lands at a trace arrival's instant: the kernel
+        ends a window there (``ArrayTimelineKernel._tie_cut``). Probe
+        ticks end every window before them."""
+        self._fold_windows(now)
+        count = self.arrived_requests
+        for arrivals in self._window_arrivals:
+            count += int(np.searchsorted(arrivals, now, "right"))
+        return float(count)
+
+    def _fold_windows(self, now: float) -> None:
+        """Count every kernel window whose last request landed before
+        ``now`` into ``arrived_requests`` and drop its arrival times."""
+        if not self._window_arrivals:
+            return
+        still_open = []
+        for arrivals in self._window_arrivals:
+            if arrivals[-1] < now:
+                self.arrived_requests += len(arrivals)
+            else:
+                still_open.append(arrivals)
+        self._window_arrivals = still_open
 
     def _bus_states(self) -> list[tuple[float, float]]:
         """``(busy, queue_depth)`` per bus, for probe snapshots."""
@@ -491,6 +566,10 @@ class PreciseEngine(EngineCore):
         else:
             self._next_arrival_time = math.inf
             self._records_done = True
+        self._next_record = index + 1
+        if self._kernel is not None:
+            self._chip_next_arrival[self._record_chip.item(index)] = (
+                self._next_on_chip.item(index))
         if isinstance(record, DMATransfer):
             self._on_transfer(record, now)
         elif isinstance(record, ProcessorBurst):
@@ -572,7 +651,7 @@ class PreciseEngine(EngineCore):
                                  "bus_wait": max(0.0, start
                                                  - transfer.release_time)})
         self.queue.push(end, _EV_REQUEST_AT_CHIP, transfer)
-        self.queue.push(end, _EV_BUS_FREE, bus_id)
+        self._bus_seq[bus_id] = self.queue.push(end, _EV_BUS_FREE, bus_id)
 
     def _on_bus_free(self, bus_id: int, now: float) -> None:
         """The wire is free: keep the current transfer streaming, or hand
@@ -755,6 +834,8 @@ class PreciseEngine(EngineCore):
             return
         migration = self._plan_interval(now)
         if migration is not None:
+            if self._kernel is not None and migration.num_moves:
+                self._index_records(self._next_record)
             for chip_id, cycles in migration.copy_cycles_per_chip(
                     self._page_copy_cycles).items():
                 chip = self.chips[chip_id]
