@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import Callable
 
 from repro.io.dma import FluidStream
 from repro.memory.chip import FluidChip
@@ -36,15 +37,19 @@ class MemoryController(abc.ABC):
         return None
 
     def settle_epochs(self, now: float, stop: float = -math.inf,
-                      at_stop: bool = False
+                      at_stop: bool = False,
+                      before_tick: Callable[[float], None] | None = None
                       ) -> tuple[float, int, dict[int, list[FluidStream]]]:
         """Run periodic bookkeeping ticks from ``now``, one epoch apart.
 
         Runs the tick at ``now``, then each next tick that would still
         pop before the engine's next queued event at ``stop`` (at
         ``stop`` itself when ``at_stop``), and ends after the first tick
-        that releases anything. Returns the last tick run, the number of
-        ticks run and that tick's ``chip_id -> streams`` to release.
+        that releases anything. ``before_tick(t)``, when given, is
+        called before each tick after the first, with that tick's time
+        ``t`` (the fluid engine ticks its probes due before ``t``).
+        Returns the last tick run, the number of ticks run and that
+        tick's ``chip_id -> streams`` to release.
         """
         return now, 1, {}
 

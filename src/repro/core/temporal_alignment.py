@@ -261,7 +261,8 @@ class TemporalAlignmentController(MemoryController):
         return self._config.alignment.epoch_cycles
 
     def settle_epochs(self, now: float, stop: float = -math.inf,
-                      at_stop: bool = False
+                      at_stop: bool = False,
+                      before_tick: Callable[[float], None] | None = None
                       ) -> tuple[float, int, dict[int, list[FluidStream]]]:
         """Run the epoch ticks ``now``, ``now + epoch``, ... in one call.
 
@@ -288,7 +289,11 @@ class TemporalAlignmentController(MemoryController):
         engine's next queued event, at ``stop``: one before ``stop``,
         or at ``stop`` when ``at_stop`` (that event sorts after an epoch
         tick). It ends after the first tick that releases anything. The
-        defaults run one tick.
+        defaults run one tick. Before each tick after the first, it
+        calls ``before_tick(t)``, when given, with that tick's time:
+        the fluid engine ticks there the probes due before ``t``, which
+        read the slack charged by every earlier tick and by no later
+        one.
 
         Returns the last tick run, the number of ticks run and that
         tick's releases (``chip_id -> streams``).
@@ -332,6 +337,8 @@ class TemporalAlignmentController(MemoryController):
             following = now + epoch
             if not (following < stop or at_stop and following == stop):
                 return now, ticks, {}
+            if before_tick is not None:
+                before_tick(following)
             now = following
 
     def _release_due(self, now: float) -> dict[int, list[FluidStream]]:

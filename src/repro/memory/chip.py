@@ -306,36 +306,39 @@ class FluidChip:
         the idle walk's bucket prefix (:meth:`_walk_to`) are computed
         once and reused while ``now`` stays in the same profile
         segment. The prefix is the full walk's float additions in the
-        same order, so the block is bit-identical to a fresh walk.
+        same order, so the block is bit-identical to a fresh walk. The
+        cached walk is tried first: it exists only while the chip is
+        idle, and an offset inside its segment lies past the chip's
+        clock.
         """
-        if self._total is None:
-            self._total = self.energy.total
-        if now <= self._time:
-            # Inside a wake window (or exactly at the chip's clock): the
-            # whole transition was charged up front by wake(), so
-            # nothing is pending. Report the serving-side power the
-            # chip is heading for.
-            if self._busy or now < self._time:
-                power = self.model.active_power
-            else:
-                power = self._segment_at(now - self._idle_since).power_watts
-            return [self._total, power, *bucket_values(self.time)]
-        if self._busy:
-            delta = now - self._time
-            block = [self._total, self.model.active_power,
-                     *bucket_values(self.time)]
-            rates = self.rates
-            idle_fraction = max(0.0, 1.0 - min(1.0, rates.busy_fraction))
-            block[_SLOT["serving_dma"]] += delta * rates.dma
-            block[_SLOT["serving_proc"]] += delta * rates.proc
-            block[_SLOT["migration"]] += delta * rates.migration
-            idle_bucket = ("idle_dma" if self._has_dma_stream
-                           else "idle_threshold")
-            block[_SLOT[idle_bucket]] += delta * idle_fraction
-            return block
         offset_end = now - self._idle_since
         walk = self._walk
         if walk is None or not walk[0] < offset_end <= walk[1]:
+            if self._total is None:
+                self._total = self.energy.total
+            if now <= self._time:
+                # Inside a wake window (or exactly at the chip's clock):
+                # the whole transition was charged up front by wake(),
+                # so nothing is pending. Report the serving-side power
+                # the chip is heading for.
+                if self._busy or now < self._time:
+                    power = self.model.active_power
+                else:
+                    power = self._segment_at(offset_end).power_watts
+                return [self._total, power, *bucket_values(self.time)]
+            if self._busy:
+                delta = now - self._time
+                block = [self._total, self.model.active_power,
+                         *bucket_values(self.time)]
+                rates = self.rates
+                idle_fraction = max(0.0, 1.0 - min(1.0, rates.busy_fraction))
+                block[_SLOT["serving_dma"]] += delta * rates.dma
+                block[_SLOT["serving_proc"]] += delta * rates.proc
+                block[_SLOT["migration"]] += delta * rates.migration
+                idle_bucket = ("idle_dma" if self._has_dma_stream
+                               else "idle_threshold")
+                block[_SLOT[idle_bucket]] += delta * idle_fraction
+                return block
             walk = self._walk = self._walk_to(offset_end)
             if walk is None:
                 return [self._total,

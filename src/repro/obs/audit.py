@@ -387,10 +387,13 @@ class Auditor(Tracer):
             # event stream).
             self._ledger_complete = False
             return
-        buckets = self._ledger.setdefault(
-            chip_id, {b: 0.0 for b in RESIDENCY_BUCKETS})
+        buckets = self._ledger.get(chip_id)
+        if buckets is None:
+            buckets = self._ledger[chip_id] = dict.fromkeys(
+                RESIDENCY_BUCKETS, 0.0)
         self._ledger_spans += 1
-        if isinstance(joules, Mapping):
+        # The exact type first: the Mapping ABC check is slow.
+        if type(joules) is dict or isinstance(joules, Mapping):
             # Exact per-bucket split (fluid busy spans).
             for bucket, value in joules.items():
                 if bucket in buckets:

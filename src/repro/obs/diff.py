@@ -38,8 +38,8 @@ two runs disagree but not *where*. This module answers the "where":
   giant dicts.
 
 The recorder is strictly observational (the snapshot comes from
-``chip.observe`` and never touches accrual), rides the PROBE event kind
-that both engines exclude from their progress horizon, and cuts the
+``chip.observe`` and never touches accrual), rides the probe ticks that
+both engines take outside their event heaps, and cuts the
 array-timeline kernel's batching windows exactly like telemetry does —
 so a digest-enabled run is bit-identical in energy/time/duration to a
 disabled one (gated by ``tests/integration/test_digest_equivalence.py``).
@@ -64,6 +64,8 @@ import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.config import check_period
 from repro.energy.accounting import BUCKETS as RESIDENCY_BUCKETS
@@ -299,31 +301,35 @@ class DigestRecorder:
 
     # --- sampling ---------------------------------------------------------
 
-    def sample(self, snapshot: tuple[float, ...]) -> None:
+    def sample(self, snapshot) -> None:
         """Fold one probe snapshot (laid out as :attr:`fields`) into the
-        chain."""
+        chain: the packed float64 array a
+        :class:`~repro.obs.probe.ProbeSet` hands out, whose buffer is
+        hashed as it is, or a plain sequence of floats, packed here."""
         store = self.store
         if store is None:
             raise DiffError("sample() before bind(): attach the recorder "
                             "via simulate(digests=...)")
         tick = store.ticks
-        values = snapshot
+        if not isinstance(snapshot, np.ndarray):
+            snapshot = np.frombuffer(self._pack.pack(*snapshot), "<f8")
         if tick == self.config.inject_skew_epoch:
             # Observed-series fault only: the simulation is untouched.
-            values = list(snapshot)
-            values[SCALAR_FIELDS.index("degradation_cycles")] += (
+            snapshot = snapshot.copy()
+            snapshot[SCALAR_FIELDS.index("degradation_cycles")] += (
                 self.config.inject_skew_cycles)
 
-        # The payload is the values' bit patterns: any ULP of state
-        # difference flips the chain from this epoch onward.
-        payload = self._pack.pack(*values)
-        digest = hashlib.blake2b(self._chain + payload, digest_size=16)
+        # The payload is the values' little-endian bit patterns: any ULP
+        # of state difference flips the chain from this epoch onward.
+        digest = hashlib.blake2b(self._chain, digest_size=16)
+        digest.update(snapshot)
         self._chain = digest.digest()
-        self._chain_hex = digest.hexdigest()
-        store.append(values[0], self._chain_hex)
+        self._chain_hex = self._chain.hex()
+        store.append(snapshot.item(0), self._chain_hex)
 
         capture = self.config.capture_range
         if capture is not None and capture[0] <= tick <= capture[1]:
+            values = snapshot.tolist()
             self.captures.append(EpochCapture(
                 tick=tick, ts=values[0],
                 fields=dict(zip(self.fields, values)),

@@ -1,18 +1,30 @@
-"""The probe protocol: one event kind and one snapshot per tick.
+"""The probe protocol: ticks outside the event heap, one snapshot each.
 
 A run can carry several read-only observers ("probes") — the
 :class:`~repro.obs.telemetry.TelemetrySampler` and the
 :class:`~repro.obs.diff.DigestRecorder` today. Both engines drive them
 through one :class:`ProbeSet`:
 
-* the engine schedules a single ``PROBE`` event kind that pops last at
-  its timestamp, so a probe sees the settled state of its instant; the
-  event is never counted as progress, so it cannot stretch the
-  simulated horizon;
-* at each tick the set builds **one** read-only snapshot (a tuple of
-  floats laid out as :func:`snapshot_fields`) and hands it to every
-  probe due at that tick; each probe keeps its own cadence
-  (``sample_cycles``) and its own tick count;
+* a tick is not an event: the set keeps the time of the next one
+  (:attr:`ProbeSet.next_time`), and each engine's run loop ticks every
+  probe due before the event it has just popped, before handling it
+  (:meth:`ProbeSet.catch_up`). A probe therefore reads the settled
+  state of its instant, after every event of that instant, and a tick
+  can neither count as progress nor stretch the simulated horizon.
+  Without probes ``next_time`` stays ``math.inf`` and the loop pays one
+  float comparison per event;
+* the fluid engine settles runs of quiet DMA-TA epoch ticks in one
+  controller call, and passes ``catch_up`` as that call's hook: the
+  probes due between two ticks sample between them, so an observed run
+  settles the same runs of ticks as its unobserved twin;
+* when the event heap runs dry, the loop takes the ticks still due
+  (the precise engine's trailing tick); the fluid loop's end-of-work
+  ``break`` skips them;
+* at each tick the set builds **one** read-only snapshot, the floats
+  laid out as :func:`snapshot_fields` packed once into a little-endian
+  float64 array, and hands it to every probe due at that tick; each
+  probe keeps its own cadence (``sample_cycles``) and its own tick
+  count;
 * once the run ends, every probe whose last sample is older than the
   end time gets one final snapshot;
 * the ticks and the final snapshot are the run's ``probes`` phase in
@@ -31,9 +43,12 @@ their memory stays bounded however long the run is.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 from time import perf_counter_ns
 from typing import Iterable
+
+import numpy as np
 
 from repro.energy.accounting import BUCKETS
 from repro.errors import ConfigurationError
@@ -71,51 +86,52 @@ class ProbeSet:
     """Every probe attached to one engine run.
 
     Args:
-        engine: the engine. Its ``queue`` receives the PROBE events,
-            its ``wall`` ledger the time they take;
-            each snapshot reads its ``chips`` (each with
-            ``observe(now)``), ``_arrived_requests(now)``
-            (the run's arrived DMA-memory requests, read at the queue's
-            clock) and
-            ``_bus_states()`` (``(busy, queue_depth)`` per bus).
-        kind: the engine's PROBE event kind.
+        engine: the engine. Its ``wall`` ledger receives the time the
+            ticks take; each tick reads its ``_work_remaining()``
+            (whether the probes sample again), and each snapshot its
+            ``chips`` (each with ``observe(now)``),
+            ``_arrived_requests(now)`` (the run's arrived DMA-memory
+            requests at the tick) and ``_bus_states()`` (``(busy,
+            queue_depth)`` per bus).
         probes: the attached probes (``None`` entries are skipped).
     """
 
-    def __init__(self, engine, kind, probes: Iterable) -> None:
+    def __init__(self, engine, probes: Iterable) -> None:
         self._engine = engine
-        self._kind = kind
         self._probes = [probe for probe in probes if probe is not None]
         self._slack = getattr(engine.controller, "slack", None)
         for probe in self._probes:
             probe.bind(engine)
         self._due = [probe.sample_cycles for probe in self._probes]
         self._last = [-math.inf] * len(self._probes)
-        #: Time of the next PROBE event (``math.inf``: none pending).
+        if self._probes:
+            self._pack = struct.Struct(
+                f"<{len(snapshot_fields(engine.config))}d").pack
+        #: Time of the next tick (``math.inf``: none due).
         self.next_time = min(self._due, default=math.inf)
 
-    def schedule(self) -> None:
-        """Push the next PROBE event, if a probe is still due (engines
-        call this once when their run starts; :meth:`tick` re-arms)."""
-        if self.next_time < math.inf:
-            self._engine.queue.push(self.next_time, self._kind, None)
+    def catch_up(self, time: float) -> None:
+        """Take every tick due before ``time``, in order.
 
-    def tick(self, now: float, work_remaining: bool) -> None:
-        """Sample every probe due at ``now``; schedule the next tick.
-
-        A probe samples again one period later while work remains.
+        A tick samples every probe due at it; a probe samples again one
+        period later while the run has work left.
         """
+        if self.next_time >= time:
+            return
         start = perf_counter_ns()
-        snapshot = self.snapshot(now)
-        for i, probe in enumerate(self._probes):
-            if self._due[i] <= now:
-                probe.sample(snapshot)
-                self._last[i] = now
-                self._due[i] = (now + probe.sample_cycles if work_remaining
-                                else math.inf)
-        self.next_time = min(self._due)
-        self.schedule()
-        self._engine.wall.charge("probes", perf_counter_ns() - start)
+        engine = self._engine
+        while self.next_time < time:
+            now = self.next_time
+            again = engine._work_remaining()
+            snapshot = self.snapshot(now)
+            for i, probe in enumerate(self._probes):
+                if self._due[i] <= now:
+                    probe.sample(snapshot)
+                    self._last[i] = now
+                    self._due[i] = (now + probe.sample_cycles if again
+                                    else math.inf)
+            self.next_time = min(self._due)
+        engine.wall.charge("probes", perf_counter_ns() - start)
 
     def finish(self, end: float) -> None:
         """Sample, at ``end``, every probe whose last sample is older.
@@ -136,12 +152,14 @@ class ProbeSet:
             self._engine.wall.charge("probes", perf_counter_ns() - start)
         self._engine = None
 
-    def snapshot(self, now: float) -> tuple[float, ...]:
+    def snapshot(self, now: float) -> np.ndarray:
         """The run's observable state at ``now``, laid out as
-        :func:`snapshot_fields`. Reads only: one ``observe(now)`` call
-        per chip returns that chip's whole :data:`CHIP_FIELDS` block."""
+        :func:`snapshot_fields`: its floats packed once, as little-endian
+        doubles, into a read-only float64 array. Reads only: one
+        ``observe(now)`` call per chip returns that chip's whole
+        :data:`CHIP_FIELDS` block."""
         engine = self._engine
-        requests = engine._arrived_requests(engine.queue.now)
+        requests = engine._arrived_requests(now)
         values = [
             now,
             float(requests),
@@ -152,11 +170,10 @@ class ProbeSet:
             float(engine.migrations),
         ]
         for chip in engine.chips:
-            values.extend(chip.observe(now))
-        for busy, depth in engine._bus_states():
-            values.append(busy)
-            values.append(depth)
-        return tuple(values)
+            values += chip.observe(now)
+        for state in engine._bus_states():
+            values += state
+        return np.frombuffer(self._pack(*values), dtype="<f8")
 
 
 class DownsamplingRing:

@@ -2,8 +2,8 @@
 
 Both engines can carry a :class:`TelemetrySampler` (``simulate(...,
 telemetry=sampler)``). The sampler is a probe (:mod:`repro.obs.probe`):
-the engine's single read-only PROBE event hands it the run's shared
-snapshot at its own cadence (the DMA-TA epoch length by default, so
+the engine's run loop hands it the run's shared packed snapshot at its
+own cadence (the DMA-TA epoch length by default, so
 "per-epoch" is literal when a DMA-TA technique runs and epoch-equivalent
 otherwise), from which it records:
 
@@ -30,11 +30,11 @@ pipeline.
 
 The sampler is strictly observational: the snapshot never calls
 ``touch`` / ``advance`` on a chip (splitting an accrual changes float
-rounding), the precise engine excludes probe events from its end-of-run
-horizon, and the array-timeline kernel cuts its batching windows at the
-next probe tick. A telemetry-enabled run is therefore bit-identical in
-:class:`~repro.energy.accounting.EnergyBreakdown` to a disabled one —
-the same guarantee the tracer and auditor meet (gated by
+rounding), a probe tick is not an event and never counts towards the
+run's horizon, and the array-timeline kernel cuts its batching windows
+at the next probe tick. A telemetry-enabled run is therefore
+bit-identical in :class:`~repro.energy.accounting.EnergyBreakdown` to a
+disabled one — the same guarantee the tracer and auditor meet (gated by
 ``tests/integration/test_telemetry_equivalence.py``).
 """
 
@@ -557,7 +557,7 @@ class TelemetrySampler:
         self.sample_cycles = 0.0
         self._tracer = None
         self._take = None
-        self._powers: list[int] = []
+        self._powers = slice(0)
         self._last_migrations = 0.0
         self._waves = 0
         self._spike_at = math.inf
@@ -594,7 +594,9 @@ class TelemetrySampler:
                 take.append(where[f"bus{bus}.{source}"])
         self.columns = tuple(columns)
         self._take = np.array(take)
-        self._powers = [where[f"chip{chip}.power_w"] for chip in chips]
+        block = 1 + len(RESIDENCY_BUCKETS)  # a chip's power_w leads
+        self._powers = slice(len(SCALAR_COLUMNS),
+                             len(SCALAR_COLUMNS) + len(chips) * block, block)
         self.store = TelemetryStore(self.columns,
                                     capacity=self.config.capacity)
 
@@ -607,26 +609,29 @@ class TelemetrySampler:
 
     # --- sampling ---------------------------------------------------------
 
-    def sample(self, snapshot: tuple[float, ...]) -> None:
-        """Record one probe snapshot (see :func:`snapshot_fields`)."""
+    def sample(self, snapshot) -> None:
+        """Record one probe snapshot (see :func:`snapshot_fields`): the
+        packed float64 array a :class:`~repro.obs.probe.ProbeSet` hands
+        out, or any sequence of floats laid out the same way."""
         if self.store is None:
             raise TelemetryError("sample() before bind(): attach the "
                                  "sampler via simulate(telemetry=...)")
-        now = snapshot[_I_TS]
-        row = np.array(snapshot)[self._take]
-        degradation = snapshot[_I_DEG]
+        # One fancy index copies every column; the scalars keep their
+        # snapshot indices, so they are read back from the row.
+        row = np.asarray(snapshot)[self._take]
+        now, _, degradation, _, pending, migrations = (
+            row[:_I_WAVES].tolist())
         if self._spike_pending and now >= self._spike_at:
             degradation += self._spike_pending
             self._spike_pending = 0.0
         row[_I_DEG] = degradation
-        migrations = snapshot[_I_MIG]
         if migrations > self._last_migrations:
             self._waves += 1
             self._last_migrations = migrations
         row[_I_WAVES] = float(self._waves)
         total_power = 0.0
-        for i in self._powers:
-            total_power += snapshot[i]
+        for power in row[self._powers].tolist():
+            total_power += power
         row[_I_POWER] = total_power
 
         index = self.samples_captured
@@ -634,7 +639,7 @@ class TelemetrySampler:
 
         fresh = [alarm for alarm in (
             self._cusum.observe(index, now, degradation),
-            self._pending.observe(index, now, snapshot[_I_PEND]))
+            self._pending.observe(index, now, pending))
             if alarm is not None]
         for anomaly in fresh:
             self.anomalies.append(anomaly)

@@ -181,8 +181,9 @@ class ArrayTimelineKernel:
         heads bound for the chip are buffered (an epoch releases only
         buffered heads, and none can be buffered for the chip before
         its next record), the next PL interval (it moves pages and
-        queues copies), and the next probe tick (it must see
-        scalar-consistent state; math.inf, no cut at all, when
+        queues copies), and the next probe tick (``probes.next_time``,
+        which the run loop takes before the first event after it; it
+        must see scalar-consistent state; math.inf, no cut at all, when
         unobserved). A window closes strictly before it. Events
         addressed to other chips read nothing a window settles early
         but the arrival count, which the engine keeps exact

@@ -44,9 +44,10 @@ class EventKind(enum.IntEnum):
     PROC_DONE = 3
     EPOCH = 4
     INTERVAL = 5
-    # PROBE pops last at equal timestamps so every probe (telemetry,
-    # digests) observes the post-everything state of its instant; the
-    # handler is read-only.
+    # Where a probe tick (telemetry, digests) falls among the events of
+    # its instant: after all of them, so it observes their settled
+    # state. No event of this kind is pushed; the run loops tick probes
+    # outside the heap (repro.obs.probe).
     PROBE = 6
 
 
@@ -121,17 +122,17 @@ class EngineCore:
     interval and builds the result. An engine owns its chips, buses and
     event loop. It builds the core, then its chips, then calls
     :meth:`_attach`; its ``run`` calls :meth:`_start`, runs the loop
-    and returns :meth:`_finish`. It provides ``_arrived_requests(now)`` and
-    ``_bus_states()`` for the controller and the probes. The core
-    pushes its events with the kinds ``_ARRIVAL``, ``_EPOCH``,
-    ``_INTERVAL`` and ``_PROBE``; the precise engine, which has its own
-    taxonomy, overrides them.
+    and returns :meth:`_finish`. It provides ``_arrived_requests(now)``,
+    ``_bus_states()`` and ``_work_remaining()`` for the controller and
+    the probes, and its loop ticks the probes (``self.probes``) before
+    each event it pops. The core pushes its events with the kinds
+    ``_ARRIVAL``, ``_EPOCH`` and ``_INTERVAL``; the precise engine,
+    which has its own taxonomy, overrides them.
     """
 
     name = ""
-    _ARRIVAL, _EPOCH, _INTERVAL, _PROBE = (
-        EventKind.ARRIVAL, EventKind.EPOCH, EventKind.INTERVAL,
-        EventKind.PROBE)
+    _ARRIVAL, _EPOCH, _INTERVAL = (
+        EventKind.ARRIVAL, EventKind.EPOCH, EventKind.INTERVAL)
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str, seed: int, tracer) -> None:
@@ -205,11 +206,11 @@ class EngineCore:
         if self.tracer is not None:
             for chip in chips:
                 chip.tracer = self.tracer
-        self.probes = ProbeSet(self, self._PROBE, probes)
+        self.probes = ProbeSet(self, probes)
 
     def _start(self) -> None:
         """End the ``build`` phase; emit ``sim.config``; push the first
-        arrival, epoch, interval and probe events."""
+        arrival, epoch and interval events."""
         self.wall.lap("build")
         config = self.config
         if self.tracer is not None:
@@ -234,7 +235,6 @@ class EngineCore:
         if self._pl_enabled:
             self.queue.push(config.layout.interval_cycles, self._INTERVAL,
                             None)
-        self.probes.schedule()
 
     def _count_transfer(self, record: DMATransfer,
                         now: float) -> tuple[int, int, int]:

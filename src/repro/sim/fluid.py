@@ -13,6 +13,7 @@ cross-validates it against :class:`~repro.sim.precise.PreciseEngine`.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 from repro.config import SimulationConfig
@@ -48,10 +49,10 @@ class FluidEngine(EngineCore):
         telemetry: optional
             :class:`~repro.obs.telemetry.TelemetrySampler`.
         digests: optional :class:`~repro.obs.diff.DigestRecorder`.
-            Both are probes (:mod:`repro.obs.probe`): the run schedules
-            read-only PROBE events at each probe's cadence and hands
-            every due probe one shared snapshot. Observation never
-            touches chip accrual, so an observed run stays
+            Both are probes (:mod:`repro.obs.probe`): the run loop ticks
+            them at each probe's cadence, outside the event heap, and
+            hands every due probe one shared snapshot. Observation
+            never touches chip accrual, so an observed run stays
             bit-identical in energy.
     """
 
@@ -111,14 +112,12 @@ class FluidEngine(EngineCore):
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
         self._start()
+        probes = self.probes
         while self.queue:
             now, kind, payload = self.queue.pop()
-            if kind is EventKind.PROBE:
-                # Read-only: no drain, no progress update — an observed
-                # run must replay the unobserved run's event sequence
-                # exactly.
-                self.probes.tick(now, self._work_remaining())
-                continue
+            if now > probes.next_time:
+                # Read-only: the ticks see every event before this one.
+                probes.catch_up(now)
             if kind is EventKind.ARRIVAL:
                 self._on_arrival(payload, now)
             elif kind is EventKind.COMPLETE:
@@ -132,6 +131,10 @@ class FluidEngine(EngineCore):
             self._maybe_drain(now)
             if self._records_done and not self._work_remaining():
                 break  # only stale/periodic events can remain
+        else:
+            # No event ran the end-of-work check (an empty trace): take
+            # the ticks still due, as the precise loop does.
+            probes.catch_up(math.inf)
 
         end = max(self._last_progress, self.trace.duration_cycles)
         self.memory.advance_all(end)
@@ -261,14 +264,20 @@ class FluidEngine(EngineCore):
         A tick that releases nothing changes no state the run loop's
         post-event checks (or :meth:`_work_remaining`) read, so the
         controller settles every tick that would pop before the next
-        queued event, ending early at a tick that releases.
+        queued event, ending early at a tick that releases. Probe ticks
+        are not queued events: the controller calls ``probes.catch_up``
+        before each tick after the first, so a probe due between two
+        epoch ticks samples between them, and an observed run settles
+        the same runs of ticks as an unobserved one.
         """
         if not self._work_remaining():
             return
         controller = self.controller
+        probes = self.probes
         stop = self.queue.head_time()
         now, ticks, releases = controller.settle_epochs(
-            now, stop, self.queue.precedes(stop, EventKind.EPOCH))
+            now, stop, self.queue.precedes(stop, EventKind.EPOCH),
+            probes.catch_up if probes.next_time < math.inf else None)
         self.registry.counter("sim.epochs").inc(ticks)
         self.queue.advance(now)
         for chip_id, streams in releases.items():

@@ -43,10 +43,6 @@ _EV_CHIP_READY = 4
 _EV_DESCENT = 5
 _EV_EPOCH = 6
 _EV_INTERVAL = 7
-# Highest kind: a probe tick pops last at equal timestamps, so it
-# observes the post-everything state of its instant. Handled inline in
-# the run loop (read-only, never in _HANDLERS, never extends the run).
-_EV_PROBE = 8
 
 # Request priority classes (lower value served first).
 _PRIO_PROC = 0
@@ -381,8 +377,7 @@ class PreciseEngine(EngineCore):
     """
 
     name = "precise"
-    _ARRIVAL, _EPOCH, _INTERVAL, _PROBE = (
-        _EV_ARRIVAL, _EV_EPOCH, _EV_INTERVAL, _EV_PROBE)
+    _ARRIVAL, _EPOCH, _INTERVAL = _EV_ARRIVAL, _EV_EPOCH, _EV_INTERVAL
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  technique: str = "baseline", seed: int = 0,
@@ -477,11 +472,13 @@ class PreciseEngine(EngineCore):
         exactly the count the scalar engine holds at that event.
 
         A request landing at ``now`` itself has arrived for an EPOCH,
-        which pops after the request-at-chip events of its instant. It
-        would not have for an ARRIVAL, which pops before them, but no
-        windowed request lands at a trace arrival's instant: the kernel
-        ends a window there (``ArrayTimelineKernel._tie_cut``). Probe
-        ticks end every window before them."""
+        which pops after the request-at-chip events of its instant, and
+        for a probe tick, which the run loop takes after every event of
+        its instant. It would not have for an ARRIVAL, which pops before
+        them, but no windowed request lands at a trace arrival's
+        instant: the kernel ends a window there
+        (``ArrayTimelineKernel._tie_cut``). Every window also ends
+        before the next probe tick."""
         self._fold_windows(now)
         count = self.arrived_requests
         for arrivals in self._window_arrivals:
@@ -510,24 +507,26 @@ class PreciseEngine(EngineCore):
 
     def run(self) -> SimulationResult:
         self._start()
-        # ``progress`` tracks the last state-changing event only: a
-        # trailing probe tick must not stretch the simulated horizon
-        # (that would accrue extra idle energy and break the
-        # bit-identical-to-unobserved guarantee), and neither may an
-        # epoch or PL interval tick that finds no work left — its
-        # handler returns at once, so the horizon stays set by the trace
-        # and its work, as in the fluid engine.
+        # ``progress`` tracks the last state-changing event only: an
+        # epoch or PL interval tick that finds no work left must not
+        # stretch the simulated horizon — its handler returns at once,
+        # so the horizon stays set by the trace and its work, as in the
+        # fluid engine. Probe ticks are not events and never count.
         progress = 0.0
+        probes = self.probes
         while self.queue:
             now, kind, payload = self.queue.pop()
-            if kind == _EV_PROBE:
-                self.probes.tick(now, self._work_remaining())
-                continue
+            if now > probes.next_time:
+                # Read-only: the ticks see every event before this one.
+                probes.catch_up(now)
             if kind < _EV_EPOCH or self._work_remaining():
                 progress = now
             handler = self._HANDLERS[int(kind)]
             handler(self, payload, now)
             self._maybe_drain(now)
+        # The trailing tick: the first one after the last event, which
+        # may lie past the horizon (the final sample then adds none).
+        probes.catch_up(math.inf)
 
         end = max(progress, self.trace.duration_cycles)
         for chip in self.chips:

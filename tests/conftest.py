@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import (
@@ -10,10 +12,29 @@ from repro.config import (
     PopularityLayoutConfig,
     SimulationConfig,
 )
+from repro.core.temporal_alignment import TemporalAlignmentController
 from repro.traces.records import ClientRequest, DMATransfer, ProcessorBurst
 from repro.traces.trace import Trace
 
 MB = 1 << 20
+
+
+@pytest.fixture
+def settle_calls(monkeypatch):
+    """Counts ``TemporalAlignmentController.settle_epochs`` calls; while
+    ``one_tick`` is set, each call drops its ``stop`` and runs only its
+    one default tick, so every epoch tick is its own event."""
+    calls = SimpleNamespace(count=0, one_tick=False)
+    settle = TemporalAlignmentController.settle_epochs
+
+    def counting_settle(self, now, *rest):
+        calls.count += 1
+        return settle(self, now) if calls.one_tick else settle(self, now,
+                                                               *rest)
+
+    monkeypatch.setattr(TemporalAlignmentController, "settle_epochs",
+                        counting_settle)
+    return calls
 
 
 @pytest.fixture
