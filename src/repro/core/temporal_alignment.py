@@ -200,8 +200,21 @@ class TemporalAlignmentController(MemoryController):
         return fraction * max(own, shared)
 
     def _deadline_due(self, chip_id: int, now: float) -> bool:
-        return any(now - s.arrival_time >= self._allowance(s, now)
-                   for s in self._pending.get(chip_id, ()))
+        """Whether a head buffered for the chip has waited its
+        :meth:`_allowance`. The allowance's expressions, with the credit
+        and the shared slack taken once: no head changes them."""
+        heads = self._pending.get(chip_id)
+        if not heads:
+            return False
+        fraction = self._config.alignment.deadline_fraction
+        credit = self.slack.credit_per_request()
+        shared = (self.slack.slack(self._arrived(now))
+                  / (self._pending_total + 1))
+        for stream in heads:
+            own = credit * (getattr(stream, "num_requests", 0) or 1)
+            if now - stream.arrival_time >= fraction * max(own, shared):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # MemoryController interface

@@ -41,6 +41,13 @@ _DEPTH = {
 #: The low-power states, in the order a dynamic policy steps through them.
 LOW_POWER_STATES = (PowerState.STANDBY, PowerState.NAP, PowerState.POWERDOWN)
 
+#: The ``"from->to"`` name of every transition edge, keyed by the two
+#: states' ``_value_`` strings: a chip counting a transition hashes two
+#: strings, not two members (``Enum.__hash__`` is Python code).
+EDGE_NAMES = {(source._value_, target._value_):
+              f"{source.value}->{target.value}"
+              for source in PowerState for target in PowerState}
+
 
 @dataclass(frozen=True)
 class Transition:

@@ -50,9 +50,12 @@ class FluidBus:
                 f"unknown bus sharing mode {sharing!r}; "
                 f"expected one of {SHARING_MODES}")
         self.bus_id = bus_id
-        self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.sharing = sharing
-        self._memory_model = memory_model
+        #: Chip-capacity demand of a stream owning the whole bus: the
+        #: paper's ``Rb / Rm`` (1/3 for PCI-X against RDRAM-1600),
+        #: capped at 1.0 for buses faster than the memory device.
+        self.full_share_demand = min(
+            1.0, bandwidth_bytes_per_s / memory_model.bandwidth_bytes_per_s)
 
         # FIFO state: the transfer currently owning the bus + the queue.
         self.current: FluidStream | None = None
@@ -66,17 +69,6 @@ class FluidBus:
         #: are emitted on the bus track (``None`` = no tracing).
         self.tracer: "Tracer | None" = None
         self._track = bus_track(bus_id)
-
-    @property
-    def full_share_demand(self) -> float:
-        """Chip-capacity demand of a stream owning the whole bus.
-
-        This is the paper's ``Rb / Rm`` (1/3 for PCI-X against RDRAM-1600),
-        capped at 1.0 for buses faster than the memory device.
-        """
-        return min(
-            1.0,
-            self.bandwidth_bytes_per_s / self._memory_model.bandwidth_bytes_per_s)
 
     # ------------------------------------------------------------------
     # FIFO discipline

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import SimulationError
 from repro.traces.records import DMATransfer, ProcessorBurst
@@ -89,6 +90,11 @@ class FluidStream:
     #: a stream slowed from demand d to grant g for dt cycles delays its
     #: requests by (d - g) * dt serving cycles in total.
     extra_service_cycles: float = field(default=0.0, init=False)
+    #: Whether ``kind`` is DMA, and ``kind``'s rank in
+    #: :func:`allocate_chip_capacity`'s priority order (0 is served
+    #: first). Both are set once, from ``kind``.
+    is_dma: bool = field(init=False, repr=False)
+    priority: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.total_work <= 0:
@@ -97,6 +103,8 @@ class FluidStream:
             raise SimulationError(f"stream demand {self.demand} out of (0,1]")
         self.remaining_work = self.total_work
         self.last_sync = self.release_time
+        self.is_dma = self.kind is StreamKind.DMA
+        self.priority = self.kind._value_
 
     def __hash__(self) -> int:
         return self.stream_id
@@ -107,15 +115,23 @@ class FluidStream:
     # --- dynamics -------------------------------------------------------
 
     def sync(self, now: float) -> None:
-        """Drain work for time elapsed since the last change-point."""
-        if now < self.last_sync - 1e-9:
+        """Drain work for time elapsed since the last change-point.
+
+        The clamps are comparisons that return what ``max(0.0, x)``
+        returns (0.0 for -0.0 and NaN too), without its call.
+        """
+        last = self.last_sync
+        if now < last - 1e-9:
             raise SimulationError("stream time moved backwards")
-        elapsed = max(0.0, now - self.last_sync)
-        if not self.done and self.is_dma:
-            self.extra_service_cycles += elapsed * max(
-                0.0, self.demand - self.granted)
-        self.remaining_work = max(
-            0.0, self.remaining_work - elapsed * self.granted)
+        elapsed = now - last if now > last else 0.0
+        granted = self.granted
+        remaining = self.remaining_work
+        if self.is_dma and not remaining <= 1e-9:
+            shortfall = self.demand - granted
+            self.extra_service_cycles += elapsed * (
+                shortfall if shortfall > 0.0 else 0.0)
+        remaining -= elapsed * granted
+        self.remaining_work = remaining if remaining > 0.0 else 0.0
         self.last_sync = now
 
     def projected_completion(self, now: float) -> float:
@@ -129,10 +145,6 @@ class FluidStream:
     @property
     def done(self) -> bool:
         return self.remaining_work <= 1e-9
-
-    @property
-    def is_dma(self) -> bool:
-        return self.kind is StreamKind.DMA
 
     # --- stats ------------------------------------------------------------
 
@@ -166,23 +178,35 @@ def water_fill(demands: list[float], capacity: float) -> list[float]:
     return grants
 
 
-def allocate_chip_capacity(streams: list[FluidStream]) -> None:
+def allocate_chip_capacity(
+        streams: Iterable[FluidStream]) -> tuple[list[FluidStream], ...]:
     """Set each stream's ``granted`` share of one chip's capacity.
 
     Priority order PROC > DMA > MIGRATION (Section 4.1.3 solution 1 and
     Section 4.2.2): each class water-fills whatever capacity the classes
-    above it left. Callers must have synced the streams to the current
-    time first; grants apply from now until the next change-point.
+    above it left, and a done stream gets 0.0. Callers must have synced
+    the streams to the current time first; grants apply from now until
+    the next change-point.
+
+    Returns the streams grouped by class, PROC, DMA then MIGRATION, each
+    group in ``streams`` order and holding its done streams too.
     """
-    capacity = 1.0
-    for kind in (StreamKind.PROC, StreamKind.DMA, StreamKind.MIGRATION):
-        group = [s for s in streams if s.kind is kind and not s.done]
-        if not group:
-            continue
-        grants = water_fill([s.demand for s in group], capacity)
-        for stream, grant in zip(group, grants):
-            stream.granted = grant
-        capacity = max(0.0, capacity - sum(grants))
+    groups: tuple[list[FluidStream], ...] = ([], [], [])
+    any_done = False
     for stream in streams:
-        if stream.done:
+        groups[stream.priority].append(stream)
+        if stream.remaining_work <= 1e-9:
             stream.granted = 0.0
+            any_done = True
+    capacity = 1.0
+    for group in groups:
+        live = ([s for s in group if not s.remaining_work <= 1e-9]
+                if any_done else group)
+        if not live:
+            continue
+        grants = water_fill([s.demand for s in live], capacity)
+        for stream, grant in zip(live, grants):
+            stream.granted = grant
+        left = capacity - sum(grants)
+        capacity = left if left > 0.0 else 0.0
+    return groups

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from repro.energy.accounting import (BUCKETS, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
 from repro.energy.policies import PowerPolicy
-from repro.energy.states import PowerModel, PowerState
+from repro.energy.states import EDGE_NAMES, PowerModel, PowerState
 from repro.obs.events import chip_track
 from repro.obs.probe import CHIP_FIELDS
 
@@ -209,7 +209,7 @@ class FluidChip:
         self._total = self._walk = None
 
     def _count_transition(self, source: PowerState, target: PowerState) -> None:
-        edge = f"{source.value}->{target.value}"
+        edge = EDGE_NAMES[source._value_, target._value_]
         self.transition_counts[edge] = self.transition_counts.get(edge, 0) + 1
 
     def _accrue_busy(self, delta: float) -> None:
@@ -256,25 +256,32 @@ class FluidChip:
     def _accrue_idle(self, start: float, end: float) -> None:
         offset_start = start - self._idle_since
         offset_end = end - self._idle_since
+        frequency_hz = self.model.frequency_hz
+        time, energy = self.time, self.energy
         for segment in self._profile:
-            lo = max(segment.start, offset_start)
-            hi = min(segment.end, offset_end)
+            if segment.end <= offset_start:
+                continue  # over before the span: nothing to accrue
+            # max(segment.start, offset_start) and min(segment.end,
+            # offset_end), without the calls.
+            lo = (offset_start if offset_start > segment.start
+                  else segment.start)
+            hi = offset_end if offset_end < segment.end else segment.end
             if hi <= lo:
                 continue
             cycles = hi - lo
-            joules = segment.power_watts * cycles / self.model.frequency_hz
+            joules = segment.power_watts * cycles / frequency_hz
             if segment.bucket == _SEG_ACTIVE_IDLE:
-                self.time.idle_threshold += cycles
-                self.energy.idle_threshold += joules
+                time.idle_threshold += cycles
+                energy.idle_threshold += joules
             elif segment.bucket == _SEG_TRANSITION:
-                self.time.transition += cycles
-                self.energy.transition += joules
+                time.transition += cycles
+                energy.transition += joules
                 if segment.target is not None and lo < segment.end <= hi:
                     # The downward transition completed inside this span.
                     self._count_transition(segment.state, segment.target)
             else:
-                self.time.low_power += cycles
-                self.energy.low_power += joules
+                time.low_power += cycles
+                energy.low_power += joules
             if self.tracer is not None:
                 if segment.bucket == _SEG_ACTIVE_IDLE:
                     name = "active-idle"

@@ -44,11 +44,6 @@ class EventKind(enum.IntEnum):
     PROC_DONE = 3
     EPOCH = 4
     INTERVAL = 5
-    # Where a probe tick (telemetry, digests) falls among the events of
-    # its instant: after all of them, so it observes their settled
-    # state. No event of this kind is pushed; the run loops tick probes
-    # outside the heap (repro.obs.probe).
-    PROBE = 6
 
 
 class EventQueue:

@@ -5,8 +5,10 @@ gather releases, processor bursts, epoch/interval ticks, and wake
 completions. Between change-points every chip carries a set of
 constant-rate streams and energy accrues in closed form
 (:class:`~repro.memory.chip.FluidChip`). For the paper's strictly periodic
-DMA-memory request streams this is exact in aggregate while being orders
-of magnitude faster than per-request simulation; the test suite
+DMA-memory request streams this is exact in aggregate, and faster than
+per-request simulation: about ten times the precise engine on DMA-only
+traffic, and about 1.5 times per request on OLTP-Db, whose processor
+bursts add change-points (``docs/ENGINES.md``). The test suite
 cross-validates it against :class:`~repro.sim.precise.PreciseEngine`.
 """
 
@@ -29,6 +31,15 @@ from repro.traces.trace import Trace
 
 #: Remaining-work threshold (serving cycles) below which a stream is done.
 _DONE_EPS = 1e-6
+
+# The event kinds, bound once: on Python 3.11 reading a member off its
+# Enum class costs about ten global-name lookups, and the run loop and
+# the rebalance read one per event and per stream.
+_ARRIVAL = EventKind.ARRIVAL
+_COMPLETE = EventKind.COMPLETE
+_STREAM_START = EventKind.STREAM_START
+_EPOCH = EventKind.EPOCH
+_INTERVAL = EventKind.INTERVAL
 
 
 class FluidEngine(EngineCore):
@@ -102,8 +113,10 @@ class FluidEngine(EngineCore):
 
     def _arrived_requests(self, now: float) -> float:
         """Arrived (~served) DMA-memory requests by ``now``, excluding
-        buffered heads."""
-        return self._served_dma_work(now) / self._serve_cycles
+        buffered heads: :meth:`_served_dma_work`'s expression, in this
+        frame."""
+        return (self._dma_work_base + self._dma_work_rate * (
+            now - self._dma_work_time)) / self._serve_cycles
 
     # ------------------------------------------------------------------
     # Run loop
@@ -118,19 +131,20 @@ class FluidEngine(EngineCore):
             if now > probes.next_time:
                 # Read-only: the ticks see every event before this one.
                 probes.catch_up(now)
-            if kind is EventKind.ARRIVAL:
+            if kind is _ARRIVAL:
                 self._on_arrival(payload, now)
-            elif kind is EventKind.COMPLETE:
+            elif kind is _COMPLETE:
                 self._on_complete(payload, now)
-            elif kind is EventKind.STREAM_START:
+            elif kind is _STREAM_START:
                 self._on_stream_start(payload, now)
-            elif kind is EventKind.EPOCH:
+            elif kind is _EPOCH:
                 self._on_epoch(now)
-            elif kind is EventKind.INTERVAL:
+            elif kind is _INTERVAL:
                 self._on_interval(now)
-            self._maybe_drain(now)
-            if self._records_done and not self._work_remaining():
-                break  # only stale/periodic events can remain
+            if self._records_done:
+                self._maybe_drain(now)
+                if not self._work_remaining():
+                    break  # only stale/periodic events can remain
         else:
             # No event ran the end-of-work check (an empty trace): take
             # the ticks still due, as the precise loop does.
@@ -161,8 +175,9 @@ class FluidEngine(EngineCore):
                  float(len(bus.queue))) for bus in self.buses]
 
     def _maybe_drain(self, now: float) -> None:
-        if (self._records_done and not self._active
-                and self._pending_starts == 0
+        """Release every buffered head once the records are done (the
+        run loop's condition for calling) and nothing else can run."""
+        if (not self._active and self._pending_starts == 0
                 and not any(bus.queue for bus in self.buses)
                 and self.controller.pending_count() > 0):
             for chip_id, streams in self.controller.drain(now).items():
@@ -174,11 +189,12 @@ class FluidEngine(EngineCore):
     # ------------------------------------------------------------------
 
     def _on_arrival(self, index: int, now: float) -> None:
-        self._last_progress = max(self._last_progress, now)
+        if now > self._last_progress:
+            self._last_progress = now
         record = self.trace.records[index]
         if index + 1 < len(self.trace.records):
             self.queue.push(self.trace.records[index + 1].time,
-                            EventKind.ARRIVAL, index + 1)
+                            _ARRIVAL, index + 1)
         else:
             self._records_done = True
 
@@ -249,7 +265,7 @@ class FluidEngine(EngineCore):
             # Numerical drift: reschedule at the refreshed projection.
             stream.version += 1
             self.queue.push(stream.projected_completion(now),
-                            EventKind.COMPLETE, (stream, stream.version))
+                            _COMPLETE, (stream, stream.version))
             return
         bus_ids = {stream.bus_id} if stream.is_dma else set()
         granted = self._finish_stream(stream, now)
@@ -276,15 +292,14 @@ class FluidEngine(EngineCore):
         probes = self.probes
         stop = self.queue.head_time()
         now, ticks, releases = controller.settle_epochs(
-            now, stop, self.queue.precedes(stop, EventKind.EPOCH),
+            now, stop, self.queue.precedes(stop, _EPOCH),
             probes.catch_up if probes.next_time < math.inf else None)
         self.registry.counter("sim.epochs").inc(ticks)
         self.queue.advance(now)
         for chip_id, streams in releases.items():
             self._release(self.memory.chips[chip_id], streams, now,
                           notify=True)
-        self.queue.push(now + controller.epoch_cycles(), EventKind.EPOCH,
-                        None)
+        self.queue.push(now + controller.epoch_cycles(), _EPOCH, None)
 
     def _on_interval(self, now: float) -> None:
         if self._records_done and not self._active:
@@ -315,7 +330,7 @@ class FluidEngine(EngineCore):
                                   now, notify=False)
         if not self._records_done:
             self.queue.push(now + self.config.layout.interval_cycles,
-                            EventKind.INTERVAL, None)
+                            _INTERVAL, None)
 
     # ------------------------------------------------------------------
     # Stream lifecycle
@@ -365,7 +380,7 @@ class FluidEngine(EngineCore):
                          "bus_wait": max(0.0, now - stream.release_time)})
         if ready > now + 1e-9:
             self._pending_starts += 1
-            self.queue.push(ready, EventKind.STREAM_START,
+            self.queue.push(ready, _STREAM_START,
                             (chip.chip_id, tuple(streams)))
         else:
             self._start_streams(chip, streams, now)
@@ -417,7 +432,8 @@ class FluidEngine(EngineCore):
 
     def _rebalance(self, bus_ids: set[int], chip_ids: set[int],
                    now: float) -> None:
-        self._last_progress = max(self._last_progress, now)
+        if now > self._last_progress:
+            self._last_progress = now
         touched = set(chip_ids)
         for bus_id in bus_ids:
             touched |= {s.chip_id for s in self.buses[bus_id].members}
@@ -459,11 +475,18 @@ class FluidEngine(EngineCore):
                 break
 
         # Phase 3: re-allocate chip capacity and reschedule completions.
+        # One grouping by priority feeds the grants, the chip's rates
+        # and has_dma; the pushes follow the streams' own order.
+        push = self.queue.push
         for chip_id in touched:
             chip = self.memory.chips[chip_id]
-            active = list(self._streams_at[chip_id])
-            if self._opportunistic and active and all(
-                    s.kind is StreamKind.MIGRATION for s in active):
+            active = self._streams_at[chip_id]
+            if not active:
+                if chip.busy:
+                    chip.set_idle(now)
+                continue
+            proc, dma, migration = allocate_chip_capacity(active)
+            if self._opportunistic and not proc and not dma:
                 # Opportunistic copies alone must not hold the chip up:
                 # park them (zero grant) and let the chip descend; they
                 # resume at the next rebalance that brings real traffic.
@@ -473,25 +496,21 @@ class FluidEngine(EngineCore):
                 if chip.busy:
                     chip.set_idle(now)
                 continue
-            if not active:
-                if chip.busy:
-                    chip.set_idle(now)
-                continue
-            allocate_chip_capacity(active)
-            rates = ChipRates(
-                dma=sum(s.granted for s in active if s.kind is StreamKind.DMA),
-                proc=sum(s.granted for s in active if s.kind is StreamKind.PROC),
-                migration=sum(s.granted for s in active
-                              if s.kind is StreamKind.MIGRATION),
-            )
-            has_dma = any(s.is_dma for s in active)
-            chip.set_busy(now, has_dma, rates)
+            chip.set_busy(now, bool(dma), ChipRates(
+                dma=sum([s.granted for s in dma]),
+                proc=sum([s.granted for s in proc]),
+                migration=sum([s.granted for s in migration])))
             for stream in active:
                 stream.version += 1
-                completion = stream.projected_completion(now)
-                if completion != float("inf"):
-                    self.queue.push(completion, EventKind.COMPLETE,
-                                    (stream, stream.version))
+                # FluidStream.projected_completion's rules, inline.
+                if stream.remaining_work <= 1e-9:
+                    completion = now
+                elif stream.granted <= 0:
+                    continue
+                else:
+                    completion = now + stream.remaining_work / stream.granted
+                if completion != math.inf:
+                    push(completion, _COMPLETE, (stream, stream.version))
 
         # Phase 4: refresh the global DMA work rate.
         self._dma_work_rate = sum(

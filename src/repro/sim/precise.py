@@ -9,7 +9,7 @@ literally — serve 4 cycles, sit active-idle 8 — and is the ground truth
 the fluid engine is validated against.
 
 With the array-timeline kernel (:mod:`repro.sim.array_timeline`) it
-costs about 1.4 times the fluid engine's time per request on OLTP-Db,
+costs about 1.5 times the fluid engine's time per request on OLTP-Db,
 and the kernel-free ``precise-scalar`` oracle about twenty times more
 (``docs/ENGINES.md``). Use it for cross-validation, small traces,
 tests, and spot checks.
@@ -27,7 +27,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.energy.accounting import (BUCKET_INDEX, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
-from repro.energy.states import PowerState
+from repro.energy.states import EDGE_NAMES, PowerState
 from repro.obs.events import TRACK_SIM, bus_track, chip_track
 from repro.sim.engine import EngineCore
 from repro.sim.results import SimulationResult
@@ -259,7 +259,7 @@ class _PChip:
 
     def _count_transition(self, source: PowerState,
                           target: PowerState) -> None:
-        edge = f"{source.value}->{target.value}"
+        edge = EDGE_NAMES[source._value_, target._value_]
         self.transition_counts[edge] = self.transition_counts.get(edge, 0) + 1
 
     # --- power state ------------------------------------------------------

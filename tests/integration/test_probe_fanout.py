@@ -1,6 +1,6 @@
 """Tier-1 gate: probes attached together see what they see alone.
 
-Both engines drive telemetry and digests through one PROBE event and one
+Both engines tick telemetry and digests outside the event heap, with one
 shared snapshot per tick (:mod:`repro.obs.probe`). Attaching both probes
 must not change what either records — telemetry rows, digest rows and
 chain tip — nor the run itself, whose breakdowns stay bit-identical to

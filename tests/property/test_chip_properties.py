@@ -1,5 +1,8 @@
 """Property tests for the fluid chip's accrual invariants."""
 
+import math
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,3 +86,81 @@ def test_wake_is_idempotent_and_monotone(moment):
     again = chip.wake(first)
     assert again == pytest.approx(first)
     assert chip.wake_count <= 1
+
+
+class FullWalkChip(FluidChip):
+    """The reference accrual: every idle span walks the whole profile
+    with ``max``/``min``, and transition names are f-strings."""
+
+    def _count_transition(self, source, target):
+        edge = f"{source.value}->{target.value}"
+        self.transition_counts[edge] = self.transition_counts.get(edge, 0) + 1
+
+    def _accrue_idle(self, start, end):
+        offset_start = start - self._idle_since
+        offset_end = end - self._idle_since
+        for segment in self._profile:
+            lo = max(segment.start, offset_start)
+            hi = min(segment.end, offset_end)
+            if hi <= lo:
+                continue
+            cycles = hi - lo
+            joules = segment.power_watts * cycles / self.model.frequency_hz
+            if segment.bucket == "idle_threshold":
+                self.time.idle_threshold += cycles
+                self.energy.idle_threshold += joules
+            elif segment.bucket == "transition":
+                self.time.transition += cycles
+                self.energy.transition += joules
+                if segment.target is not None and lo < segment.end <= hi:
+                    self._count_transition(segment.state, segment.target)
+            else:
+                self.time.low_power += cycles
+                self.energy.low_power += joules
+            if segment.end >= offset_end:
+                break
+
+
+_ops = st.lists(
+    st.tuples(st.sampled_from(("advance", "wake", "busy", "idle")),
+              st.one_of(st.just(0.0),
+                        st.floats(min_value=0.0, max_value=50.0),
+                        st.floats(min_value=0.0, max_value=2e6)),
+              st.floats(min_value=0.0, max_value=0.6),
+              st.floats(min_value=0.0, max_value=0.4)),
+    min_size=1, max_size=25)
+
+
+def _drive(chip, ops, final):
+    now = 0.0
+    for op, step, dma, proc in ops:
+        now += step
+        chip.advance(now)
+        if op == "wake":
+            chip.wake(now)
+        elif op == "busy":
+            chip.set_busy(now, dma > 0, ChipRates(dma=dma, proc=proc))
+        elif op == "idle":
+            chip.set_idle(now)
+    chip.advance(now + final)
+    return chip
+
+
+def _bits(values):
+    return [(value, math.copysign(1.0, value)) for value in values]
+
+
+@given(_ops, st.floats(min_value=0.0, max_value=2e6), st.booleans())
+@settings(max_examples=200)
+def test_idle_accrual_matches_full_walk(ops, final, start_asleep):
+    """Idle spans, wakes and busy spans accrue the full walk's floats
+    bit for bit, and count the same transitions in the same order."""
+    fast = _drive(FluidChip(0, MODEL, POLICY, start_asleep=start_asleep),
+                  ops, final)
+    reference = _drive(FullWalkChip(0, MODEL, POLICY,
+                                    start_asleep=start_asleep), ops, final)
+    assert _bits(astuple(fast.time)) == _bits(astuple(reference.time))
+    assert _bits(astuple(fast.energy)) == _bits(astuple(reference.energy))
+    assert (list(fast.transition_counts.items())
+            == list(reference.transition_counts.items()))
+    assert fast.wake_count == reference.wake_count

@@ -117,7 +117,7 @@ def loop_settle(controller, now, epoch, stop, at_stop):
     not pop before an event queued at ``stop`` (after an epoch tick at
     ``stop`` when ``at_stop``)."""
     queue = EventQueue()
-    queue.push(stop, EventKind.PROBE if at_stop else EventKind.ARRIVAL)
+    queue.push(stop, EventKind.INTERVAL if at_stop else EventKind.ARRIVAL)
     ticks = 0
     while True:
         ticks += 1

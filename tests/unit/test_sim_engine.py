@@ -63,20 +63,20 @@ class TestPrecedes:
         return q
 
     def test_empty_queue(self):
-        assert EventQueue().precedes(1e9, EventKind.PROBE)
+        assert EventQueue().precedes(1e9, EventKind.INTERVAL)
 
     def test_equal_time_lower_kind(self, queue):
         assert queue.precedes(5.0, EventKind.ARRIVAL)
 
     def test_equal_time_higher_kind(self, queue):
-        assert not queue.precedes(5.0, EventKind.PROBE)
+        assert not queue.precedes(5.0, EventKind.INTERVAL)
 
     def test_equal_time_same_kind_pops_after(self, queue):
         # Insertion order breaks the tie: a new push goes last.
         assert not queue.precedes(5.0, EventKind.EPOCH)
 
     def test_earlier_time(self, queue):
-        assert queue.precedes(4.0, EventKind.PROBE)
+        assert queue.precedes(4.0, EventKind.INTERVAL)
 
     def test_later_time(self, queue):
         assert not queue.precedes(6.0, EventKind.COMPLETE)
