@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from repro.energy.accounting import (BUCKETS, EnergyBreakdown,
                                      TimeBreakdown, bucket_values)
 from repro.energy.policies import PowerPolicy
-from repro.energy.states import EDGE_NAMES, PowerModel, PowerState
+from repro.energy.states import EDGE_NAMES, PowerModel, PowerState, Transition
 from repro.obs.events import chip_track
 from repro.obs.probe import CHIP_FIELDS
 
@@ -37,6 +37,9 @@ if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
 
 _INF = math.inf
+# Bound once: reading a member off its Enum class costs about ten
+# global-name lookups on Python 3.11.
+_ACTIVE = PowerState.ACTIVE
 
 # Idle-profile segment buckets.
 _SEG_ACTIVE_IDLE = "idle_threshold"
@@ -59,6 +62,9 @@ class _IdleSegment:
     state: PowerState
     # For transition segments: the state being entered.
     target: PowerState | None = None
+    #: The wake from the state a wake in this segment starts from (the
+    #: target of a transition, else ``state``); None for ACTIVE.
+    up: Transition | None = None
 
 
 @dataclass
@@ -87,6 +93,10 @@ class FluidChip:
         self.chip_id = chip_id
         self.model = model
         self.policy = policy
+        # The model's figures the hot paths read, bound once (the model's
+        # ``active_power`` indexes a dict by an Enum member).
+        self._active_power = model.active_power
+        self._frequency = model.frequency_hz
         self.energy = EnergyBreakdown()
         self.time = TimeBreakdown()
         self.wake_count = 0
@@ -135,23 +145,27 @@ class FluidChip:
         """
         segments: list[_IdleSegment] = []
         cursor = 0.0
-        state = PowerState.ACTIVE
+        state = _ACTIVE
+        upward = self.model.upward
         for threshold, target in self._schedule:
             start = max(threshold, cursor)
             if start > cursor:
-                bucket = _SEG_ACTIVE_IDLE if state is PowerState.ACTIVE else _SEG_LOW_POWER
+                bucket = _SEG_ACTIVE_IDLE if state is _ACTIVE else _SEG_LOW_POWER
                 segments.append(_IdleSegment(
-                    cursor, start, bucket, self.model.power(state), state))
+                    cursor, start, bucket, self.model.power(state), state,
+                    up=upward.get(state)))
             down = self.model.downward[target]
             if down.time_cycles > 0:
                 segments.append(_IdleSegment(
                     start, start + down.time_cycles, _SEG_TRANSITION,
-                    down.power_watts, state, target=target))
+                    down.power_watts, state, target=target,
+                    up=upward[target]))
             cursor = start + down.time_cycles
             state = target
-        bucket = _SEG_ACTIVE_IDLE if state is PowerState.ACTIVE else _SEG_LOW_POWER
+        bucket = _SEG_ACTIVE_IDLE if state is _ACTIVE else _SEG_LOW_POWER
         segments.append(_IdleSegment(
-            cursor, _INF, bucket, self.model.power(state), state))
+            cursor, _INF, bucket, self.model.power(state), state,
+            up=upward.get(state)))
         return segments
 
     def _segment_at(self, offset: float) -> _IdleSegment:
@@ -175,7 +189,7 @@ class FluidChip:
     def state_at(self, now: float) -> PowerState:
         """The chip's power state at ``now`` (ACTIVE while busy/waking)."""
         if self._busy or now < self._time:
-            return PowerState.ACTIVE
+            return _ACTIVE
         segment = self._segment_at(now - self._idle_since)
         if segment.bucket == _SEG_TRANSITION:
             # Mid-descent: report the state being left (still draining).
@@ -185,7 +199,7 @@ class FluidChip:
     def is_low_power(self, now: float) -> bool:
         """True if a request arriving at ``now`` would find the chip in a
         low-power mode (the DMA-TA buffering condition, Section 4.1.1)."""
-        return self.state_at(now) is not PowerState.ACTIVE
+        return self.state_at(now) is not _ACTIVE
 
     # ------------------------------------------------------------------
     # Accrual
@@ -213,8 +227,8 @@ class FluidChip:
         self.transition_counts[edge] = self.transition_counts.get(edge, 0) + 1
 
     def _accrue_busy(self, delta: float) -> None:
-        power = self.model.active_power
-        seconds = delta / self.model.frequency_hz
+        power = self._active_power
+        seconds = delta / self._frequency
         rates = self.rates
         busy = min(1.0, rates.busy_fraction)
         idle_fraction = max(0.0, 1.0 - busy)
@@ -329,13 +343,13 @@ class FluidChip:
                 # so nothing is pending. Report the serving-side power
                 # the chip is heading for.
                 if self._busy or now < self._time:
-                    power = self.model.active_power
+                    power = self._active_power
                 else:
                     power = self._segment_at(offset_end).power_watts
                 return [self._total, power, *bucket_values(self.time)]
             if self._busy:
                 delta = now - self._time
-                block = [self._total, self.model.active_power,
+                block = [self._total, self._active_power,
                          *bucket_values(self.time)]
                 rates = self.rates
                 idle_fraction = max(0.0, 1.0 - min(1.0, rates.busy_fraction))
@@ -409,9 +423,8 @@ class FluidChip:
         if segment.bucket == _SEG_TRANSITION and segment.target is not None:
             # Finish the downward transition, then resynchronise.
             remaining = (self._idle_since + segment.end) - now
-            down = self.model.downward[segment.target]
-            drain_joules = (
-                down.power_watts * remaining / self.model.frequency_hz)
+            # A transition segment draws the downward transition's power.
+            drain_joules = segment.power_watts * remaining / self._frequency
             self.time.transition += remaining
             self.energy.transition += drain_joules
             wake_joules += drain_joules
@@ -420,15 +433,15 @@ class FluidChip:
             state = segment.target
         else:
             state = segment.state
-        if state is not PowerState.ACTIVE:
-            up = self.model.upward[state]
+        if state is not _ACTIVE:
+            up = segment.up
             up_joules = self.model.transition_energy(up)
             self.time.transition += up.time_cycles
             self.energy.transition += up_joules
             wake_joules += up_joules
             ready += up.time_cycles
             self.wake_count += 1
-            self._count_transition(state, PowerState.ACTIVE)
+            self._count_transition(state, _ACTIVE)
         if self.tracer is not None and ready > now:
             self.tracer.span(now, ready - now, "wake", self._track,
                              {"bucket": _SEG_TRANSITION,
@@ -454,8 +467,8 @@ class FluidChip:
             state = segment.target
         else:
             state = segment.state
-        if state is not PowerState.ACTIVE:
-            latency += self.model.upward[state].time_cycles
+        if state is not _ACTIVE:
+            latency += segment.up.time_cycles
         return latency
 
     def set_busy(self, now: float, has_dma_stream: bool, rates: ChipRates) -> None:

@@ -1,15 +1,15 @@
 """The batched array-timeline kernel behind the vectorized precise engine.
 
 The scalar precise engine walks every 8-byte DMA-memory request through
-four heap events (bus-free, request-at-chip, serve-done, and a stale
-descent timer), and every 64-byte processor access through one
-serve-done event. On the paper's geometry — a 12-cycle bus period
-against a 4-cycle chip service — a released transfer quickly settles
-into the Figure 2(a) steady state: serve 4 cycles, sit active-idle 8,
-repeat, with exactly one request on the wire at all times. With several
-transfers streaming to one chip from different buses the pattern is the
-FIFO service of the merge of one such arithmetic progression per bus. A
-processor burst is a fixed sequence of ``proc_serve_cycles`` serves.
+three heap events (bus-free, request-at-chip, serve-done), and every
+64-byte processor access through one serve-done event. On the paper's
+geometry — a 12-cycle bus period against a 4-cycle chip service — a
+released transfer quickly settles into the Figure 2(a) steady state:
+serve 4 cycles, sit active-idle 8, repeat, with exactly one request on
+the wire at all times. With several transfers streaming to one chip
+from different buses the pattern is the FIFO service of the merge of
+one such arithmetic progression per bus. A processor burst is a fixed
+sequence of ``proc_serve_cycles`` serves.
 Inside these windows nothing is *decided*; the event machinery only
 re-derives the sequences, one heap operation at a time.
 
@@ -46,7 +46,8 @@ it, the kernel:
    bit-identical to the scalar engine's iterative ``end = start + gap``
    bus bookkeeping) and merges them into one chip timeline;
 4. serves the timeline first-in first-out — a request landing while the
-   chip serves waits, exactly as it would in the chip queue — and stops
+   chip serves waits, exactly as it would in the chip queue; the serve
+   ends are a fixed point of whole-array passes — and stops
    before the horizon, a stream's first unbatched request, an exact
    arrival tie (the heap's insertion order decides those) or a serve
    that ends at or after its own stream's next arrival (the bus frees
@@ -58,8 +59,9 @@ it, the kernel:
    accumulator receives exactly the floating-point value the scalar
    engine's repeated ``+=`` would have produced;
 6. rewrites the engine state (bus occupancy, per-transfer progress, chip
-   clock, descent generation) to the state the scalar engine would hold,
-   and re-arms the in-flight heap events.
+   clock, the descent walk starting at the last serve's end) to the
+   state the scalar engine would hold, and re-arms the in-flight heap
+   events.
 
 Everything outside these windows — wake and descent transitions, DMA-TA
 gather/release decisions, migrations, bus handoffs, transfer heads and
@@ -113,6 +115,13 @@ MIN_BATCH = 8
 
 #: Maximum streams merged per window; chips fed by more are left scalar.
 _MAX_STREAMS = 4
+
+#: Fixed-point passes a multi-stream window may take to settle its
+#: serve ends (:meth:`ArrayTimelineKernel._fifo_window`). A pass settles
+#: one more request of every busy period, and the paper's streams queue
+#: only a few deep before one stalls: no window of perfbench's OLTP
+#: runs takes more than three.
+MAX_PASSES = 8
 
 #: Safety margin (cycles) subtracted from projected bus-handoff times.
 #: The projection uses ``free_at + remaining * gap`` while the engine
@@ -267,8 +276,6 @@ class ArrayTimelineKernel:
         chip.time.serving_proc = time_total
         chip.energy.serving_proc = energy_total
         chip._last = last
-        # One generation bump per serve start, as ``_kick_chip`` does.
-        chip.descent_generation += served
         remaining = served
         while remaining:
             burst = bursts[0]
@@ -421,18 +428,10 @@ class ArrayTimelineKernel:
             t.skip_arrivals += 1       # the pre-batch wire event pair
             engine._bus_skip[t.bus_id] += 1  # is now stale; swallow it
         chip._last = float(ends[-1])
-        chip.idle_since = chip._last
-        chip.descent_index = 0
-        # Scalar bookkeeping bumps the generation once per serve start
-        # and once per descent (re-)arm, which follows every serve that
-        # leaves the chip idle; replicate so any descent timer left in
-        # the heap is recognised as stale. The window ends idle, and a
-        # request that did not queue was preceded by an idle boundary.
-        if chip.schedule:
-            idle_boundaries = int(np.count_nonzero(idle_cycles[1:])) + 1
-            chip.descent_generation += count + idle_boundaries
-        else:
-            chip.descent_generation += count
+        # The window ends idle: the chip's walk starts at its last serve
+        # end, as it starts after every serve that leaves the chip idle
+        # (the window's idle gaps are all shorter than its first step).
+        chip.start_walk(chip._last)
         # Re-arm each stream's in-flight request at the post-window time
         # (same push order as ``_transmit``: request-at-chip, bus-free;
         # streams ordered by wire time as their transmits would have
@@ -562,6 +561,18 @@ class ArrayTimelineKernel:
         """First-in first-out service of the merged multi-stream
         timeline from a chip idle since ``last``.
 
+        Serve ``i`` ends at ``e_i = max(a_i, e_{i-1}) + serve``
+        (``e_{-1} = last``). The ends are found as a fixed point, from
+        "no request waits" (``e_i = a_i + serve``): each pass applies
+        the recurrence to the previous pass's ends at once. A pass that
+        leaves a prefix unchanged has settled it — on the prefix the
+        ends then satisfy the recurrence, whose left-to-right solution
+        is unique — and each pass settles at least one more request of
+        every busy period. The window stops at the first settled request
+        that ends at or after the horizon or its own stream's next
+        arrival; after :data:`MAX_PASSES` passes, at the first request
+        the last pass changed.
+
         Returns ``(arrivals, begins, ends, stream_of)`` for the window,
         or None when it is shorter than :data:`MIN_BATCH`.
         """
@@ -575,35 +586,45 @@ class ArrayTimelineKernel:
         order = np.argsort(merged, kind="stable")
         rank = np.empty(len(merged), dtype=int)
         rank[order] = np.arange(len(merged))
-        # Never batch at or past any stream's final (cut) element.
+        # Never batch at or past any stream's final (cut) element, nor
+        # at an exact arrival tie: the heap's insertion order decides
+        # those.
         stop = int(rank[np.cumsum(lengths) - 1].min())
-        arrivals = merged[order][:stop + 1].tolist()
-        following_l = following[order][:stop].tolist()
-
+        arrivals = merged[order][:stop + 1]
+        ties = np.flatnonzero(arrivals[1:stop] == arrivals[:stop - 1])
+        if len(ties):
+            stop = int(ties[0]) + 1
+        if stop < MIN_BATCH:
+            return None
+        waiting = arrivals[:stop]
+        following = following[order][:stop]
         serve = self.serve
-        begins: list[float] = []
-        ends: list[float] = []
-        count = 0
-        previous_end = last
-        previous_arrival = -math.inf
-        for i in range(stop):
-            arrival = arrivals[i]
-            if arrival == previous_arrival:
-                break  # exact tie: the heap's insertion order decides
-            begin = arrival if arrival > previous_end else previous_end
-            end = begin + serve
-            if not (end < horizon and end < following_l[i]):
-                break  # past the horizon, or its own stream stalls
-            begins.append(begin)
-            ends.append(end)
-            if end < arrivals[i + 1]:
-                count = i + 1  # idle boundary: the window may end here
-            previous_end = end
-            previous_arrival = arrival
+        ends = waiting + serve
+        previous = np.empty(stop)
+        previous[0] = last
+        for _ in range(MAX_PASSES):
+            previous[1:] = ends[:-1]
+            begins = np.maximum(waiting, previous)
+            settled = begins + serve
+            changed = np.flatnonzero(settled != ends)
+            ends = settled
+            exact = int(changed[0]) if len(changed) else stop
+            late = np.flatnonzero((ends[:exact] >= horizon)
+                                  | (ends[:exact] >= following[:exact]))
+            if len(late):
+                stop = int(late[0])  # past the horizon, or it stalls
+                break
+            if exact == stop:
+                break
+        else:
+            stop = exact
+        # End at the last idle boundary before the stop.
+        boundaries = np.flatnonzero(ends[:stop] < arrivals[1:stop + 1])
+        count = int(boundaries[-1]) + 1 if len(boundaries) else 0
         if count < MIN_BATCH:
             return None
-        return (np.array(arrivals[:count]), np.array(begins[:count]),
-                np.array(ends[:count]), stream_of[order][:count])
+        return (waiting[:count], begins[:count], ends[:count],
+                stream_of[order][:count])
 
 
-__all__ = ["ArrayTimelineKernel", "MIN_BATCH"]
+__all__ = ["ArrayTimelineKernel", "MAX_PASSES", "MIN_BATCH"]

@@ -50,18 +50,17 @@ class EventQueue:
     """A deterministic time-ordered event queue (heapq based).
 
     Ties are broken by :class:`EventKind`, then by insertion order, so a
-    run is fully reproducible.
+    run is fully reproducible. Entries are ``(time, kind, seq, payload)``
+    tuples in :attr:`heap`; a run loop may pop them with
+    :func:`heapq.heappop` itself (the precise engine's does), setting
+    :attr:`now` to each popped time.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Any]] = []
+        self.heap: list[tuple[float, int, int, Any]] = []
         self._seq = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Timestamp of the last popped event."""
-        return self._now
+        #: Timestamp of the last popped event.
+        self.now = 0.0
 
     def push(self, time: float, kind: Any, payload: Any = None) -> int:
         """Schedule an event. ``kind`` must be int-comparable (enum or int).
@@ -69,39 +68,39 @@ class EventQueue:
         Returns the event's sequence number: among events of one time and
         kind, the lower number pops first.
         """
-        if time < self._now - 1e-9:
+        if time < self.now - 1e-9:
             raise SimulationError(
-                f"event scheduled in the past ({time} < {self._now})")
+                f"event scheduled in the past ({time} < {self.now})")
         seq = next(self._seq)
-        heapq.heappush(self._heap, (time, kind, seq, payload))
+        heapq.heappush(self.heap, (time, kind, seq, payload))
         return seq
 
     def pop(self) -> tuple[float, Any, Any]:
-        if not self._heap:
+        if not self.heap:
             raise SimulationError("pop from empty event queue")
-        time, kind, _, payload = heapq.heappop(self._heap)
-        self._now = max(self._now, time)
+        time, kind, _, payload = heapq.heappop(self.heap)
+        self.now = max(self.now, time)
         return time, kind, payload
 
     def head_time(self) -> float:
         """Timestamp of the next event to pop (``inf`` when empty)."""
-        return self._heap[0][0] if self._heap else math.inf
+        return self.heap[0][0] if self.heap else math.inf
 
     def precedes(self, time: float, kind: Any) -> bool:
         """True if an event pushed now at ``(time, kind)`` would pop
         before every event already queued."""
-        return not self._heap or (time, kind) < self._heap[0][:2]
+        return not self.heap or (time, kind) < self.heap[0][:2]
 
     def advance(self, time: float) -> None:
         """Move the clock to ``time`` for an event a handler runs inline
         instead of pushing it (valid only when :meth:`precedes` holds)."""
-        self._now = max(self._now, time)
+        self.now = max(self.now, time)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
 
 TECHNIQUES = ("nopm", "baseline", "dma-ta", "pl", "dma-ta-pl")

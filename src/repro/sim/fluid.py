@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from heapq import heappop
 
 from repro.config import SimulationConfig
 from repro.io.bus import FluidBus
@@ -126,8 +127,11 @@ class FluidEngine(EngineCore):
         """Execute the simulation and return its result."""
         self._start()
         probes = self.probes
-        while self.queue:
-            now, kind, payload = self.queue.pop()
+        queue = self.queue
+        heap = queue.heap
+        while heap:
+            now, kind, _, payload = heappop(heap)
+            queue.now = now
             if now > probes.next_time:
                 # Read-only: the ticks see every event before this one.
                 probes.catch_up(now)

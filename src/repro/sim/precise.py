@@ -4,14 +4,16 @@ Every 8-byte DMA-memory request is an explicit event: the bus transmits it
 (one request per bus period, FIFO/round-robin among the bus's in-flight
 transfers), the chip queues and serves it (4 cycles at Table 1 defaults,
 processor accesses first), and the dynamic policy walks the chip down
-through its power states with real timers. This reproduces Figure 2(a)
-literally — serve 4 cycles, sit active-idle 8 — and is the ground truth
-the fluid engine is validated against.
+through its power states step by step: each chip keeps its walk as a
+clock (the time of its next step boundary) and applies every boundary
+that has passed, at its own time, whenever the chip is read. This
+reproduces Figure 2(a) literally — serve 4 cycles, sit active-idle 8 —
+and is the ground truth the fluid engine is validated against.
 
 With the array-timeline kernel (:mod:`repro.sim.array_timeline`) it
 costs about 1.5 times the fluid engine's time per request on OLTP-Db,
-and the kernel-free ``precise-scalar`` oracle about twenty times more
-(``docs/ENGINES.md``). Use it for cross-validation, small traces,
+and the kernel-free ``precise-scalar`` oracle about thirteen times more
+on DMA-only traffic (``docs/ENGINES.md``). Use it for cross-validation, small traces,
 tests, and spot checks.
 """
 
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque
+from heapq import heappop
+from typing import Deque, NamedTuple
 
 import numpy as np
 
@@ -40,9 +43,11 @@ _EV_BUS_FREE = 1
 _EV_REQUEST_AT_CHIP = 2
 _EV_SERVE_DONE = 3
 _EV_CHIP_READY = 4
-_EV_DESCENT = 5
-_EV_EPOCH = 6
-_EV_INTERVAL = 7
+_EV_EPOCH = 5
+_EV_INTERVAL = 6
+
+_ACTIVE = PowerState.ACTIVE
+_INF = math.inf
 
 # Request priority classes (lower value served first).
 _PRIO_PROC = 0
@@ -118,13 +123,63 @@ class _Request:
     count: int = 1
 
 
-class _PChip:
-    """Per-request chip model with explicit power-state timers."""
+class _Step(NamedTuple):
+    """One step of a chip's descent walk, with the power model's figures
+    for it read once (reading them off the model hashes an Enum member)."""
 
-    def __init__(self, chip_id: int, model, policy) -> None:
+    #: Idle cycles (since the chip went idle) before the step may begin.
+    threshold: float
+    target: PowerState
+    down_cycles: float
+    down_watts: float
+    #: Steady power in ``target``.
+    watts: float
+    #: The wake from ``target`` back to ACTIVE.
+    up_cycles: float
+    up_watts: float
+
+
+class _Instant:
+    """What the chips' descent walks need to know of the event the run
+    loop is handling: whether a walk boundary at its very time is past
+    (``ties_past``). It is for an epoch or interval tick; a trace
+    arrival, bus, request, serve or wake event sees the chip as it was
+    before the step."""
+
+    __slots__ = ("ties_past",)
+
+    def __init__(self) -> None:
+        self.ties_past = False
+
+
+class _PChip:
+    """Per-request chip model whose descent walk runs as a clock.
+
+    While the chip is idle its policy walks it down the schedule: step
+    ``i`` begins ``threshold_i`` cycles after the chip went idle (or when
+    step ``i - 1`` finishes, if later) and finishes ``down_cycles_i``
+    later. ``descent_due`` holds the time of the walk's next boundary, a
+    step's begin or, while ``transition_until`` is set, its finish
+    (``math.inf`` when no walk runs). Every read of the chip at ``t``
+    (:meth:`touch`, :meth:`is_low_power`, :meth:`begin_wake`,
+    :meth:`observe`) first applies each boundary past at ``t`` at its own
+    time and in order (:meth:`_walk`); a serve or a wake ends the walk.
+    """
+
+    def __init__(self, chip_id: int, model, policy,
+                 instant: _Instant) -> None:
         self.chip_id = chip_id
-        self.model = model
         self.schedule = policy.schedule(model)
+        steps = []
+        for threshold, target in self.schedule:
+            down, up = model.downward[target], model.upward[target]
+            steps.append(_Step(threshold, target, down.time_cycles,
+                               down.power_watts, model.power(target),
+                               up.time_cycles, up.power_watts))
+        self._steps = tuple(steps)
+        self._frequency = model.frequency_hz
+        self._active_power = model.active_power
+        self._instant = instant
         self.energy = EnergyBreakdown()
         self.time = TimeBreakdown()
         self.wake_count = 0
@@ -143,17 +198,22 @@ class _PChip:
         #: FIFO; the array-timeline kernel needs the distinction.
         self.streams: list = []
 
-        # Power state machinery.
-        if self.schedule:
-            self.state = self.schedule[-1][1]
+        # Power state machinery: fully descended at start.
+        if self._steps:
+            self.state = self._steps[-1].target
+            self._power = self._steps[-1].watts
         else:
-            self.state = PowerState.ACTIVE
-        self.descent_generation = 0
-        self.descent_index = len(self.schedule)  # fully descended at start
+            self.state = _ACTIVE
+            self._power = self._active_power
+        #: Steps of the current walk finished so far.
+        self.descent_index = len(self._steps)
         self.idle_since = 0.0
+        self.descent_due = _INF
+        #: Time of the last walk boundary applied: the run's horizon
+        #: reaches it.
+        self.last_boundary = 0.0
         self.waking_until: float | None = None
         self.transition_until: float | None = None
-        self.transition_target: PowerState | None = None
 
         # Accrual bookkeeping.
         self._last = 0.0
@@ -161,17 +221,22 @@ class _PChip:
     # --- accrual ---------------------------------------------------------
 
     def touch(self, now: float) -> None:
+        """Accrue energy/time up to ``now``, past walk steps first."""
+        if self.descent_due <= now:
+            self._walk(now, self._instant.ties_past)
+        self._accrue(now)
+
+    def _accrue(self, now: float) -> None:
         """Accrue energy/time since the last checkpoint at the current mode."""
         if now <= self._last:
             return
         start = self._last
         delta = now - self._last
         self._last = now
-        seconds = delta / self.model.frequency_hz
+        seconds = delta / self._frequency
 
         if self.serving is not None:
-            power = self.model.active_power
-            joules = power * seconds
+            joules = self._active_power * seconds
             if self.serving.priority == _PRIO_PROC:
                 bucket = "serving_proc"
                 self.time.serving_proc += delta
@@ -199,9 +264,8 @@ class _PChip:
                                   "joules": self._transit_power * seconds})
             return
 
-        power = self.model.power(self.state)
-        joules = power * seconds
-        if self.state is PowerState.ACTIVE:
+        joules = self._power * seconds
+        if self.state is _ACTIVE:
             if self.inflight_transfers > 0:
                 bucket = "idle_dma"
                 self.time.idle_dma += delta
@@ -227,26 +291,29 @@ class _PChip:
         :data:`~repro.obs.probe.CHIP_FIELDS` order: energy-to-date,
         instantaneous power, then residency-to-date per bucket.
 
-        Strictly read-only: the pending ``now - _last`` span is
-        classified exactly as :meth:`touch` will classify it, but
-        nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and observed runs must stay
-        bit-identical in energy. Used by the per-tick probe snapshot
-        that telemetry and digests share
-        (:class:`~repro.obs.probe.ProbeSet`).
+        Read-only but for the walk: the steps past at ``now`` are
+        applied at their own times, as any read applies them. The
+        pending ``now - _last`` span is classified exactly as
+        :meth:`touch` will classify it, but nothing is accrued —
+        splitting an accrual at an observation point would change float
+        rounding, and observed runs must stay bit-identical in energy.
+        Used by the per-tick probe snapshot that telemetry and digests
+        share (:class:`~repro.obs.probe.ProbeSet`).
         """
+        if self.descent_due <= now:
+            self._walk(now, True)  # a probe tick follows its instant
         buckets = list(bucket_values(self.time))
         in_transit = (self.waking_until is not None
                       or self.transition_until is not None)
         if self.serving is not None:
-            power = self.model.active_power
+            power = self._active_power
             bucket = _SERVING_BUCKET[self.serving.priority]
         elif in_transit:
             power = self._transit_power
             bucket = "transition"
         else:
-            power = self.model.power(self.state)
-            if self.state is not PowerState.ACTIVE:
+            power = self._power
+            if self.state is not _ACTIVE:
                 bucket = "low_power"
             elif self.inflight_transfers > 0:
                 bucket = "idle_dma"
@@ -264,38 +331,80 @@ class _PChip:
 
     # --- power state ------------------------------------------------------
 
+    def start_walk(self, now: float) -> None:
+        """The chip went idle at ``now``: its walk down the schedule
+        starts."""
+        self.idle_since = now
+        self.descent_index = 0
+        if self._steps:
+            self.descent_due = now + self._steps[0].threshold
+
+    def finish_walk(self) -> None:
+        """Apply every step left in the walk (the run is over)."""
+        self._walk(_INF, False)
+
+    def _walk(self, now: float, ties_past: bool) -> None:
+        """Apply every walk boundary before ``now`` (at ``now`` too when
+        ``ties_past``), each at its own time: accrue up to it, then begin
+        the step's downward transition or finish it."""
+        steps = self._steps
+        due = self.descent_due
+        while due < now or (ties_past and due == now):
+            self._accrue(due)
+            self.last_boundary = due
+            step = steps[self.descent_index]
+            if self.transition_until is None:
+                self._transit_power = step.down_watts
+                due = self.transition_until = due + step.down_cycles
+                continue
+            self._count_transition(self.state, step.target)
+            self.state = step.target
+            self._power = step.watts
+            self.transition_until = None
+            self.descent_index += 1
+            if self.descent_index < len(steps):
+                due = max(self.idle_since
+                          + steps[self.descent_index].threshold, due)
+            else:
+                due = _INF
+        self.descent_due = due
+
     def is_low_power(self, now: float) -> bool:
         if self.waking_until is not None:
             return False  # already on the way up
-        return self.state is not PowerState.ACTIVE or self.transition_until is not None
+        if self.descent_due <= now:
+            self._walk(now, self._instant.ties_past)
+        return self.state is not _ACTIVE or self.transition_until is not None
 
     def begin_wake(self, now: float) -> float:
-        """Start (or join) a wake-up; returns the ready time."""
+        """Start (or join) a wake-up; returns the ready time. Ends the
+        walk."""
         if self.waking_until is not None:
             return self.waking_until
-        if self.state is PowerState.ACTIVE and self.transition_until is None:
+        if self.descent_due <= now:
+            self._walk(now, self._instant.ties_past)
+        if self.state is _ACTIVE and self.transition_until is None:
             return now
-        self.touch(now)
-        self.descent_generation += 1
-        ready = now
-        if self.transition_until is not None and self.transition_target is not None:
+        self._accrue(now)
+        self.descent_due = _INF
+        if self.transition_until is not None:
             # Finish the downward transition first.
+            step = self._steps[self.descent_index]
             ready = self.transition_until
-            pending_state = self.transition_target
-            self._count_transition(self.state, pending_state)
+            self._count_transition(self.state, step.target)
         else:
-            pending_state = self.state
-        up = self.model.upward[pending_state]
-        self._transit_power = up.power_watts
-        ready += up.time_cycles
+            # The walk's last finished step entered the current state.
+            step = self._steps[self.descent_index - 1]
+            ready = now
+        self._transit_power = step.up_watts
+        ready += step.up_cycles
         self.waking_until = ready
         self.wake_count += 1
         # The remaining downward leg is subsumed into the transit window;
         # charge it at the downward power by splitting the accrual.
         if self.transition_until is not None and self.transition_until > now:
-            down = self.model.downward[self.transition_target]
             leg = self.transition_until - now
-            leg_joules = down.power_watts * leg / self.model.frequency_hz
+            leg_joules = step.down_watts * leg / self._frequency
             self.time.transition += leg
             self.energy.transition += leg_joules
             if self.tracer is not None:
@@ -304,45 +413,16 @@ class _PChip:
                                   "joules": leg_joules})
             self._last = self.transition_until
         self.transition_until = None
-        self.transition_target = None
-        self.state = pending_state
+        self.state = step.target
+        self._power = step.watts
         return ready
 
     def finish_wake(self, now: float) -> None:
         self.touch(now)
         self.waking_until = None
-        self._count_transition(self.state, PowerState.ACTIVE)
-        self.state = PowerState.ACTIVE
-        self.descent_index = 0
-        self.idle_since = now
-
-    def begin_descent_step(self, now: float) -> tuple[float, PowerState] | None:
-        """Start the next downward transition; returns (end, target)."""
-        if self.descent_index >= len(self.schedule):
-            return None
-        _, target = self.schedule[self.descent_index]
-        self.touch(now)
-        down = self.model.downward[target]
-        self._transit_power = down.power_watts
-        self.transition_until = now + down.time_cycles
-        self.transition_target = target
-        return self.transition_until, target
-
-    def finish_descent_step(self, now: float) -> None:
-        self.touch(now)
-        assert self.transition_target is not None
-        self._count_transition(self.state, self.transition_target)
-        self.state = self.transition_target
-        self.transition_until = None
-        self.transition_target = None
-        self.descent_index += 1
-
-    def next_descent_due(self) -> float | None:
-        """Idle offset at which the next descent step begins."""
-        if self.descent_index >= len(self.schedule):
-            return None
-        threshold, _ = self.schedule[self.descent_index]
-        return self.idle_since + threshold
+        self._count_transition(self.state, _ACTIVE)
+        self.state = _ACTIVE
+        self._power = self._active_power
 
     # --- queueing ----------------------------------------------------------
 
@@ -385,7 +465,8 @@ class PreciseEngine(EngineCore):
                  telemetry=None, digests=None) -> None:
         super().__init__(trace, config, technique, seed, tracer)
         memory = config.memory
-        chips = [_PChip(i, memory.power_model, self.policy)
+        self._instant = _Instant()
+        chips = [_PChip(i, memory.power_model, self.policy, self._instant)
                  for i in range(memory.num_chips)]
 
         # Bus state: one transfer owns a bus at a time (FIFO), matching
@@ -511,24 +592,36 @@ class PreciseEngine(EngineCore):
         # epoch or PL interval tick that finds no work left must not
         # stretch the simulated horizon — its handler returns at once,
         # so the horizon stays set by the trace and its work, as in the
-        # fluid engine. Probe ticks are not events and never count.
+        # fluid engine. Probe ticks are not events and never count; the
+        # chips' descent walks do (below).
         progress = 0.0
         probes = self.probes
-        while self.queue:
-            now, kind, payload = self.queue.pop()
+        queue = self.queue
+        heap = queue.heap
+        handlers = self._HANDLERS
+        instant = self._instant
+        while heap:
+            now, kind, _, payload = heappop(heap)
+            queue.now = now
             if now > probes.next_time:
                 # Read-only: the ticks see every event before this one.
                 probes.catch_up(now)
+            instant.ties_past = kind >= _EV_EPOCH
             if kind < _EV_EPOCH or self._work_remaining():
                 progress = now
-            handler = self._HANDLERS[int(kind)]
-            handler(self, payload, now)
-            self._maybe_drain(now)
+            handlers[kind](self, payload, now)
+            if self._records_done:
+                self._maybe_drain(now)
         # The trailing tick: the first one after the last event, which
         # may lie past the horizon (the final sample then adds none).
         probes.catch_up(math.inf)
 
+        # Idle chips walk on down to the end of their schedules; each
+        # step is a state change, so the horizon reaches the last one.
         end = max(progress, self.trace.duration_cycles)
+        for chip in self.chips:
+            chip.finish_walk()
+            end = max(end, chip.last_boundary)
         for chip in self.chips:
             chip.touch(end)
         kernel = self._kernel
@@ -723,7 +816,7 @@ class PreciseEngine(EngineCore):
         request = chip.pop_request()
         assert request is not None
         chip.serving = request
-        chip.descent_generation += 1  # cancel any pending descent timer
+        chip.descent_due = _INF  # a serve ends the walk
         end = now + request.cycles
         if (self._kernel is not None and request.priority == _PRIO_PROC
                 and chip.queue[_PRIO_PROC]):
@@ -737,7 +830,7 @@ class PreciseEngine(EngineCore):
         chip.finish_wake(now)
         self._kick_chip(chip, now)
         if chip.serving is None:
-            self._arm_descent(chip, now)
+            chip.start_walk(now)
 
     def _on_serve_done(self, chip_id: int, now: float) -> None:
         chip = self.chips[chip_id]
@@ -776,40 +869,9 @@ class PreciseEngine(EngineCore):
         if chip.has_queued:
             self._kick_chip(chip, now)
         else:
-            chip.idle_since = now
-            chip.descent_index = 0
-            self._arm_descent(chip, now)
+            chip.start_walk(now)
             if self._kernel is not None and chip.streams:
                 self._kernel.try_batch(chip, now)
-
-    # --- power descent ----------------------------------------------------
-
-    def _arm_descent(self, chip: _PChip, now: float) -> None:
-        due = chip.next_descent_due()
-        if due is None:
-            return
-        chip.descent_generation += 1
-        self.queue.push(max(due, now), _EV_DESCENT,
-                        (chip.chip_id, chip.descent_generation))
-
-    def _on_descent(self, payload, now: float) -> None:
-        chip_id, generation = payload
-        chip = self.chips[chip_id]
-        if generation != chip.descent_generation:
-            return
-        if (chip.serving is not None or chip.has_queued
-                or chip.waking_until is not None):
-            return
-        step = chip.begin_descent_step(now)
-        if step is None:
-            return
-        end, _ = step
-        # Finish the transition, then arm the next step.
-        self.queue.push(end, _EV_DESCENT, (chip_id, -chip.descent_generation))
-
-    def _on_descent_finish(self, chip: _PChip, now: float) -> None:
-        chip.finish_descent_step(now)
-        self._arm_descent(chip, now)
 
     # --- epochs and intervals ------------------------------------------------
 
@@ -852,27 +914,6 @@ class PreciseEngine(EngineCore):
 
     # ------------------------------------------------------------------
 
-    _HANDLERS = {}
-
-
-def _dispatch_descent(engine: PreciseEngine, payload, now: float) -> None:
-    chip_id, generation = payload
-    chip = engine.chips[chip_id]
-    if generation < 0:
-        # Transition-finish marker (generation stored negated).
-        if -generation == chip.descent_generation and chip.transition_target:
-            engine._on_descent_finish(chip, now)
-        return
-    engine._on_descent(payload, now)
-
-
-PreciseEngine._HANDLERS = {
-    _EV_ARRIVAL: PreciseEngine._on_arrival,
-    _EV_BUS_FREE: PreciseEngine._on_bus_free,
-    _EV_REQUEST_AT_CHIP: PreciseEngine._on_request_at_chip,
-    _EV_SERVE_DONE: PreciseEngine._on_serve_done,
-    _EV_CHIP_READY: PreciseEngine._on_chip_ready,
-    _EV_DESCENT: _dispatch_descent,
-    _EV_EPOCH: PreciseEngine._on_epoch,
-    _EV_INTERVAL: PreciseEngine._on_interval,
-}
+    #: Handler per event kind, indexed by kind.
+    _HANDLERS = (_on_arrival, _on_bus_free, _on_request_at_chip,
+                 _on_serve_done, _on_chip_ready, _on_epoch, _on_interval)

@@ -14,7 +14,7 @@ import pytest
 from repro import simulate
 from repro.obs.diff import DigestRecorder
 from repro.obs.tracer import RingTracer
-from repro.sim.engine import EventKind, EventQueue
+from repro.sim.fluid import FluidEngine
 from repro.traces.oltp import oltp_storage_trace
 
 
@@ -27,16 +27,16 @@ def trace():
 
 @pytest.fixture
 def epoch_pops(monkeypatch):
-    """Counts EPOCH events popped from any event queue."""
+    """Counts EPOCH events the fluid run loop pops: it hands each one to
+    ``FluidEngine._on_epoch``, once."""
     popped = [0]
-    pop = EventQueue.pop
+    on_epoch = FluidEngine._on_epoch
 
-    def counting_pop(self):
-        event = pop(self)
-        popped[0] += event[1] is EventKind.EPOCH
-        return event
+    def counting_on_epoch(self, now):
+        popped[0] += 1
+        return on_epoch(self, now)
 
-    monkeypatch.setattr(EventQueue, "pop", counting_pop)
+    monkeypatch.setattr(FluidEngine, "_on_epoch", counting_on_epoch)
     return popped
 
 
