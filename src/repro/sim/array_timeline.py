@@ -39,17 +39,15 @@ it, the kernel:
    progress;
 2. computes the chip's horizon, as for a processor window, or a bus
    handoff that would start another stream to this chip, if earlier;
-   it ends the window sooner where a wire event of another bus could
-   come to tie a stream's out of the scalar order (below);
 3. materialises each stream's request schedule as a numpy event vector
    (`np.add.accumulate` over the bus period, so the timestamps are
    bit-identical to the scalar engine's iterative ``end = start + gap``
-   bus bookkeeping) and merges them into one chip timeline;
+   bus bookkeeping) and merges them into one chip timeline, tied
+   arrivals in bus order, as tied wire events pop;
 4. serves the timeline first-in first-out — a request landing while the
    chip serves waits, exactly as it would in the chip queue; the serve
    ends are a fixed point of whole-array passes — and stops
-   before the horizon, a stream's first unbatched request, an exact
-   arrival tie (the heap's insertion order decides those) or a serve
+   before the horizon, a stream's first unbatched request or a serve
    that ends at or after its own stream's next arrival (the bus frees
    first and the stream stalls); the window then ends at the last idle
    boundary before the stop, so the chip is left idle;
@@ -61,13 +59,14 @@ it, the kernel:
 6. rewrites the engine state (bus occupancy, per-transfer progress, chip
    clock, the descent walk starting at the last serve's end) to the
    state the scalar engine would hold, and re-arms the in-flight heap
-   events.
+   events. Wire events rank by bus id, not by push order, so the
+   re-armed events pop where the scalar engine's would.
 
 Everything outside these windows — wake and descent transitions, DMA-TA
 gather/release decisions, migrations, bus handoffs, transfer heads and
 tails, DMA requests queued behind processor accesses — stays on the
 scalar event path, which is why the kernel is bit-exact rather than
-within a tolerance. A DMA window settles three things early that other
+within a tolerance. A DMA window settles two things early that other
 chips' events can see, and each is kept exact:
 
 * **The arrived-request count** that DMA-TA admits and epochs read:
@@ -80,13 +79,6 @@ chips' events can see, and each is kept exact:
   the next trace arrival or epoch on any chip falls back to ending
   there, so no nonzero addition is settled ahead of those events. Those additions are almost all exact
   (``docs/ENGINES.md`` gives the numbers).
-* **The order of tied wire events**: requests of different buses that
-  land at one instant pop in push order, and the window pushes its
-  streams' next events when it settles, not one bus period before they
-  pop. A stream tied with another bus's pending event must already be
-  first among them, and the window ends by the time another bus's
-  re-armed event, or a transfer a trace arrival releases, would tie one
-  of its streams (:meth:`ArrayTimelineKernel._tie_cut`).
 
 The scalar path remains available as the oracle via
 ``engine="precise-scalar"``.
@@ -326,18 +318,6 @@ class ArrayTimelineKernel:
         own_buses = {t.bus_id for t in streams}
         if len(own_buses) != n_streams:
             return False  # two streams on one bus: not steady
-        # Wire events of one instant pop in push order, and the window
-        # pushes its streams' next ones now, ahead of any event the
-        # scalar engine would push before them. A stream whose pending
-        # bus-free event ties another bus's therefore needs to be the
-        # first of them already.
-        free_at, seqs = engine._bus_free_at, engine._bus_seq
-        for t in streams:
-            for bus, current in enumerate(engine._bus_current):
-                if (current is not None and bus not in own_buses
-                        and free_at[bus] == free_at[t.bus_id]
-                        and seqs[bus] < seqs[t.bus_id]):
-                    return False
         if sum(t.total_requests - t.served - 1 for t in streams) < MIN_BATCH:
             return False
         horizon = self._horizon(chip.chip_id, own_buses)
@@ -353,6 +333,9 @@ class ArrayTimelineKernel:
         # others there falls back to ending at it.
         shared = min(horizon, engine._next_arrival_time,
                      engine._next_epoch_time)
+        # Merged in bus order, tied arrivals serve as tied wire events
+        # pop: the lower bus first.
+        streams = sorted(streams, key=lambda t: t.bus_id)
         for cut in (horizon, shared):
             if not now < cut:
                 return False
@@ -416,8 +399,6 @@ class ArrayTimelineKernel:
                                               extras[stream_of == s])
 
         # Advance the discrete state to the post-window scalar state.
-        from repro.sim.precise import _EV_BUS_FREE, _EV_REQUEST_AT_CHIP
-
         engine._fold_windows(now)
         engine._window_arrivals.append(arrivals)
         for s, t in enumerate(streams):
@@ -432,15 +413,9 @@ class ArrayTimelineKernel:
         # end, as it starts after every serve that leaves the chip idle
         # (the window's idle gaps are all shorter than its first step).
         chip.start_walk(chip._last)
-        # Re-arm each stream's in-flight request at the post-window time
-        # (same push order as ``_transmit``: request-at-chip, bus-free;
-        # streams ordered by wire time as their transmits would have
-        # been).
+        # Re-arm each stream's in-flight request at the post-window time.
         for time_next, t in next_up:
-            engine._bus_free_at[t.bus_id] = time_next
-            engine.queue.push(time_next, _EV_REQUEST_AT_CHIP, t)
-            engine._bus_seq[t.bus_id] = engine.queue.push(
-                time_next, _EV_BUS_FREE, t.bus_id)
+            engine._land_at(t, time_next)
 
         self.batches += 1
         self.batched_requests += count
@@ -448,20 +423,16 @@ class ArrayTimelineKernel:
         return True
 
     def _window(self, streams: list, last: float, horizon: float):
-        """The window of ``streams`` from a chip idle since ``last``,
-        closed before ``horizon``.
+        """The window of ``streams`` (in bus order) from a chip idle since
+        ``last``, closed before ``horizon``.
 
         Returns ``(arrivals, begins, ends, stream_of, per_stream,
         next_up)``: per request its chip arrival, serve start and end
-        and stream; per stream its request count; and each stream's
-        first unbatched arrival, in wire order. None when the window is
-        shorter than :data:`MIN_BATCH` or leaves an exact tie to re-arm.
+        and stream; per stream its request count; and each batched
+        stream's first unbatched arrival. None when the window is
+        shorter than :data:`MIN_BATCH`.
         """
         chains = self._chains(streams, horizon)
-        cut = self._tie_cut(streams, chains)
-        if cut < horizon:
-            horizon = cut
-            chains = self._chains(streams, horizon)
         if len(streams) == 1:
             # One stream never queues: each request is served the
             # instant it lands (``gap > serve``), so the window is every
@@ -485,12 +456,6 @@ class ArrayTimelineKernel:
         per_stream = np.bincount(stream_of, minlength=len(streams)).tolist()
         next_up = [(float(chain[per_stream[s]]), streams[s])
                    for s, chain in enumerate(chains) if per_stream[s]]
-        next_up.sort(key=lambda pair: pair[0])
-        # The re-armed wire events must keep the scalar heap order;
-        # bail on exact timestamp collisions rather than guess.
-        for (t_a, _), (t_b, _) in zip(next_up, next_up[1:]):
-            if t_a == t_b:
-                return None
         return arrivals, begins, ends, stream_of, per_stream, next_up
 
     def _chains(self, streams: list, horizon: float) -> list:
@@ -516,46 +481,6 @@ class ArrayTimelineKernel:
             np.add.accumulate(chain, out=chain)
             chains.append(chain)
         return chains
-
-    def _tie_cut(self, streams: list, chains: list) -> float:
-        """The time by which the window must hand its streams back to
-        the scalar path, so that no tie with another bus's wire event
-        pops out of the scalar order (math.inf when none can).
-
-        Tied wire events pop in push order. The scalar engine pushes
-        each one bus period before it pops; the window pushes its
-        streams' next events when it settles, ahead of every event
-        pushed in between. Two later events could tie a stream's:
-
-        * another bus's event that an earlier window re-armed at a time
-          on the stream's chain: it was pushed first and pops first, so
-          the stream re-arms no later than that time;
-        * the first request of a transfer released at a trace arrival
-          ``B``, landing on the chain at ``B + gap``: the arrival pops
-          before the bus-free events of its instant, so the stream must
-          be back on the scalar path by ``B``.
-        """
-        engine = self.engine
-        gap = self.gap
-        own = {t.bus_id for t in streams}
-        # (a time that may lie on a chain, the time the window ends by)
-        probes = [(free_at, free_at) for bus, (free_at, current)
-                  in enumerate(zip(engine._bus_free_at,
-                                   engine._bus_current))
-                  if current is not None and bus not in own]
-        records = engine._record_times
-        start = engine._next_record
-        stop = int(np.searchsorted(records, max(c[-1] for c in chains)))
-        probes.extend((time + gap, time)
-                      for time in records[start:stop].tolist())
-        cut = math.inf
-        for chain in chains:
-            first, length = chain[0], len(chain)
-            for probe, mark in probes:
-                k = round((probe - first) / gap)
-                if 1 <= k < length and chain[k] == probe:
-                    cut = min(cut, mark)
-        return cut
 
     def _fifo_window(self, last: float, chains: list, horizon: float):
         """First-in first-out service of the merged multi-stream
@@ -586,14 +511,10 @@ class ArrayTimelineKernel:
         order = np.argsort(merged, kind="stable")
         rank = np.empty(len(merged), dtype=int)
         rank[order] = np.arange(len(merged))
-        # Never batch at or past any stream's final (cut) element, nor
-        # at an exact arrival tie: the heap's insertion order decides
-        # those.
+        # Never batch at or past any stream's final (cut) element. The
+        # stable sort serves tied arrivals in chain order.
         stop = int(rank[np.cumsum(lengths) - 1].min())
         arrivals = merged[order][:stop + 1]
-        ties = np.flatnonzero(arrivals[1:stop] == arrivals[:stop - 1])
-        if len(ties):
-            stop = int(ties[0]) + 1
         if stop < MIN_BATCH:
             return None
         waiting = arrivals[:stop]

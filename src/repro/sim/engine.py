@@ -49,11 +49,13 @@ class EventKind(enum.IntEnum):
 class EventQueue:
     """A deterministic time-ordered event queue (heapq based).
 
-    Ties are broken by :class:`EventKind`, then by insertion order, so a
-    run is fully reproducible. Entries are ``(time, kind, seq, payload)``
-    tuples in :attr:`heap`; a run loop may pop them with
-    :func:`heapq.heappop` itself (the precise engine's does), setting
-    :attr:`now` to each popped time.
+    Entries are ``(time, kind, rank, payload)`` tuples in :attr:`heap`,
+    so ties are broken by :class:`EventKind`, then by rank, and a run is
+    fully reproducible. An event's rank is its insertion sequence unless
+    its push names one: the precise engine ranks its wire events by bus
+    id, so tied ones pop in bus order (``docs/MODEL.md``). A run loop
+    pops entries with :func:`heapq.heappop` itself, setting :attr:`now`
+    to each popped time.
     """
 
     def __init__(self) -> None:
@@ -62,25 +64,20 @@ class EventQueue:
         #: Timestamp of the last popped event.
         self.now = 0.0
 
-    def push(self, time: float, kind: Any, payload: Any = None) -> int:
+    def push(self, time: float, kind: Any, payload: Any = None,
+             rank: int | None = None) -> None:
         """Schedule an event. ``kind`` must be int-comparable (enum or int).
 
-        Returns the event's sequence number: among events of one time and
-        kind, the lower number pops first.
+        Among events of one time and kind, the lower ``rank`` pops first;
+        without one, the event ranks after every event pushed before it.
+        Events of one time and kind must not share a rank.
         """
         if time < self.now - 1e-9:
             raise SimulationError(
                 f"event scheduled in the past ({time} < {self.now})")
-        seq = next(self._seq)
-        heapq.heappush(self.heap, (time, kind, seq, payload))
-        return seq
-
-    def pop(self) -> tuple[float, Any, Any]:
-        if not self.heap:
-            raise SimulationError("pop from empty event queue")
-        time, kind, _, payload = heapq.heappop(self.heap)
-        self.now = max(self.now, time)
-        return time, kind, payload
+        if rank is None:
+            rank = next(self._seq)
+        heapq.heappush(self.heap, (time, kind, rank, payload))
 
     def head_time(self) -> float:
         """Timestamp of the next event to pop (``inf`` when empty)."""
@@ -95,12 +92,6 @@ class EventQueue:
         """Move the clock to ``time`` for an event a handler runs inline
         instead of pushing it (valid only when :meth:`precedes` holds)."""
         self.now = max(self.now, time)
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
 
 
 TECHNIQUES = ("nopm", "baseline", "dma-ta", "pl", "dma-ta-pl")

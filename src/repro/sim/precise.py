@@ -140,11 +140,13 @@ class _Step(NamedTuple):
 
 
 class _Instant:
-    """What the chips' descent walks need to know of the event the run
-    loop is handling: whether a walk boundary at its very time is past
-    (``ties_past``). It is for an epoch or interval tick; a trace
-    arrival, bus, request, serve or wake event sees the chip as it was
-    before the step."""
+    """What the chips' descent walks and the arrived-request count need
+    to know of the event the run loop is handling: whether a walk
+    boundary or a request landing at its very time is past
+    (``ties_past``). It is for an epoch or interval tick, which pops
+    after the other events of its instant; a trace arrival, bus,
+    request, serve or wake event sees the chip as it was before the
+    step."""
 
     __slots__ = ("ties_past",)
 
@@ -478,9 +480,6 @@ class PreciseEngine(EngineCore):
         #: Stale ``BUS_FREE`` events to swallow per bus (see
         #: :attr:`_PTransfer.skip_arrivals`).
         self._bus_skip = [0] * config.buses.count
-        #: Sequence number of each bus's pending ``BUS_FREE`` event: tied
-        #: bus-free events pop in this order.
-        self._bus_seq = [0] * config.buses.count
         self._bus_gap = config.request_period_cycles
         self._open_transfers = 0
         #: DMA-memory requests counted as arrived: at their request-at-chip
@@ -553,17 +552,15 @@ class PreciseEngine(EngineCore):
         exactly the count the scalar engine holds at that event.
 
         A request landing at ``now`` itself has arrived for an EPOCH,
-        which pops after the request-at-chip events of its instant, and
-        for a probe tick, which the run loop takes after every event of
-        its instant. It would not have for an ARRIVAL, which pops before
-        them, but no windowed request lands at a trace arrival's
-        instant: the kernel ends a window there
-        (``ArrayTimelineKernel._tie_cut``). Every window also ends
-        before the next probe tick."""
+        which pops after the request-at-chip events of its instant
+        (``_instant.ties_past``), and not for a trace ARRIVAL, which pops
+        before them. A probe tick finds no windowed request at its
+        instant: every window ends before the next tick."""
         self._fold_windows(now)
         count = self.arrived_requests
+        side = "right" if self._instant.ties_past else "left"
         for arrivals in self._window_arrivals:
-            count += int(np.searchsorted(arrivals, now, "right"))
+            count += int(np.searchsorted(arrivals, now, side))
         return float(count)
 
     def _fold_windows(self, now: float) -> None:
@@ -730,7 +727,6 @@ class PreciseEngine(EngineCore):
             self.chips[transfer.chip_id].streams.append(transfer)
         start = max(now, self._bus_free_at[bus_id])
         end = start + self._bus_gap
-        self._bus_free_at[bus_id] = end
         transfer.transmitted += 1
         transfer.outstanding += 1
         if self.tracer is not None and transfer.transmitted == 1:
@@ -742,8 +738,17 @@ class PreciseEngine(EngineCore):
                                  "wake": transfer.wake_wait,
                                  "bus_wait": max(0.0, start
                                                  - transfer.release_time)})
-        self.queue.push(end, _EV_REQUEST_AT_CHIP, transfer)
-        self._bus_seq[bus_id] = self.queue.push(end, _EV_BUS_FREE, bus_id)
+        self._land_at(transfer, end)
+
+    def _land_at(self, transfer: _PTransfer, time: float) -> None:
+        """The request ``transfer`` has on the wire reaches its chip at
+        ``time``, and its bus frees then. Both events rank by bus id:
+        tied wire events of one kind pop in bus order, the arbiter rule
+        of ``docs/MODEL.md``."""
+        bus_id = transfer.bus_id
+        self._bus_free_at[bus_id] = time
+        self.queue.push(time, _EV_REQUEST_AT_CHIP, transfer, bus_id)
+        self.queue.push(time, _EV_BUS_FREE, bus_id, bus_id)
 
     def _on_bus_free(self, bus_id: int, now: float) -> None:
         """The wire is free: keep the current transfer streaming, or hand

@@ -414,9 +414,9 @@ def test_precise_runs_push_no_timer_events(monkeypatch):
     kinds = Counter()
     push = EventQueue.push
 
-    def counting_push(self, time, kind, payload=None):
+    def counting_push(self, time, kind, payload=None, rank=None):
         kinds[kind] += 1
-        return push(self, time, kind, payload)
+        push(self, time, kind, payload, rank)
 
     monkeypatch.setattr(EventQueue, "push", counting_push)
     result = simulate(trace, technique="baseline", engine="precise-scalar")

@@ -5,13 +5,14 @@ numpy fixed point, is the window the per-request FIFO loop serves.
 to four streams first-in first-out: ``e_i = max(a_i, e_{i-1}) + serve``.
 It finds the ends by repeated whole-array passes from "no request
 waits", and stops, as :func:`loop_window` does one request at a time,
-before an exact arrival tie, at the first serve that ends at or after
-the horizon or its own stream's next arrival, or at a stream's last
-(cut) element; the window then ends at the last idle boundary before
-the stop. Hypothesis draws streams on the paper's geometry (12-cycle bus
-period, 4-cycle serve) from a quarter-cycle grid, so arrivals tie
-exactly, streams land closer than one serve apart, four streams
-over-load the chip until one stalls, and horizons cut windows anywhere.
+at the first serve that ends at or after the horizon or its own
+stream's next arrival, or at a stream's last (cut) element; the window
+then ends at the last idle boundary before the stop. Tied arrivals are
+served in chain order (the kernel passes its streams in bus order).
+Hypothesis draws streams on the paper's geometry (12-cycle bus period,
+4-cycle serve) from a quarter-cycle grid, so arrivals tie exactly,
+streams land closer than one serve apart, four streams over-load the
+chip until one stalls, and horizons cut windows anywhere.
 Both must return the same four arrays, or both None. A last case lowers
 the pass cap, so the window ends early, at the idle boundary before the
 first request still unsettled.
@@ -46,11 +47,8 @@ def loop_window(serve, last, chains, horizon):
     begins, ends = [], []
     count = 0
     previous_end = last
-    previous_arrival = -math.inf
     for i in range(stop):
         arrival = arrivals[i]
-        if arrival == previous_arrival:
-            break
         begin = arrival if arrival > previous_end else previous_end
         end = begin + serve
         if not (end < horizon and end < following_l[i]):
@@ -60,7 +58,6 @@ def loop_window(serve, last, chains, horizon):
         if end < arrivals[i + 1]:
             count = i + 1
         previous_end = end
-        previous_arrival = arrival
     if count < MIN_BATCH:
         return None
     return (np.array(arrivals[:count]), np.array(begins[:count]),

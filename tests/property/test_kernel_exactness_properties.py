@@ -5,8 +5,8 @@ for field on any workload, not only on the hand-built cuts of
 ``tests/unit/test_precise_vectorized.py``. Transfers of 512 B to 32 KB
 stream long enough to form long kernel windows, processor bursts cut
 and share chips, and times drawn from a 1,000-cycle grid put arrivals,
-DMA-TA epochs and whole streams on common instants, where the heap's
-insertion order decides ties.
+DMA-TA epochs and whole streams on common instants, where tied wire
+events pop in bus order.
 """
 
 import dataclasses
@@ -53,10 +53,9 @@ def _fields(result):
        runs)
 @example(
     # Two streams start at one DMA-TA epoch on buses 0 and 1, so their
-    # requests land at the same instants; a window that re-armed the
-    # bus-0 stream ahead of the bus-1 stream's pushes reversed the order
-    # in which chip 3 served them after bus 0 handed off to a third
-    # transfer (``tests/unit/test_kernel_chip_horizon.py``).
+    # requests land at the same instants, and chip 3 serves them in
+    # bus order after bus 0 hands off to a third transfer
+    # (``tests/unit/test_kernel_chip_horizon.py``).
     records=[DMATransfer(time=19264.607081019658, page=41, size_bytes=512,
                          source="disk"),
              DMATransfer(time=48349.27369164601, page=43, size_bytes=32768,

@@ -232,14 +232,14 @@ class TestWindowCuts:
         assert counters["kernel.proc_windows"] == 2
         assert counters["kernel.proc_accesses"] == 43
 
-    def test_exact_arrival_tie_is_left_to_the_heap(self):
-        """Two streams whose requests land at the same instant: the
-        heap's insertion order decides which is served first and in
-        which order their next requests are re-armed, so the kernel
-        batches none of them."""
+    def test_exact_arrival_tie_is_batched_in_bus_order(self):
+        """Two streams whose requests land at the same instant: tied
+        wire events pop in bus order, so the chip serves the bus-0
+        request first, and the kernel batches all but each stream's
+        first request and tail."""
         scalar, vector, _, _ = run_pair(self.two_streams(0.0), "nopm")
         assert_identical(scalar, vector)
-        assert vector.metrics.counters["kernel.batched_requests"] == 0
+        assert vector.metrics.counters["kernel.batched_requests"] == 2044
 
     @pytest.mark.parametrize("offset", [2.0, 4.0])
     def test_streams_closer_than_a_serve_are_batched(self, offset):

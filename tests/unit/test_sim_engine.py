@@ -1,5 +1,7 @@
 """Units for the event queue and the result object."""
 
+from heapq import heappop
+
 import pytest
 
 from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
@@ -8,49 +10,48 @@ from repro.sim.engine import EventKind, EventQueue
 from repro.sim.results import SimulationResult
 
 
+def pop_payload(q):
+    """The payload of the next event, popped as the run loops pop."""
+    return heappop(q.heap)[3]
+
+
 class TestEventQueue:
     def test_time_ordering(self):
         q = EventQueue()
         q.push(5.0, EventKind.ARRIVAL, "b")
         q.push(1.0, EventKind.ARRIVAL, "a")
-        assert q.pop()[2] == "a"
-        assert q.pop()[2] == "b"
+        assert pop_payload(q) == "a"
+        assert pop_payload(q) == "b"
 
     def test_kind_breaks_ties(self):
         """COMPLETE before ARRIVAL at the same instant."""
         q = EventQueue()
         q.push(5.0, EventKind.ARRIVAL, "arrival")
         q.push(5.0, EventKind.COMPLETE, "complete")
-        assert q.pop()[2] == "complete"
+        assert pop_payload(q) == "complete"
 
     def test_insertion_order_breaks_remaining_ties(self):
         q = EventQueue()
         q.push(5.0, EventKind.ARRIVAL, "first")
         q.push(5.0, EventKind.ARRIVAL, "second")
-        assert q.pop()[2] == "first"
+        assert pop_payload(q) == "first"
 
-    def test_now_advances(self):
+    def test_rank_breaks_ties_ahead_of_insertion_order(self):
+        """Tied events pushed with a rank pop lowest rank first, however
+        they were pushed (the precise engine's bus-order rule)."""
         q = EventQueue()
-        q.push(7.0, EventKind.EPOCH, None)
-        q.pop()
-        assert q.now == 7.0
+        q.push(5.0, EventKind.ARRIVAL, "bus 2", rank=2)
+        q.push(5.0, EventKind.ARRIVAL, "bus 0", rank=0)
+        q.push(5.0, EventKind.ARRIVAL, "bus 1", rank=1)
+        q.push(4.0, EventKind.ARRIVAL, "earlier", rank=9)
+        assert [pop_payload(q) for _ in range(4)] == [
+            "earlier", "bus 0", "bus 1", "bus 2"]
 
     def test_push_into_past_rejected(self):
         q = EventQueue()
-        q.push(10.0, EventKind.EPOCH, None)
-        q.pop()
+        q.advance(10.0)
         with pytest.raises(SimulationError):
             q.push(5.0, EventKind.EPOCH, None)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(1.0, EventKind.EPOCH, None)
-        assert q and len(q) == 1
 
 
 class TestPrecedes:
@@ -85,8 +86,8 @@ class TestPrecedes:
         queue.advance(3.0)
         assert queue.now == 3.0
         queue.advance(2.0)
-        assert queue.now == 3.0  # never backwards, as pop
-        assert len(queue) == 1
+        assert queue.now == 3.0  # never backwards
+        assert len(queue.heap) == 1
 
 
 def make_result(**overrides):
